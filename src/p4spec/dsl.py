@@ -6,6 +6,7 @@ Examples:
     caseiv(F5, head=E2)
     union(cycle(5), complete(3))
     join(K2, E3)
+    complement(P4)
 
 Atoms: Kn complete, En edgeless, Pn path, Cn cycle.
 """
@@ -16,11 +17,14 @@ import re
 
 from .constructions import CASE_IV_KINDS, FAMILY_IDS, case_iv_graph, family, \
     standard, thick_spider, thin_spider
-from .graphs import Graph, disjoint_union, join
+from .graphs import Graph, complement, disjoint_union, join
 
 _TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<int>\d+)"
                     r"|(?P<punct>[(),=]))")
 _ATOM = re.compile(r"^([KEPC])(\d+)$")
+# Deepest allowed nesting of constructor calls; parsing and evaluation both
+# recurse once per level, so this keeps them well inside the stack limit.
+MAX_DEPTH = 100
 
 
 class DslError(ValueError):
@@ -55,6 +59,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -84,6 +89,9 @@ class _Parser:
             raise DslError(f"expected an expression, got {text or 'end of input'!r}", pos)
         if self.peek()[1] == "(":
             self.take()
+            if self.depth == MAX_DEPTH:
+                raise DslError(f"expression nested deeper than {MAX_DEPTH} calls", pos)
+            self.depth += 1
             args = []
             if self.peek()[1] != ")":
                 while True:
@@ -93,6 +101,7 @@ class _Parser:
                         continue
                     break
             self.expect(")")
+            self.depth -= 1
             return ("call", text, args, pos)
         return ("name", text, pos)
 
@@ -168,6 +177,9 @@ def _eval_call(node) -> Graph:
             for g in graphs[1:]:
                 acc = op(acc, g)
             return acc
+        if name == "complement":
+            pos_args, _ = _split_args(args, pos, positional=1, keywords=())
+            return complement(_as_graph(pos_args[0]))
         if name == "spider":
             pos_args, kw = _split_args(args, pos, positional=1, keywords=("k", "head"))
             kind = _as_word(pos_args[0], "spider kind")

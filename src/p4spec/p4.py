@@ -353,7 +353,8 @@ def classify(g: Graph) -> ClassificationReport:
     """Full structural and spectral classification of g."""
     p4s = enumerate_p4(g)
     cog = is_cograph(g)
-    assert cog == (not p4s), "recursive and P4-free cograph checks disagree"
+    if cog != (not p4s):
+        raise ArithmeticError("recursive and P4-free cograph checks disagree")
     sparse = is_p4_sparse(g)
     extendible = is_p4_extendible(g)
     spec = exact_spectrum(g)

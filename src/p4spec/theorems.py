@@ -1,16 +1,18 @@
 """Exhaustive and sampled verification of the structural theorems.
 
 Each theorem is a per-graph (or per-pair) assertion checked over every
-labeled graph up to a vertex bound.  Populations are edge-mask ranges, so
-they shard into intervals; sampled populations come from one seeded global
+labeled graph up to a vertex bound.  Exhaustive populations are edge-mask
+ranges, so they shard into intervals; from n = 2 on only the lower half of
+the range is enumerated, each mask M < space/2 standing for itself and its
+complement M ^ full.  Sampled populations come from one seeded global
 sequence striped across shards, which keeps aggregate counts independent of
 the shard count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
-import multiprocessing
 import random
 import time
 from dataclasses import dataclass
@@ -43,16 +45,23 @@ THEOREMS = {
 
 
 class ScanContext:
-    """Per-graph lazy cache shared by the theorem checks."""
+    """Per-graph lazy cache shared by the theorem checks.
 
-    __slots__ = ("g", "_p4s", "_co", "_lint", "_lint_co")
+    Each context has a partner holding the complement graph, made on first
+    use, whose own partner is this context: `co` is the partner's graph and
+    `lint_co()` is the partner's `lint()`.  A scan that checks both graphs of
+    a complementary pair computes each spectrum once, from that graph's own
+    Laplacian.  A graph on at most one vertex is its own complement and its
+    own partner.
+    """
 
-    def __init__(self, g: Graph):
+    __slots__ = ("g", "_p4s", "_partner", "_lint")
+
+    def __init__(self, g: Graph, partner: "ScanContext | None" = None):
         self.g = g
         self._p4s = None
-        self._co = None
+        self._partner = partner
         self._lint = None
-        self._lint_co = None
 
     @property
     def p4s(self):
@@ -61,10 +70,17 @@ class ScanContext:
         return self._p4s
 
     @property
+    def partner(self) -> "ScanContext":
+        if self._partner is None:
+            if self.g.n < 2:
+                self._partner = self
+            else:
+                self._partner = ScanContext(complement(self.g), self)
+        return self._partner
+
+    @property
     def co(self) -> Graph:
-        if self._co is None:
-            self._co = complement(self.g)
-        return self._co
+        return self.partner.g
 
     def lint(self) -> bool:
         if self._lint is None:
@@ -72,9 +88,7 @@ class ScanContext:
         return self._lint
 
     def lint_co(self) -> bool:
-        if self._lint_co is None:
-            self._lint_co = is_l_integral(self.co)
-        return self._lint_co
+        return self.partner.lint()
 
 
 def _check_a(ctx: ScanContext) -> bool:
@@ -252,30 +266,33 @@ class _Tally:
             self.best = other.best
 
 
-def _scan_masks(n: int, masks, enabled: str, checks, tallies: dict[str, _Tally]):
+def _scan_chunk(args) -> dict[str, _Tally]:
+    """Run the enabled checks over one chunk of n-vertex edge masks.
+
+    A paired chunk stands for its masks and their complements M ^ full; the
+    two graphs of a pair are checked with partnered contexts.  checks None
+    means DEFAULT_CHECKS.
+    """
+    n, masks, paired, enabled, checks = args
+    if checks is None:
+        checks = DEFAULT_CHECKS
+    tallies = {tid: _Tally() for tid in enabled}
+    full = (1 << (n * (n - 1) // 2)) - 1
     perf = time.perf_counter
     for mask in masks:
         ctx = ScanContext(mask_to_graph(n, mask))
-        for tid in enabled:
-            tally = tallies[tid]
-            t0 = perf()
-            ok = checks[tid](ctx)
-            tally.time += perf() - t0
-            tally.checked += 1
-            if not ok:
-                tally.violations += 1
-                if tally.best is None or (n, mask) < tally.best:
-                    tally.best = (n, mask)
-
-
-def _scan_chunk(args) -> dict[str, _Tally]:
-    kind, n, payload, enabled = args
-    tallies = {tid: _Tally() for tid in enabled}
-    if kind == "range":
-        lo, hi = payload
-        _scan_masks(n, range(lo, hi), enabled, DEFAULT_CHECKS, tallies)
-    else:
-        _scan_masks(n, payload, enabled, DEFAULT_CHECKS, tallies)
+        todo = ((ctx, mask), (ctx.partner, mask ^ full)) if paired else ((ctx, mask),)
+        for c, m in todo:
+            for tid in enabled:
+                tally = tallies[tid]
+                t0 = perf()
+                ok = checks[tid](c)
+                tally.time += perf() - t0
+                tally.checked += 1
+                if not ok:
+                    tally.violations += 1
+                    if tally.best is None or (n, m) < tally.best:
+                        tally.best = (n, m)
     return tallies
 
 
@@ -332,7 +349,6 @@ def verify_theorems(n_max: int, theorems: str | None = None, *,
             raise ValueError(f"unknown theorem id {tid!r}")
     if checks is not None and workers > 1:
         raise ValueError("custom checks run single-worker only")
-    graph_checks = checks if checks is not None else DEFAULT_CHECKS
     graph_enabled = "".join(t for t in enabled if t != "h")
 
     tallies = {tid: _Tally() for tid in enabled}
@@ -342,34 +358,33 @@ def verify_theorems(n_max: int, theorems: str | None = None, *,
         space = 1 << (n * (n - 1) // 2)
         threshold = sample if sample is not None else (space if n <= 7 else DEFAULT_SAMPLE)
         if space <= threshold:
-            lo = shard_id * space // shards
-            hi = (shard_id + 1) * space // shards
+            # from n = 2 on, mask M < space/2 also stands for its complement
+            paired = n >= 2
+            span = space // 2 if paired else space
+            lo = shard_id * span // shards
+            hi = (shard_id + 1) * span // shards
+            step = _CHUNK // 2 if paired else _CHUNK
             populations.append(f"n={n} exhaustive ({space})")
-            for c in range(lo, hi, _CHUNK):
-                chunks.append(("range", n, (c, min(c + _CHUNK, hi)), graph_enabled))
+            for c in range(lo, hi, step):
+                chunks.append((n, range(c, min(c + step, hi)), paired, graph_enabled, checks))
         else:
             count = threshold
             masks = _sample_masks(space, count, seed, n)[shard_id::shards]
             populations.append(f"n={n} sampled ({count})")
             for c in range(0, len(masks), _CHUNK):
-                chunks.append(("list", n, masks[c:c + _CHUNK], graph_enabled))
+                chunks.append((n, masks[c:c + _CHUNK], False, graph_enabled, checks))
         if progress:
             progress(populations[-1])
 
     if graph_enabled:
-        if workers > 1:
-            mp = multiprocessing.get_context("fork")
-            with mp.Pool(workers) as pool:
-                for result in pool.imap_unordered(_scan_chunk, chunks):
-                    for tid, tally in result.items():
-                        tallies[tid].merge(tally)
-        else:
-            for chunk in chunks:
-                kind, n, payload, en = chunk
-                local = {tid: _Tally() for tid in en}
-                masks = range(*payload) if kind == "range" else payload
-                _scan_masks(n, masks, en, graph_checks, local)
-                for tid, tally in local.items():
+        with contextlib.ExitStack() as stack:
+            scan = map
+            if workers > 1:
+                import multiprocessing  # about 1 MB of modules a serial scan never needs
+                mp = multiprocessing.get_context("fork")
+                scan = stack.enter_context(mp.Pool(workers)).imap_unordered
+            for result in scan(_scan_chunk, chunks):
+                for tid, tally in result.items():
                     tallies[tid].merge(tally)
 
     pair_best = None

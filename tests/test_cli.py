@@ -150,6 +150,19 @@ def test_generate_bad_expression(capsys):
     assert err.startswith("error:")
 
 
+def test_generate_complement(capsys):
+    rc, out, _ = run(capsys, "generate", "complement(P4)")
+    assert rc == 0
+    assert out == "4 3\n0 2\n0 3\n1 3\n"
+
+
+def test_generate_deep_nesting_is_bad_input(capsys):
+    rc, out, err = run(capsys, "generate", "union(" * 3000 + "K1,K1" + ")" * 3000)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "nested deeper" in err
+
+
 def test_verify_theorems_clean_run(capsys):
     rc, out, err = run(capsys, "verify-theorems", "--n-max", "4",
                        "--theorems", "a,g")

@@ -1,8 +1,8 @@
 import pytest
 
 from p4spec.constructions import case_iv_graph, family, standard, thick_spider, thin_spider
-from p4spec.dsl import DslError, parse_dsl
-from p4spec.graphs import disjoint_union, join
+from p4spec.dsl import MAX_DEPTH, DslError, parse_dsl
+from p4spec.graphs import complement, disjoint_union, join
 
 
 def test_atoms():
@@ -91,3 +91,31 @@ def test_atom_vs_call_equivalence():
     assert parse_dsl("C5") == parse_dsl("cycle(5)")
     assert parse_dsl("P3") == parse_dsl("path(3)")
     assert parse_dsl("E1") == parse_dsl("empty(1)")
+
+
+def test_complement_expressions():
+    assert parse_dsl("complement(P4)") == complement(standard("path", 4))
+    # the complement of a union is the join of the complements
+    assert parse_dsl("complement(union(K2,K2))") == join(standard("empty", 2),
+                                                         standard("empty", 2))
+    assert parse_dsl("complement(complement(C5))") == standard("cycle", 5)
+    assert parse_dsl("complement(K3)") == standard("empty", 3)
+    assert parse_dsl("join(K1, complement(E2))") == standard("complete", 3)
+
+
+@pytest.mark.parametrize("text", ["complement()", "complement(K2,K3)",
+                                  "complement(g=K2)", "complement(3)"])
+def test_complement_errors(text):
+    with pytest.raises(DslError):
+        parse_dsl(text)
+
+
+def test_nesting_depth_is_bounded():
+    def nested(depth):
+        return "complement(" * depth + "P4" + ")" * depth
+
+    assert parse_dsl(nested(MAX_DEPTH)) == standard("path", 4)
+    with pytest.raises(DslError, match="nested deeper"):
+        parse_dsl(nested(MAX_DEPTH + 1))
+    with pytest.raises(DslError, match="nested deeper"):
+        parse_dsl("union(" * 3000 + "K1,K1" + ")" * 3000)

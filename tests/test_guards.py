@@ -1,0 +1,58 @@
+"""The decision guards are explicit raises, so `python -O` keeps them.
+
+Each guard is fed a bad value in a `python -O` subprocess and must still
+raise ArithmeticError.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+SCRIPT = r"""
+from p4spec import p4, spectral
+from p4spec.constructions import standard
+from p4spec.graphs import Graph
+from p4spec.spectral import IntPolynomial, laplacian
+
+assert False, "asserts must be stripped in this process"
+
+
+def outcome(fn):
+    try:
+        fn()
+    except ArithmeticError as exc:
+        return f"raised: {exc}"
+    return "returned"
+
+
+# a packed field too narrow for the entries: the trace division goes inexact
+real_width = spectral._field_width
+spectral._field_width = lambda r, n: 2
+print(outcome(lambda: spectral.char_poly(laplacian(standard("complete", 4)))))
+spectral._field_width = real_width
+
+# a characteristic polynomial with the root 5 > n = 4 for the star K_{1,3}
+real_char_poly = spectral.char_poly
+spectral.char_poly = lambda m: IntPolynomial([0, -5, 1]) * IntPolynomial([-1, 1]) ** 2
+star = Graph(4, [0b1110, 0b0001, 0b0001, 0b0001])
+print(outcome(lambda: spectral.exact_spectrum(star)))
+spectral.char_poly = real_char_poly
+
+# self-loops (an unvalidated graph) make the two cograph tests disagree
+print(outcome(lambda: p4.classify(Graph(4, (1, 1, 3, 3), validate=False))))
+"""
+
+
+def test_decision_guards_survive_optimize_flag():
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-O", "-c", SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "raised: Faddeev-LeVerrier trace division is not exact",
+        "raised: Laplacian eigenvalue above n: bound violated",
+        "raised: recursive and P4-free cograph checks disagree",
+    ]

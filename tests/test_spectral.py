@@ -1,7 +1,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
 import oracles
@@ -169,6 +168,7 @@ def test_is_l_integral_examples():
 # ----------------------------------------------------------------- numerics
 
 def test_jacobi_against_numpy():
+    np = pytest.importorskip("numpy")
     rng = random.Random(5)
     for _ in range(25):
         n = rng.randint(1, 9)
@@ -305,3 +305,49 @@ def test_union_relation_is_exact_product():
     h = standard("complete", 4)
     u = disjoint_union(g, h)
     assert char_poly(laplacian(u)) == char_poly(laplacian(g)) * char_poly(laplacian(h))
+
+
+# ------------------------------------------------ packed-row char_poly kernel
+
+def _random_int_matrix(rng, n, bound):
+    # non-symmetric, mixed signs, about a third of the entries zero
+    return [[rng.randint(-bound, bound) if rng.random() < 0.7 else 0
+             for _ in range(n)] for _ in range(n)]
+
+
+def test_char_poly_random_integer_matrices_match_oracle():
+    rng = random.Random(11)
+    for trial in range(120):
+        n = rng.randint(1, 10)
+        bound = (1, 9, 1000, 10 ** 6)[trial % 4]
+        rows = _random_int_matrix(rng, n, bound)
+        assert list(char_poly(IntMatrix(rows)).coeffs) == oracles.char_poly_coeffs(rows), rows
+
+
+def test_char_poly_extreme_entries_match_oracle():
+    # every entry at +-10^6 makes the packed fields as wide as they get
+    rng = random.Random(12)
+    for n in range(1, 11):
+        rows = [[rng.choice((-10 ** 6, 10 ** 6)) for _ in range(n)] for _ in range(n)]
+        assert list(char_poly(IntMatrix(rows)).coeffs) == oracles.char_poly_coeffs(rows)
+
+
+def test_char_poly_complete_graph_laplacians():
+    # K_n has the largest Laplacian entries for its order: x (x - n)^(n - 1)
+    for n in range(1, 17):
+        lap = laplacian(standard("complete", n))
+        expected = IntPolynomial([0, 1]) * IntPolynomial([-n, 1]) ** (n - 1)
+        assert char_poly(lap) == expected
+        assert list(char_poly(lap).coeffs) == oracles.char_poly_coeffs(list(lap.rows))
+
+
+def test_char_poly_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(13)
+    matrices = [_random_int_matrix(rng, rng.randint(1, 8), rng.choice((3, 10 ** 6)))
+                for _ in range(25)]
+    matrices += [list(laplacian(standard("complete", n)).rows) for n in (8, 12, 16)]
+    for rows in matrices:
+        ref = sympy.Matrix(rows).charpoly(x).all_coeffs()
+        assert list(char_poly(IntMatrix(rows)).coeffs) == [int(c) for c in reversed(ref)]

@@ -1,7 +1,9 @@
 import pytest
 
-from p4spec.constructions import graph_to_mask, standard
-from p4spec.formats import parse_graph6
+from p4spec import spectral, theorems
+from p4spec.constructions import graph_to_mask, mask_to_graph, standard
+from p4spec.formats import parse_graph6, serialize_graph6
+from p4spec.graphs import complement
 from p4spec.theorems import (
     THEOREMS,
     ScanContext,
@@ -124,6 +126,61 @@ def test_scan_context_caches():
     assert ctx.p4s is ctx.p4s
     assert ctx.co is ctx.co
     assert ctx.lint() and ctx.lint_co()
+
+
+def test_scan_context_partners_share_results():
+    ctx = ScanContext(standard("path", 4))
+    partner = ctx.partner
+    assert partner.partner is ctx
+    assert ctx.co is partner.g and partner.co is ctx.g
+    assert ctx.co == complement(ctx.g)
+    assert ctx.lint_co() == partner.lint() and partner.lint_co() == ctx.lint()
+    single = ScanContext(standard("empty", 1))
+    assert single.partner is single
+
+
+def _failing_at(n, masks):
+    def check(ctx):
+        return not (ctx.g.n == n and graph_to_mask(ctx.g) in masks)
+    return check
+
+
+@pytest.mark.parametrize("masks, violations, counterexample", [
+    ({50}, 1, "CR"),         # upper half: checked as the partner of mask 13
+    ({40, 60}, 2, "CD"),     # both upper; 60's partner 3 is scanned first
+    ({3, 60}, 2, "Co"),      # a lower mask and its own partner
+])
+def test_paired_scan_reports_upper_half_violations(masks, violations, counterexample):
+    # the figures are those of the unpaired scan over all 2^6 masks at n = 4
+    r = verify_theorems(5, "a", checks={"a": _failing_at(4, masks)})[0]
+    assert r.checked == 1 + 2 + 8 + 64 + 1024
+    assert r.violations == violations
+    assert r.counterexample == counterexample
+    assert r.counterexample == serialize_graph6(mask_to_graph(4, min(masks)))
+    sharded = [verify_theorems(5, "a", shards=3, shard_id=sid,
+                               checks={"a": _failing_at(4, masks)})[0] for sid in range(3)]
+    assert sum(s.checked for s in sharded) == r.checked
+    assert sum(s.violations for s in sharded) == violations
+    # the shard holding the smallest witness reports it
+    assert counterexample in {s.counterexample for s in sharded}
+
+
+def test_exhaustive_scan_computes_each_spectrum_once(monkeypatch):
+    calls = []
+    real = spectral.char_poly
+
+    def counting(m):
+        calls.append(m.n)
+        return real(m)
+
+    monkeypatch.setattr(spectral, "char_poly", counting)
+    monkeypatch.setattr(theorems, "char_poly", counting)
+    results = verify_theorems(5)
+    graphs = 1 + 2 + 8 + 64 + 1024
+    pairs = _by_id(results)["h"].checked
+    assert pairs == 100 * 4
+    # one spectrum per graph (theorem g included), three per union pair
+    assert len(calls) == graphs + 3 * pairs
 
 
 def test_result_to_dict_has_no_timing():
