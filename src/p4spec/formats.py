@@ -89,14 +89,20 @@ def _g6_decode_n(data: bytes) -> tuple[int, int]:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Parse one graph6 line (an optional >>graph6<< header is accepted)."""
+    """Parse one graph6 line (an optional >>graph6<< header is accepted).
+
+    Input holding more than one non-empty line is a ParseError: it would
+    describe several graphs.
+    """
     s = text.strip()
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER):].lstrip()
-    if not s:
+    lines = [ln for ln in (raw.strip() for raw in s.splitlines()) if ln]
+    if not lines:
         raise ParseError("empty graph6 input")
-    s = s.splitlines()[0].strip()
-    data = s.encode("ascii", errors="replace")
+    if len(lines) > 1:
+        raise ParseError(f"graph6 input holds {len(lines)} graphs; expected one")
+    data = lines[0].encode("ascii", errors="replace")
     for b in data:
         if not (63 <= b <= 126):
             raise ParseError(f"invalid graph6 byte {b}")

@@ -184,24 +184,27 @@ def induced_subgraph(g: Graph, selection: int | Iterable[int]) -> Graph:
     return Graph(len(kept), rows, validate=False)
 
 
-def connected_components(g: Graph) -> list[int]:
-    """Vertex bitmasks of the components, ordered by lowest vertex."""
-    seen = 0
+def _components(rows, mask: int) -> list[int]:
+    """Vertex bitmasks of the components of the subgraph that the adjacency
+    rows induce on mask, ordered by lowest vertex."""
     comps = []
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
+    while mask:
         comp = 0
-        frontier = 1 << v
+        frontier = mask & -mask
         while frontier:
             comp |= frontier
             nxt = 0
             for u in bits(frontier):
-                nxt |= g.adj[u]
-            frontier = nxt & ~comp
+                nxt |= rows[u]
+            frontier = nxt & mask & ~comp
         comps.append(comp)
-        seen |= comp
+        mask &= ~comp
     return comps
+
+
+def connected_components(g: Graph) -> list[int]:
+    """Vertex bitmasks of the components, ordered by lowest vertex."""
+    return _components(g.adj, g.full_mask)
 
 
 def is_connected(g: Graph) -> bool:

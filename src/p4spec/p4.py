@@ -1,7 +1,13 @@
 """Induced-P4 structure: enumeration, recognition of P4-flavored classes.
 
-A 4-set induces a P4 exactly when it spans 3 edges with in-set degrees
-{1, 1, 2, 2}; the checks below all reduce to that test on bitmask rows.
+Every induced P4 a-b-c-d has exactly one middle edge b-c, the edge between
+its two inner vertices.  `enumerate_p4` walks each edge as a candidate
+middle and pairs an end a in N(b) minus N[c] with an end d in N(c) minus
+N[b] that is not adjacent to a, so each induced P4 is found once and the
+cost grows with the edges and the P4s, not with the 4-sets.  The class
+predicates all read the P4 vertex masks of that one pass: `classify` and
+the theorem scans enumerate once per graph and hand the masks to the
+private helpers behind the public predicates.
 """
 
 from __future__ import annotations
@@ -10,13 +16,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import Graph, bits, complement, mask_of
+from .graphs import Graph, _components, bits, complement, mask_of
 from .spectral import ExactSpectrum, exact_spectrum
-
-
-@lru_cache(maxsize=None)
-def _quads(n: int) -> tuple[tuple[int, tuple[int, int, int, int]], ...]:
-    return tuple((mask_of(q), q) for q in itertools.combinations(range(n), 4))
 
 
 @lru_cache(maxsize=None)
@@ -24,39 +25,48 @@ def _subset_masks(n: int, q: int) -> tuple[int, ...]:
     return tuple(mask_of(s) for s in itertools.combinations(range(n), q))
 
 
-def _is_p4_quad(adj: tuple[int, ...], qm: int, a: int, b: int, c: int, d: int) -> bool:
-    da = (adj[a] & qm).bit_count()
-    db = (adj[b] & qm).bit_count()
-    dc = (adj[c] & qm).bit_count()
-    dd = (adj[d] & qm).bit_count()
-    # degree multiset {1,1,2,2} is the only one with sum 6 and product 4
-    return da + db + dc + dd == 6 and da * db * dc * dd == 4
-
-
 def enumerate_p4(g: Graph) -> list[tuple[tuple[int, int, int, int], int]]:
     """All induced P4s as (path, vertex mask), one entry per vertex set.
 
     The path is ordered a-b-c-d along the edges with a < d, so each P4 has a
-    single canonical orientation.
+    single canonical orientation.  Each edge b-c with b < c is tried as the
+    middle edge; the list is ordered by that edge, then by the ends.
     """
     adj = g.adj
     out = []
-    for qm, (a, b, c, d) in _quads(g.n):
-        if _is_p4_quad(adj, qm, a, b, c, d):
-            ends = []
-            for v in (a, b, c, d):
-                if (adj[v] & qm).bit_count() == 1:
-                    ends.append(v)
-            a0 = min(ends)
-            d0 = max(ends)
-            b0 = (adj[a0] & qm).bit_length() - 1
-            c0 = (qm ^ (1 << a0) ^ (1 << b0) ^ (1 << d0)).bit_length() - 1
-            out.append(((a0, b0, c0, d0), qm))
+    for b in range(g.n):
+        nb = adj[b]
+        bm = 1 << b
+        later = nb >> (b + 1) << (b + 1)
+        while later:
+            cm = later & -later
+            later ^= cm
+            c = cm.bit_length() - 1
+            nc = adj[c]
+            ends_b = nb & ~nc & ~cm
+            ends_c = nc & ~nb & ~bm
+            if not (ends_b and ends_c):
+                continue
+            bc = bm | cm
+            while ends_b:
+                am = ends_b & -ends_b
+                ends_b ^= am
+                a = am.bit_length() - 1
+                ds = ends_c & ~adj[a]
+                while ds:
+                    dm = ds & -ds
+                    ds ^= dm
+                    d = dm.bit_length() - 1
+                    out.append(((a, b, c, d) if a < d else (d, c, b, a), bc | am | dm))
     return out
 
 
 def p4_count(g: Graph) -> int:
     return len(enumerate_p4(g))
+
+
+def _p4_masks(g: Graph) -> list[int]:
+    return [m for _, m in enumerate_p4(g)]
 
 
 # =========================================================================
@@ -68,54 +78,21 @@ def is_cograph(g: Graph) -> bool:
 
     Uses the recursive characterization (every induced subgraph with at least
     two vertices is disconnected or has a disconnected complement) rather than
-    scanning 4-sets; the two definitions agree and tests hold them together.
+    enumerating P4s; the two definitions agree and `classify` holds them
+    together.
     """
     adj = g.adj
-
-    def co_components(mask: int) -> list[int]:
-        comps = []
-        left = mask
-        while left:
-            v = left & -left
-            comp = 0
-            frontier = v
-            while frontier:
-                comp |= frontier
-                nxt = 0
-                for u in bits(frontier):
-                    nxt |= ~adj[u] & mask & ~(1 << u)
-                frontier = nxt & ~comp
-            comps.append(comp)
-            left &= ~comp
-        return comps
-
-    def components(mask: int) -> list[int]:
-        comps = []
-        left = mask
-        while left:
-            v = left & -left
-            comp = 0
-            frontier = v
-            while frontier:
-                comp |= frontier
-                nxt = 0
-                for u in bits(frontier):
-                    nxt |= adj[u] & mask
-                frontier = nxt & ~comp
-            comps.append(comp)
-            left &= ~comp
-        return comps
+    co = complement(g).adj
 
     def check(mask: int) -> bool:
         if mask.bit_count() <= 3:
             return True  # a P4 needs 4 vertices
-        comps = components(mask)
-        if len(comps) > 1:
-            return all(check(c) for c in comps)
-        cocomps = co_components(mask)
-        if len(cocomps) == 1:
-            return False
-        return all(check(c) for c in cocomps)
+        comps = _components(adj, mask)
+        if len(comps) == 1:
+            comps = _components(co, mask)
+            if len(comps) == 1:
+                return False
+        return all(check(c) for c in comps)
 
     return check(g.full_mask)
 
@@ -129,14 +106,17 @@ def satisfies_q_t(g: Graph, q: int, t: int) -> bool:
 
     Vacuously true when q exceeds the vertex count.
     """
+    return _satisfies_q_t(g.n, _p4_masks(g), q, t)
+
+
+def _satisfies_q_t(n: int, p4masks: list[int], q: int, t: int) -> bool:
     if q < 4:
         raise ValueError("q must be at least 4")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    p4masks = [m for _, m in enumerate_p4(g)]
-    if len(p4masks) <= t or q > g.n:
+    if len(p4masks) <= t or q > n:
         return True
-    for sm in _subset_masks(g.n, q):
+    for sm in _subset_masks(n, q):
         count = 0
         for m in p4masks:
             if m & ~sm == 0:
@@ -159,10 +139,13 @@ def is_p4_extendible(g: Graph) -> bool:
     "exactly three" admits graphs (the net, for one) that break the
     exactly-one structure theorem, so the overlap is any nonempty one.
     """
-    masks = [wm for _, wm in enumerate_p4(g)]
-    for wm in masks:
+    return _is_p4_extendible(_p4_masks(g))
+
+
+def _is_p4_extendible(p4masks: list[int]) -> bool:
+    for wm in p4masks:
         outside = 0
-        for m in masks:
+        for m in p4masks:
             if m & wm:
                 outside |= m & ~wm
                 if outside & (outside - 1):
@@ -181,9 +164,13 @@ def is_p4_connected(g: Graph) -> bool:
     Equivalent union-find form: the induced P4 vertex sets merge all of V into
     one class.  Graphs on fewer than two vertices are not p4-connected.
     """
-    if g.n < 2:
+    return _is_p4_connected(g.n, _p4_masks(g))
+
+
+def _is_p4_connected(n: int, p4masks: list[int]) -> bool:
+    if n < 2:
         return False
-    parent = list(range(g.n))
+    parent = list(range(n))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -192,16 +179,16 @@ def is_p4_connected(g: Graph) -> bool:
         return x
 
     covered = 0
-    for _, wm in enumerate_p4(g):
+    for wm in p4masks:
         vs = list(bits(wm))
         covered |= wm
         r = find(vs[0])
         for v in vs[1:]:
             parent[find(v)] = r
-    if covered != g.full_mask:
+    if covered != (1 << n) - 1:
         return False
     root = find(0)
-    return all(find(v) == root for v in range(1, g.n))
+    return all(find(v) == root for v in range(1, n))
 
 
 # =========================================================================
@@ -302,10 +289,14 @@ def recognize_spider(g: Graph) -> SpiderSpec | None:
     Thick recognition goes through the complement: the complement of a thin
     spider is a thick spider on the same partition with legs and body swapped.
     """
+    return _recognize_spider(g, complement(g))
+
+
+def _recognize_spider(g: Graph, co: Graph) -> SpiderSpec | None:
     w = _thin_witness(g)
     if w is not None:
         return SpiderSpec("thin", *w)
-    w = _thin_witness(complement(g))
+    w = _thin_witness(co)
     if w is not None:
         legs, body, head = w
         return SpiderSpec("thick", legs=body, body=legs, head=head)
@@ -351,22 +342,22 @@ class ClassificationReport:
 
 def classify(g: Graph) -> ClassificationReport:
     """Full structural and spectral classification of g."""
-    p4s = enumerate_p4(g)
+    masks = _p4_masks(g)
     cog = is_cograph(g)
-    if cog != (not p4s):
+    if cog != (not masks):
         raise ArithmeticError("recursive and P4-free cograph checks disagree")
-    sparse = is_p4_sparse(g)
-    extendible = is_p4_extendible(g)
+    sparse = _satisfies_q_t(g.n, masks, 5, 1)
+    extendible = _is_p4_extendible(masks)
     spec = exact_spectrum(g)
     return ClassificationReport(
         n=g.n,
         m=g.edge_count,
-        p4_count=len(p4s),
+        p4_count=len(masks),
         is_cograph=cog,
         is_p4_sparse=sparse,
         is_p4_extendible=extendible,
         is_p4_reducible=sparse and extendible,
-        is_p4_connected=is_p4_connected(g),
+        is_p4_connected=_is_p4_connected(g.n, masks),
         spider=recognize_spider(g),
         l_integral=spec.is_integral,
         spectrum=spec,

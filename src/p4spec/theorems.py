@@ -12,17 +12,17 @@ the shard count.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import random
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .constructions import mask_to_graph
+from .constructions import CASE_IV_KINDS, family, mask_to_graph
 from .formats import serialize_graph6
-from .graphs import Graph, bits, complement, connected_components, \
-    disjoint_union, mask_of
-from .p4 import _is_p4_quad, enumerate_p4, is_p4_extendible, is_p4_sparse, \
-    is_p4_connected, recognize_spider, satisfies_q_t
+from .graphs import Graph, are_isomorphic, bits, complement, \
+    connected_components, disjoint_union, induced_subgraph
+from .p4 import _is_p4_connected, _is_p4_extendible, _recognize_spider, \
+    _satisfies_q_t, _subset_masks, enumerate_p4
 from .spectral import char_poly, is_l_integral, laplacian
 
 DEFAULT_SAMPLE = 1_000_000
@@ -52,14 +52,16 @@ class ScanContext:
     `lint_co()` is the partner's `lint()`.  A scan that checks both graphs of
     a complementary pair computes each spectrum once, from that graph's own
     Laplacian.  A graph on at most one vertex is its own complement and its
-    own partner.
+    own partner.  The induced P4s are enumerated once; `masks` holds their
+    vertex masks, which the class predicates read.
     """
 
-    __slots__ = ("g", "_p4s", "_partner", "_lint")
+    __slots__ = ("g", "_p4s", "_masks", "_partner", "_lint")
 
     def __init__(self, g: Graph, partner: "ScanContext | None" = None):
         self.g = g
         self._p4s = None
+        self._masks = None
         self._partner = partner
         self._lint = None
 
@@ -68,6 +70,12 @@ class ScanContext:
         if self._p4s is None:
             self._p4s = enumerate_p4(self.g)
         return self._p4s
+
+    @property
+    def masks(self) -> list[int]:
+        if self._masks is None:
+            self._masks = [m for _, m in self.p4s]
+        return self._masks
 
     @property
     def partner(self) -> "ScanContext":
@@ -98,69 +106,58 @@ def _check_a(ctx: ScanContext) -> bool:
 
 
 def _check_b(ctx: ScanContext) -> bool:
-    if not ctx.p4s or not is_p4_sparse(ctx.g):
+    if not ctx.p4s or not _satisfies_q_t(ctx.g.n, ctx.masks, 5, 1):
         return True
     return not ctx.lint()
 
 
 def _check_c(ctx: ScanContext) -> bool:
-    if not ctx.p4s or not is_p4_extendible(ctx.g):
+    if not ctx.p4s or not _is_p4_extendible(ctx.masks):
         return True
     return not ctx.lint()
 
 
 def _check_d(ctx: ScanContext) -> bool:
-    if recognize_spider(ctx.g) is None:
+    if _recognize_spider(ctx.g, ctx.co) is None:
         return True
     return not ctx.lint()
 
 
-def _catalog_five() -> list[Graph]:
-    from .constructions import family
-    return [family(fid) for fid in ("F0", "F1", "F2", "F3", "F4", "F5", "F6")]
+@lru_cache(maxsize=None)
+def _catalog_five() -> dict[str, Graph]:
+    """The seven 5-vertex catalog graphs F0..F6 by id, built on first use."""
+    return {fid: family(fid) for fid in ("F0", "F1", "F2", "F3", "F4", "F5", "F6")}
 
 
-_CATALOG_FIVE: list[Graph] | None = None
-
-
-def _is_catalog_member(g: Graph) -> bool:
+def _is_catalog_member(ctx: ScanContext) -> bool:
     """Isomorphic to P4 or one of the seven 5-vertex catalog graphs."""
-    global _CATALOG_FIVE
-    from .graphs import are_isomorphic
+    g = ctx.g
     if g.n == 4:
-        return _is_p4_quad(g.adj, g.full_mask, 0, 1, 2, 3)
+        return bool(ctx.p4s)  # the P4 would span all four vertices
     if g.n != 5:
         return False
-    if _CATALOG_FIVE is None:
-        _CATALOG_FIVE = _catalog_five()
-    return any(are_isomorphic(g, h) for h in _CATALOG_FIVE)
+    return any(are_isomorphic(g, h) for h in _catalog_five().values())
 
 
 def _has_midpoint_extension(ctx: ScanContext) -> bool:
     """Some proper 4- or 5-subset D induces a catalog seed and every outside
     vertex is adjacent to exactly the midpoints of D."""
-    from .constructions import CASE_IV_KINDS, family
-    from .graphs import are_isomorphic, induced_subgraph
     g = ctx.g
     n = g.n
     adj = g.adj
     full = g.full_mask
-    by_mask = {}
-    for path, wm in ctx.p4s:
-        by_mask.setdefault(wm, []).append(path)
     # |D| = 4: D must itself be an induced P4
     if n > 4:
-        for wm, paths in by_mask.items():
-            path = paths[0]
+        for path, wm in ctx.p4s:
             mids = (1 << path[1]) | (1 << path[2])
             if all(adj[x] & wm == mids for x in bits(full & ~wm)):
                 return True
     # |D| = 5: D induces one of the four 5-vertex seeds
     if n > 5:
-        seeds = [family(k) for k in CASE_IV_KINDS if k != "P4"]
-        for combo in itertools.combinations(range(n), 5):
-            dm = mask_of(combo)
-            inner = [p for wm, ps in by_mask.items() if wm & ~dm == 0 for p in ps]
+        catalog = _catalog_five()
+        seeds = [catalog[k] for k in CASE_IV_KINDS if k != "P4"]
+        for dm in _subset_masks(n, 5):
+            inner = [p for p, wm in ctx.p4s if wm & ~dm == 0]
             if not inner:
                 continue
             mids = 0
@@ -180,7 +177,7 @@ def _has_midpoint_extension(ctx: ScanContext) -> bool:
 
 def _check_e(ctx: ScanContext) -> bool:
     g = ctx.g
-    if g.n < 2 or not is_p4_extendible(g):
+    if g.n < 2 or not _is_p4_extendible(ctx.masks):
         return True
     disconnected = len(connected_components(g)) > 1
     co_disconnected = len(connected_components(ctx.co)) > 1
@@ -188,7 +185,7 @@ def _check_e(ctx: ScanContext) -> bool:
     if not ctx.p4s:
         # every catalog seed contains a P4, so cases iii/iv cannot apply
         return hits == 1
-    if _is_catalog_member(g):
+    if _is_catalog_member(ctx):
         hits += 1
     if _has_midpoint_extension(ctx):
         hits += 1
@@ -199,10 +196,10 @@ def _check_f(ctx: ScanContext) -> bool:
     g = ctx.g
     if g.n < 7:
         return True
-    if len(ctx.p4s) <= 3 or satisfies_q_t(g, 7, 3):
-        if not is_p4_connected(g):
+    if len(ctx.p4s) <= 3 or _satisfies_q_t(g.n, ctx.masks, 7, 3):
+        if not _is_p4_connected(g.n, ctx.masks):
             return True
-        spider = recognize_spider(g)
+        spider = _recognize_spider(g, ctx.co)
         if spider is None or spider.head:
             return False
         return not ctx.lint()

@@ -85,12 +85,14 @@ def p4_paths(g: Graph) -> dict:
     4-subset whose induced subgraph is a path, found by trying all orderings."""
     found = {}
     for quad in itertools.combinations(range(g.n), 4):
+        edges = {frozenset(p) for p in
+                 itertools.combinations(quad, 2) if g.has_edge(*p)}
+        if len(edges) != 3:
+            continue  # a path on 4 vertices has 3 edges
         for perm in itertools.permutations(quad):
             a, b, c, d = perm
             if a > d:
                 continue
-            edges = {frozenset(p) for p in
-                     itertools.combinations(quad, 2) if g.has_edge(*p)}
             want = {frozenset((a, b)), frozenset((b, c)), frozenset((c, d))}
             if edges == want:
                 found[frozenset(quad)] = perm

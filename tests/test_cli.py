@@ -74,6 +74,19 @@ def test_analyze_stdin(capsys, monkeypatch):
     assert "n: 6" in out
 
 
+def test_analyze_rejects_several_graphs(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("EhEG\nC~\n"))
+    rc, out, err = run(capsys, "analyze", "-")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "2 graphs" in err
+    # one graph with trailing newlines and blank lines stays valid
+    monkeypatch.setattr("sys.stdin", io.StringIO("\nEhEG\n\n"))
+    rc, out, _ = run(capsys, "analyze", "-", "--format", "g6")
+    assert rc == 0
+    assert "n: 6" in out
+
+
 def test_analyze_missing_file(capsys):
     rc, _, err = run(capsys, "analyze", "/nonexistent/graph.g6")
     assert rc == 2

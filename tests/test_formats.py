@@ -124,6 +124,11 @@ def test_graph6_errors():
         parse_graph6("A_~")  # trailing bytes
     with pytest.raises(ParseError):
         parse_graph6("A")  # n=2 needs one body byte
+    with pytest.raises(ParseError):
+        parse_graph6("EhEG\nC~\n")  # two graphs
+    with pytest.raises(ParseError):
+        parse_graph6(">>graph6<<A_\n>>graph6<<A_")
+    assert parse_graph6("C~\n") == parse_graph6("\n C~ \n\n")
 
 
 def test_graph6_rejects_nonzero_padding():

@@ -41,8 +41,11 @@ star = Graph(4, [0b1110, 0b0001, 0b0001, 0b0001])
 print(outcome(lambda: spectral.exact_spectrum(star)))
 spectral.char_poly = real_char_poly
 
-# self-loops (an unvalidated graph) make the two cograph tests disagree
-print(outcome(lambda: p4.classify(Graph(4, (1, 1, 3, 3), validate=False))))
+# a recursive cograph check that calls P4 a cograph disagrees with its P4
+real_is_cograph = p4.is_cograph
+p4.is_cograph = lambda g: True
+print(outcome(lambda: p4.classify(standard("path", 4))))
+p4.is_cograph = real_is_cograph
 """
 
 

@@ -57,18 +57,27 @@ def test_enumerate_p4_path_orientation():
         assert m == (1 << a) | (1 << b) | (1 << c) | (1 << d)
 
 
+def _assert_p4_entries_match_oracle(g):
+    entries = enumerate_p4(g)
+    got = {}
+    for path, mask in entries:
+        a, b, c, d = path
+        assert a < d, path
+        assert mask == (1 << a) | (1 << b) | (1 << c) | (1 << d)
+        assert mask.bit_count() == 4, path
+        assert g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(c, d), path
+        assert not (g.has_edge(a, c) or g.has_edge(b, d) or g.has_edge(a, d)), path
+        got[frozenset(path)] = path
+    assert len(got) == len(entries), "two entries share a vertex set"
+    assert got == oracles.p4_paths(g)
+
+
 def test_enumerate_p4_against_oracle():
-    for n in range(0, 6):
+    for n in range(0, 7):
         for g in enumerate_graphs(n):
-            want = oracles.p4_paths(g)
-            got = {frozenset(p): p for p, _ in enumerate_p4(g)}
-            assert set(got) == set(want)
-            for quad, p in got.items():
-                assert p == want[quad]
-    for g in _sampled_graphs(101, 150, 7, 8):
-        want = oracles.p4_paths(g)
-        got = {frozenset(p) for p, _ in enumerate_p4(g)}
-        assert got == set(want)
+            _assert_p4_entries_match_oracle(g)
+    for g in _sampled_graphs(101, 300, 7, 12):
+        _assert_p4_entries_match_oracle(g)
 
 
 # ------------------------------------------------------------------ cograph

@@ -1,6 +1,6 @@
 import pytest
 
-from p4spec import spectral, theorems
+from p4spec import p4, spectral, theorems
 from p4spec.constructions import graph_to_mask, mask_to_graph, standard
 from p4spec.formats import parse_graph6, serialize_graph6
 from p4spec.graphs import complement
@@ -181,6 +181,23 @@ def test_exhaustive_scan_computes_each_spectrum_once(monkeypatch):
     assert pairs == 100 * 4
     # one spectrum per graph (theorem g included), three per union pair
     assert len(calls) == graphs + 3 * pairs
+
+
+def test_exhaustive_scan_enumerates_p4s_once_per_graph(monkeypatch):
+    calls = []
+    real = p4.enumerate_p4
+
+    def counting(g):
+        calls.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(p4, "enumerate_p4", counting)
+    monkeypatch.setattr(theorems, "enumerate_p4", counting)
+    verify_theorems(5, "abcdef")
+    assert len(calls) == 1 + 2 + 8 + 64 + 1024
+    calls.clear()
+    p4.classify(standard("cycle", 6))
+    assert calls == [6]
 
 
 def test_result_to_dict_has_no_timing():
