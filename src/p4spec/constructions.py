@@ -1,13 +1,12 @@
 """Graph constructors: standard families, spiders, the 5-vertex catalog,
-midpoint extensions, cotrees and exhaustive enumeration."""
+midpoint extensions and exhaustive enumeration."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from .graphs import Graph, complement, disjoint_union, from_edge_list, join, \
-    mask_of, max_vertices, pair_order
+from .graphs import Graph, complement, from_edge_list, mask_of, max_vertices, \
+    pair_order
 from .spectral import IntPolynomial
 
 
@@ -40,20 +39,22 @@ def standard(kind: str, n: int) -> Graph:
 # spiders
 # =========================================================================
 
-def _with_head(frame_rows: list[int], k: int, head: Graph | None) -> Graph:
-    """Attach an optional head, joined to the body block k..2k-1."""
-    if head is None or head.n == 0:
-        return Graph(2 * k, frame_rows, validate=False)
-    n = 2 * k + head.n
+def _attach_head(rows: list[int], attach_mask: int, head: Graph | None) -> Graph:
+    """The graph on rows plus an optional head joined to attach_mask.
+
+    Head vertex v becomes len(rows) + v and keeps its edges inside the head.
+    This is the one operation behind spiders and midpoint extensions.
+    """
+    base = len(rows)
+    n = base + (head.n if head is not None else 0)
     if n > max_vertices():
-        raise ValueError(f"spider has {n} vertices, exceeding the cap of {max_vertices()}")
-    body_m = ((1 << k) - 1) << k
-    rows = list(frame_rows)
-    head_bits = ((1 << head.n) - 1) << (2 * k)
-    for c in range(k, 2 * k):
-        rows[c] |= head_bits
-    for v in range(head.n):
-        rows.append((head.adj[v] << (2 * k)) | body_m)
+        raise ValueError(f"graph has {n} vertices, exceeding the cap of {max_vertices()}")
+    if n == base:
+        return Graph(n, rows, validate=False)
+    head_bits = ((1 << head.n) - 1) << base
+    rows = [row | head_bits if attach_mask >> v & 1 else row
+            for v, row in enumerate(rows)]
+    rows += [(row << base) | attach_mask for row in head.adj]
     return Graph(n, rows, validate=False)
 
 
@@ -71,18 +72,7 @@ def thin_spider(k: int, head: Graph | None = None) -> Graph:
     for i in range(k):
         rows[i] = (body_m ^ (1 << i)) | (1 << (k + i))
         rows[k + i] = 1 << i
-    if head is None or head.n == 0:
-        return Graph(2 * k, rows, validate=False)
-    # here the body is the low block, so swap into the helper's layout
-    n = 2 * k + head.n
-    if n > max_vertices():
-        raise ValueError(f"spider has {n} vertices, exceeding the cap of {max_vertices()}")
-    head_bits = ((1 << head.n) - 1) << (2 * k)
-    for i in range(k):
-        rows[i] |= head_bits
-    for v in range(head.n):
-        rows.append((head.adj[v] << (2 * k)) | body_m)
-    return Graph(n, rows, validate=False)
+    return _attach_head(rows, body_m, head)
 
 
 def thick_spider(k: int, head: Graph | None = None) -> Graph:
@@ -99,7 +89,7 @@ def thick_spider(k: int, head: Graph | None = None) -> Graph:
         rows[i] = body_m ^ (1 << (k + i))
         rows[k + i] = (body_m ^ (1 << (k + i))) | \
             (((1 << k) - 1) ^ (1 << i))
-    return _with_head(rows, k, head)
+    return _attach_head(rows, body_m, head)
 
 
 # =========================================================================
@@ -159,21 +149,7 @@ def case_iv_graph(kind: str, head: Graph | None = None) -> Graph:
     """
     if kind not in CASE_IV_KINDS:
         raise ValueError(f"unknown seed kind {kind!r}; expected one of {CASE_IV_KINDS}")
-    seed = family(kind)
-    if head is None:
-        head = standard("empty", 0)
-    n = seed.n + head.n
-    if n > max_vertices():
-        raise ValueError(f"graph has {n} vertices, exceeding the cap of {max_vertices()}")
-    mids = mask_of(_MIDPOINTS[kind])
-    rows = list(seed.adj)
-    head_bits = ((1 << head.n) - 1) << seed.n
-    for v in range(seed.n):
-        if mids >> v & 1:
-            rows[v] |= head_bits
-    for v in range(head.n):
-        rows.append((head.adj[v] << seed.n) | mids)
-    return Graph(n, rows, validate=False)
+    return _attach_head(list(family(kind).adj), mask_of(_MIDPOINTS[kind]), head)
 
 
 def case_iv_polynomials(j: int) -> tuple[IntPolynomial, IntPolynomial]:
@@ -191,66 +167,6 @@ def case_iv_polynomials(j: int) -> tuple[IntPolynomial, IntPolynomial]:
     quartic = IntPolynomial([-2, 0, j * j + 5 * j + 6, 2 * j + 5, 1])
     assert IntPolynomial([-1, 1]) * quartic == quintic
     return quintic, quartic
-
-
-# =========================================================================
-# cotrees
-# =========================================================================
-
-@dataclass(frozen=True)
-class Cotree:
-    """Cotree expression: leaves are single vertices, internal nodes are
-    disjoint unions or joins of at least two children."""
-
-    op: str  # "leaf", "union" or "join"
-    children: tuple["Cotree", ...] = ()
-
-    def __post_init__(self):
-        if self.op == "leaf":
-            if self.children:
-                raise ValueError("a leaf has no children")
-        elif self.op in ("union", "join"):
-            if len(self.children) < 2:
-                raise ValueError(f"a {self.op} node needs at least two children")
-        else:
-            raise ValueError(f"unknown cotree op {self.op!r}")
-
-    @property
-    def leaf_count(self) -> int:
-        if self.op == "leaf":
-            return 1
-        return sum(c.leaf_count for c in self.children)
-
-
-def leaf() -> Cotree:
-    return Cotree("leaf")
-
-
-def union_node(*children: Cotree) -> Cotree:
-    return Cotree("union", tuple(children))
-
-
-def join_node(*children: Cotree) -> Cotree:
-    return Cotree("join", tuple(children))
-
-
-def build_cotree(tree: Cotree) -> Graph:
-    """Evaluate a cotree to its graph.  The result is P4-free by construction,
-    which is asserted for small results."""
-    def build(t: Cotree) -> Graph:
-        if t.op == "leaf":
-            return standard("complete", 1)
-        acc = build(t.children[0])
-        for child in t.children[1:]:
-            nxt = build(child)
-            acc = disjoint_union(acc, nxt) if t.op == "union" else join(acc, nxt)
-        return acc
-
-    g = build(tree)
-    if g.n <= 16:
-        from .p4 import enumerate_p4
-        assert not enumerate_p4(g), "cotree evaluation produced an induced P4"
-    return g
 
 
 # =========================================================================
@@ -274,6 +190,7 @@ def mask_to_graph(n: int, mask: int) -> Graph:
 
 
 def graph_to_mask(g: Graph) -> int:
+    """Edge mask of g in pair_order bit positions; inverse of mask_to_graph."""
     mask = 0
     for i, (u, v) in enumerate(pair_order(g.n)):
         if g.adj[u] >> v & 1:

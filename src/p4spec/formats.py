@@ -1,8 +1,9 @@
 """Graph text formats: a plain edge-list format and graph6.
 
 Edge list: a header line "n m" followed by m lines "u v" with 0-indexed
-endpoints.  graph6: offset-63 printable bytes, upper-triangle bits packed
-column-major, 6 bits per byte, zero-padded.
+endpoints.  graph6: offset-63 printable bytes holding the edge mask
+(upper-triangle bits in pair_order, column-major) bit-reversed, 6 bits per
+byte, zero-padded.
 """
 
 from __future__ import annotations
@@ -10,7 +11,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .graphs import Graph, from_edge_list, max_vertices, pair_order
+from .constructions import graph_to_mask, mask_to_graph
+from .graphs import Graph, from_edge_list, max_vertices
 
 
 class ParseError(ValueError):
@@ -88,6 +90,15 @@ def _g6_decode_n(data: bytes) -> tuple[int, int]:
     return data[0] - 63, 1
 
 
+def _reverse_bits(x: int, nbits: int) -> int:
+    """x with its nbits low bits in reverse order.
+
+    graph6 stores the edge of pair_order index i at bit nbits - 1 - i of its
+    bit string, so the string read as an integer is the edge mask reversed.
+    """
+    return int(format(x, f"0{nbits}b")[::-1], 2)
+
+
 def parse_graph6(text: str) -> Graph:
     """Parse one graph6 line (an optional >>graph6<< header is accepted).
 
@@ -120,15 +131,7 @@ def parse_graph6(text: str) -> Graph:
     pad = 6 * nbytes - nbits
     if bitbuf & ((1 << pad) - 1):
         raise ParseError("nonzero padding bits in graph6 input")
-    bitbuf >>= pad
-    rows = [0] * n
-    pairs = pair_order(n)
-    for i in range(nbits):
-        if bitbuf >> (nbits - 1 - i) & 1:
-            u, v = pairs[i]
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-    return Graph(n, rows, validate=False)
+    return mask_to_graph(n, _reverse_bits(bitbuf >> pad, nbits))
 
 
 def serialize_graph6(g: Graph) -> str:
@@ -140,12 +143,8 @@ def serialize_graph6(g: Graph) -> str:
     else:
         raise ValueError("graph6 vertex counts above 258047 are not supported")
     nbits = n * (n - 1) // 2
-    bitbuf = 0
-    for i, (u, v) in enumerate(pair_order(n)):
-        if g.adj[u] >> v & 1:
-            bitbuf |= 1 << (nbits - 1 - i)
     nbytes = (nbits + 5) // 6
-    bitbuf <<= 6 * nbytes - nbits
+    bitbuf = _reverse_bits(graph_to_mask(g), nbits) << (6 * nbytes - nbits)
     for i in range(nbytes - 1, -1, -1):
         out.append(63 + (bitbuf >> (6 * i) & 63))
     return bytes(out).decode("ascii")
@@ -153,10 +152,8 @@ def serialize_graph6(g: Graph) -> str:
 
 @dataclass(frozen=True)
 class GraphDocument:
-    """A parsed graph together with its source format and text."""
+    """A parsed graph input."""
 
-    fmt: str  # "edges" or "graph6"
-    text: str
     graph: Graph
 
 
@@ -177,9 +174,9 @@ def load_document(text: str, fmt: str = "auto") -> GraphDocument:
     if fmt == "g6":
         fmt = "graph6"
     if fmt == "edges":
-        return GraphDocument("edges", text, parse_edge_list(text))
+        return GraphDocument(parse_edge_list(text))
     if fmt == "graph6":
-        return GraphDocument("graph6", text, parse_graph6(text))
+        return GraphDocument(parse_graph6(text))
     raise ParseError(f"unknown format {fmt!r}; expected 'edges' or 'graph6'")
 
 

@@ -34,9 +34,10 @@ def max_vertices() -> int:
 def pair_order(n: int) -> tuple[tuple[int, int], ...]:
     """Vertex pairs (u, v) with u < v in upper-triangle column-major order.
 
-    This is the single source of truth for edge-mask bit positions; the graph
-    enumerator, the graph6 codec and the theorem engine all share it:
-    (0,1), (0,2), (1,2), (0,3), (1,3), (2,3), ...
+    This is the single source of truth for edge-mask bit positions:
+    (0,1), (0,2), (1,2), (0,3), (1,3), (2,3), ...  Only
+    `constructions.mask_to_graph` and `graph_to_mask` read it; the graph
+    enumerator, the graph6 codec and the theorem engine go through them.
     """
     return tuple((u, v) for v in range(n) for u in range(v))
 
@@ -88,10 +89,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
-
-    def neighbors(self, v: int) -> int:
-        """Neighborhood of v as a bitmask."""
-        return self.adj[v]
 
     @property
     def edge_count(self) -> int:

@@ -161,34 +161,25 @@ def is_p4_reducible(g: Graph) -> bool:
 def is_p4_connected(g: Graph) -> bool:
     """True iff every vertex bipartition is crossed by some induced P4.
 
-    Equivalent union-find form: the induced P4 vertex sets merge all of V into
-    one class.  Graphs on fewer than two vertices are not p4-connected.
+    Equivalent closure form: starting from one induced P4's vertex set and
+    adding every P4 vertex set that meets it, repeatedly, reaches all of V.
+    Graphs on fewer than two vertices are not p4-connected.
     """
     return _is_p4_connected(g.n, _p4_masks(g))
 
 
 def _is_p4_connected(n: int, p4masks: list[int]) -> bool:
-    if n < 2:
+    if n < 2 or not p4masks:
         return False
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    covered = 0
-    for wm in p4masks:
-        vs = list(bits(wm))
-        covered |= wm
-        r = find(vs[0])
-        for v in vs[1:]:
-            parent[find(v)] = r
-    if covered != (1 << n) - 1:
-        return False
-    root = find(0)
-    return all(find(v) == root for v in range(1, n))
+    reach = p4masks[0]
+    grown = True
+    while grown:
+        grown = False
+        for m in p4masks:
+            if m & reach and m & ~reach:
+                reach |= m
+                grown = True
+    return reach == (1 << n) - 1
 
 
 # =========================================================================

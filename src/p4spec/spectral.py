@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .graphs import Graph, bits, complement, disjoint_union
 
@@ -46,9 +46,6 @@ class IntPolynomial:
     @property
     def is_zero(self) -> bool:
         return self.coeffs == (0,)
-
-    def is_monic(self) -> bool:
-        return self.coeffs[-1] == 1
 
     def __call__(self, x):
         acc = 0
@@ -182,10 +179,6 @@ class IntMatrix:
 
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.n))
-
-    def is_symmetric(self) -> bool:
-        return all(self.rows[i][j] == self.rows[j][i]
-                   for i in range(self.n) for j in range(i))
 
     def row_sums(self) -> tuple[int, ...]:
         return tuple(sum(r) for r in self.rows)
@@ -416,28 +409,6 @@ def numeric_spectrum(g: Graph, tol: float = 1e-9) -> list[float]:
         raise ValueError(f"tol below the solver resolution of {_JACOBI_TOL}")
     return jacobi_eigenvalues([[float(x) for x in row]
                                for row in laplacian(g).rows])
-
-
-def bisect_root(f: Callable[[float], float], lo: float, hi: float,
-                tol: float = 1e-12) -> float:
-    """Root of f in [lo, hi] by bisection; f(lo) and f(hi) must differ in sign."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise ValueError("no sign change on the bracket")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (fhi > 0):
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return (lo + hi) / 2.0
 
 
 # =========================================================================

@@ -20,10 +20,10 @@ from functools import lru_cache
 from .constructions import CASE_IV_KINDS, family, mask_to_graph
 from .formats import serialize_graph6
 from .graphs import Graph, are_isomorphic, bits, complement, \
-    connected_components, disjoint_union, induced_subgraph
+    connected_components, induced_subgraph
 from .p4 import _is_p4_connected, _is_p4_extendible, _recognize_spider, \
     _satisfies_q_t, _subset_masks, enumerate_p4
-from .spectral import char_poly, is_l_integral, laplacian
+from .spectral import check_union_relation, is_l_integral
 
 DEFAULT_SAMPLE = 1_000_000
 PAIRS_PER_N = 100
@@ -311,10 +311,7 @@ def _pair_population(n: int, seed: int) -> list[tuple[int, int, int, int]]:
 
 
 def _check_pair(n1: int, m1: int, n2: int, m2: int) -> bool:
-    g = mask_to_graph(n1, m1)
-    h = mask_to_graph(n2, m2)
-    lhs = char_poly(laplacian(disjoint_union(g, h)))
-    return lhs == char_poly(laplacian(g)) * char_poly(laplacian(h))
+    return check_union_relation(mask_to_graph(n1, m1), mask_to_graph(n2, m2))
 
 
 def verify_theorems(n_max: int, theorems: str | None = None, *,

@@ -30,7 +30,6 @@ from p4spec.graphs import are_isomorphic, complement
 from p4spec.p4 import classify, is_p4_connected, is_p4_extendible, recognize_spider
 from p4spec.spectral import (
     IntPolynomial,
-    bisect_root,
     char_poly,
     check_complement_relation,
     check_union_relation,
@@ -186,13 +185,14 @@ def test_criterion_09_head_growth_polynomials(capsys):
             assert IntPolynomial([-1, 1]) * quartic == quintic
             assert quartic(0) == -2
             assert quartic(1) == j * j + 7 * j + 10
-            x_star = bisect_root(lambda x: float(quartic(x)), 0.0, 1.0,
-                                 tol=1e-13)
-            assert 0.0 < x_star < 1.0
-            assert abs(quartic(x_star)) < 1e-10
+            assert quartic(0) < 0 < quartic(1)
+            # the quartic's root in (0, 1) is 1 - mu for exactly one
+            # Laplacian eigenvalue mu of the F3 midpoint extension
             spectrum = numeric_spectrum(
                 case_iv_graph("F3", standard("empty", j)))
-            assert min(abs((1.0 - x_star) - mu) for mu in spectrum) <= 1e-8
+            roots = [mu for mu in spectrum
+                     if 0.0 < 1.0 - mu < 1.0 and abs(quartic(1.0 - mu)) < 1e-10]
+            assert len(roots) == 1, (j, spectrum)
 
 
 def test_criterion_10_family_structure(capsys):

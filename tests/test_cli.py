@@ -176,6 +176,14 @@ def test_generate_deep_nesting_is_bad_input(capsys):
     assert err.startswith("error:") and "nested deeper" in err
 
 
+def test_generate_over_vertex_cap_is_bad_input(capsys, monkeypatch):
+    monkeypatch.setenv("P4SPEC_MAX_N", "10")
+    rc, out, err = run(capsys, "generate", "spider(thin,k=4,head=K3)")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and "cap of 10" in err
+
+
 def test_verify_theorems_clean_run(capsys):
     rc, out, err = run(capsys, "verify-theorems", "--n-max", "4",
                        "--theorems", "a,g")

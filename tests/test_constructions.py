@@ -6,23 +6,18 @@ import pytest
 from p4spec.constructions import (
     CASE_IV_KINDS,
     FAMILY_IDS,
-    Cotree,
-    build_cotree,
     case_iv_graph,
     case_iv_polynomials,
     enumerate_graphs,
     family,
     graph_to_mask,
     head_catalog,
-    join_node,
-    leaf,
     mask_to_graph,
     standard,
     thick_spider,
     thin_spider,
-    union_node,
 )
-from p4spec.graphs import are_isomorphic, complement, mask_of
+from p4spec.graphs import are_isomorphic, complement, disjoint_union, join, mask_of
 from p4spec.p4 import enumerate_p4, is_cograph, recognize_spider
 from p4spec.spectral import IntPolynomial, char_poly, divides, laplacian
 
@@ -86,14 +81,28 @@ def test_spider_validation():
         thick_spider(0, standard("empty", 1))
 
 
+def test_head_attach_respects_vertex_cap(monkeypatch):
+    monkeypatch.setenv("P4SPEC_MAX_N", "10")
+    k3 = standard("complete", 3)
+    assert thin_spider(3, k3).n == thick_spider(3, k3).n == 9
+    assert case_iv_graph("F3", standard("empty", 5)).n == 10
+    with pytest.raises(ValueError, match="exceeding the cap of 10"):
+        thin_spider(4, k3)
+    with pytest.raises(ValueError, match="exceeding the cap of 10"):
+        thick_spider(4, k3)
+    with pytest.raises(ValueError, match="exceeding the cap of 10"):
+        case_iv_graph("F3", standard("empty", 6))
+    with pytest.raises(ValueError, match="exceeding the cap of 10"):
+        thin_spider(6, None)
+
+
 def test_headless_thin_spider_k2_is_p4():
     assert are_isomorphic(thin_spider(2, None), standard("path", 4))
 
 
 def test_spider_complement_identity():
-    for k in (2, 3, 4):
-        for head in (None, standard("empty", 1), standard("path", 3),
-                     standard("complete", 3)):
+    for k in range(2, 7):
+        for head in [None] + list(head_catalog().values()):
             thin = thin_spider(k, head)
             co_head = None if head is None else complement(head)
             assert complement(thin) == thick_spider(k, co_head)
@@ -211,40 +220,36 @@ def test_case_iv_polynomials_validation():
 
 
 # ------------------------------------------------------------------- cotrees
+# A cotree nests disjoint unions and joins over single vertices.
 
 def test_cotree_build():
     # join of a vertex with two isolated vertices: the star K_{1,2}
-    t = join_node(leaf(), union_node(leaf(), leaf()))
-    g = build_cotree(t)
+    k1 = standard("complete", 1)
+    g = join(k1, disjoint_union(k1, k1))
     assert are_isomorphic(g, standard("path", 3))
-    assert t.leaf_count == 3
+    assert g.n == 3
     assert is_cograph(g)
-
-
-def test_cotree_arity_validation():
-    with pytest.raises(ValueError):
-        union_node(leaf())
-    with pytest.raises(ValueError):
-        Cotree("leaf", (leaf(),))
-    with pytest.raises(ValueError):
-        Cotree("meet", (leaf(), leaf()))
 
 
 def test_cotree_random_builds_are_cographs():
     rng = random.Random(42)
 
     def random_tree(depth):
+        """A random cotree's graph and its leaf count."""
         if depth == 0 or rng.random() < 0.3:
-            return leaf()
-        op = union_node if rng.random() < 0.5 else join_node
-        return op(*(random_tree(depth - 1)
-                    for _ in range(rng.randint(2, 3))))
+            return standard("complete", 1), 1
+        op = disjoint_union if rng.random() < 0.5 else join
+        children = [random_tree(depth - 1) for _ in range(rng.randint(2, 3))]
+        g, leaves = children[0]
+        for h, count in children[1:]:
+            g, leaves = op(g, h), leaves + count
+        return g, leaves
 
     for _ in range(25):
-        t = random_tree(3)
-        g = build_cotree(t)
-        assert g.n == t.leaf_count
+        g, leaves = random_tree(3)
+        assert g.n == leaves
         assert is_cograph(g)
+        assert not enumerate_p4(g)
 
 
 # ------------------------------------------------------------------- helpers

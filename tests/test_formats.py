@@ -149,10 +149,9 @@ def test_detect_format():
 def test_load_document():
     doc = load_document("A_")
     assert isinstance(doc, GraphDocument)
-    assert doc.fmt == "graph6"
     assert doc.graph == standard("complete", 2)
     doc = load_document("2 1\n0 1\n")
-    assert doc.fmt == "edges"
+    assert doc.graph == standard("complete", 2)
     with pytest.raises(ParseError):
         load_document("A_", fmt="nonsense")
 

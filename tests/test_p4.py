@@ -218,13 +218,21 @@ def test_p4_connected_examples():
     assert not is_p4_connected(two_paths)
     dangling = disjoint_union(standard("path", 4), standard("empty", 1))
     assert not is_p4_connected(dangling)
+    # relabeled long paths: their P4s chain along the path in an order the
+    # enumeration does not follow
+    rng = random.Random(5)
+    for n in (12, 20, 40):
+        order = rng.sample(range(n), n)
+        path = from_edge_list(n, zip(order, order[1:]))
+        assert is_p4_connected(path)
+        assert not is_p4_connected(disjoint_union(path, standard("path", 4)))
 
 
 def test_p4_connected_against_oracle():
-    for n in range(1, 6):
+    for n in range(1, 7):
         for g in enumerate_graphs(n):
             assert is_p4_connected(g) == oracles.is_p4_connected(g)
-    for g in _sampled_graphs(109, 150, 6, 6):
+    for g in _sampled_graphs(109, 300, 7, 10):
         assert is_p4_connected(g) == oracles.is_p4_connected(g)
 
 

@@ -12,7 +12,6 @@ from p4spec.spectral import (
     IntMatrix,
     IntPolynomial,
     SurdEigenvalue,
-    bisect_root,
     char_poly,
     check_complement_relation,
     check_union_relation,
@@ -202,13 +201,6 @@ def test_numeric_spectrum_tol_validation():
         numeric_spectrum(g, tol=0.0)
     with pytest.raises(ValueError):
         numeric_spectrum(g, tol=1e-15)
-
-
-def test_bisect_root():
-    root = bisect_root(lambda x: x * x - 2.0, 0.0, 2.0)
-    assert root == pytest.approx(math.sqrt(2), abs=1e-10)
-    with pytest.raises(ValueError):
-        bisect_root(lambda x: x + 1.0, 0.0, 1.0)  # no sign change
 
 
 # -------------------------------------------------------------- closed forms

@@ -174,7 +174,6 @@ def test_exhaustive_scan_computes_each_spectrum_once(monkeypatch):
         return real(m)
 
     monkeypatch.setattr(spectral, "char_poly", counting)
-    monkeypatch.setattr(theorems, "char_poly", counting)
     results = verify_theorems(5)
     graphs = 1 + 2 + 8 + 64 + 1024
     pairs = _by_id(results)["h"].checked
