@@ -141,7 +141,8 @@ def cmd_verify(args) -> int:
         "results": [r.to_dict() for r in results],
     })
     for r in results:
-        print(f"theorem {r.theorem}: {r.wall_time_s:.3f}s", file=sys.stderr)
+        print(f"theorem {r.theorem}: {r.check_s:.3f}s in checks (summed over workers)",
+              file=sys.stderr)
     print(f"total: {total:.3f}s", file=sys.stderr)
     return 1 if any(r.violations for r in results) else 0
 

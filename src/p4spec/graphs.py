@@ -142,7 +142,8 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def complement(g: Graph) -> Graph:
     full = g.full_mask
-    return Graph(g.n, (~row & full & ~(1 << v) for v, row in enumerate(g.adj)),
+    # a list, not a generator: see spectral.IntMatrix.__init__
+    return Graph(g.n, [~row & full & ~(1 << v) for v, row in enumerate(g.adj)],
                  validate=False)
 
 

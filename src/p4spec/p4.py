@@ -12,17 +12,10 @@ private helpers behind the public predicates.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .graphs import Graph, _components, bits, complement, mask_of
 from .spectral import ExactSpectrum, exact_spectrum
-
-
-@lru_cache(maxsize=None)
-def _subset_masks(n: int, q: int) -> tuple[int, ...]:
-    return tuple(mask_of(s) for s in itertools.combinations(range(n), q))
 
 
 def enumerate_p4(g: Graph) -> list[tuple[tuple[int, int, int, int], int]]:
@@ -110,20 +103,31 @@ def satisfies_q_t(g: Graph, q: int, t: int) -> bool:
 
 
 def _satisfies_q_t(n: int, p4masks: list[int], q: int, t: int) -> bool:
+    """Search over P4 masks, not vertex subsets.
+
+    With q <= n, some q-set holds more than t P4s iff some t + 1 distinct P4
+    vertex sets have a union of at most q vertices: pad that union out to q
+    vertices.  Unions grow in index order and a branch stops as soon as its
+    union exceeds q vertices.
+    """
     if q < 4:
         raise ValueError("q must be at least 4")
     if t < 0:
         raise ValueError("t must be nonnegative")
     if len(p4masks) <= t or q > n:
         return True
-    for sm in _subset_masks(n, q):
-        count = 0
-        for m in p4masks:
-            if m & ~sm == 0:
-                count += 1
-                if count > t:
-                    return False
-    return True
+    if q == n:
+        return False  # V itself holds every P4
+
+    def crowded(start: int, union: int, need: int) -> bool:
+        # some `need` masks from p4masks[start:] keep the union within q
+        for i in range(start, len(p4masks) - need + 1):
+            u = union | p4masks[i]
+            if u.bit_count() <= q and (need == 1 or crowded(i + 1, u, need - 1)):
+                return True
+        return False
+
+    return not crowded(0, 0, t + 1)
 
 
 def is_p4_sparse(g: Graph) -> bool:
@@ -270,7 +274,8 @@ def _thin_witness(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int
     for r in bits(head_m):
         if g.adj[r] & body_m != body_m:
             return None
-    return (tuple(bits(legs_m)), tuple(bits(body_m)), tuple(bits(head_m)))
+    # tuples of lists, not of generators: see IntMatrix.__init__
+    return (tuple([*bits(legs_m)]), tuple([*bits(body_m)]), tuple([*bits(head_m)]))
 
 
 def recognize_spider(g: Graph) -> SpiderSpec | None:

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .graphs import Graph, bits, complement, disjoint_union
+from .graphs import Graph, complement, disjoint_union
 
 
 # =========================================================================
@@ -171,7 +172,10 @@ class IntMatrix:
     __slots__ = ("n", "rows")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        self.rows = tuple(tuple(r) for r in rows)
+        # a list, not a generator: tuple() of a generator over-allocates and
+        # shrinks, and CPython keeps the shrunk tuples on free lists that
+        # only exact-size requests reuse, so peak RSS grows call by call
+        self.rows = tuple([tuple(r) for r in rows])
         self.n = len(self.rows)
         for r in self.rows:
             if len(r) != self.n:
@@ -195,13 +199,15 @@ class IntMatrix:
 
 def laplacian(g: Graph) -> IntMatrix:
     """Degree matrix minus adjacency matrix."""
+    zero = [0] * g.n
     rows = []
-    for v in range(g.n):
-        adj = g.adj[v]
-        row = [0] * g.n
+    for v, adj in enumerate(g.adj):
+        row = zero[:]
         row[v] = adj.bit_count()
-        for u in bits(adj):
-            row[u] = -1
+        while adj:
+            low = adj & -adj
+            row[low.bit_length() - 1] = -1
+            adj ^= low
         rows.append(row)
     return IntMatrix(rows)
 
@@ -220,41 +226,72 @@ def _field_width(r: int, n: int) -> int:
     return ((2 * r) ** n).bit_length() + 2
 
 
+@lru_cache(maxsize=1024)
+def _packing(n: int, w: int) -> tuple[tuple[int, ...], int]:
+    """Field offsets of an n-entry packed row, and half a field in every field."""
+    shifts = tuple(range(0, w * n, w))
+    return shifts, sum(1 << (s + w - 1) for s in shifts)
+
+
 def char_poly(m: IntMatrix) -> IntPolynomial:
     """det(xI - M) by the Faddeev-LeVerrier recurrence, exactly.
 
     Each row of B_k is packed into one Python int, w bits per entry (see
-    _field_width for why w is wide enough).  Packing is linear, so row i of
-    A * M_k is the sum of a_il times packed row l of M_k over the nonzero
-    a_il: n * (nonzeros per row) bigint operations per step instead of n^3
-    small-int ones.  Entries are stored signed; a diagonal entry is read back
-    by adding half a field to every field first, so that a negative entry
-    below it borrows nothing.
+    _field_width for why w is wide enough).  Packing is linear, so with
+    M_k = B_{k-1} + c I, row i of B_k = A * M_k is c times packed row i of A
+    plus a combination of the packed rows of B_{k-1}: n * (nonzeros per row)
+    bigint operations per step instead of n^3 small-int ones.  Each row
+    takes a_ii times its own row, subtracts the rows of its -1 off-diagonal
+    entries, and adds a_il times the rows of its other nonzero ones.  A
+    Laplacian has no other ones, so its step is d_i * B_i minus the sum of
+    its neighbours' rows, with no multiplications by -1.  Entries are stored
+    signed; a diagonal entry is read back by adding half a field to every
+    field first, so that a negative entry below it borrows nothing.
 
-    Step k divides the trace of B_k = A * M_k by k.  For an integer matrix
-    that is always exact, and a remainder raises ArithmeticError rather than
-    being dropped.
+    Step k divides the trace of B_k by k.  For an integer matrix that is
+    always exact, and a remainder raises ArithmeticError rather than being
+    dropped.
     """
     n = m.n
     if n == 0:
         return IntPolynomial([1])
     rows = m.rows
     w = _field_width(max(sum(map(abs, row)) for row in rows), n)
-    half = 1 << (w - 1)
+    shifts, bias = _packing(n, w)
     field = (1 << w) - 1
-    shifts = range(0, w * n, w)
-    bias = sum(half << s for s in shifts)
-    unit = [1 << s for s in shifts]
-    nonzero = [[(a, l) for l, a in enumerate(row) if a] for row in rows]
-    b = [sum(a << s for a, s in zip(row, shifts)) for row in rows]
+    steps = []
+    a_rows = []
+    for i, row in enumerate(rows):
+        neg = []
+        other = []
+        packed = 0
+        for l, a in enumerate(row):
+            if a:
+                packed += a << shifts[l]
+                if l != i:
+                    if a == -1:
+                        neg.append(l)
+                    else:
+                        other.append((a, l))
+        steps.append((row[i], neg, other))
+        a_rows.append(packed)
+    b = a_rows
     c = [0] * (n + 1)
     c[n] = 1
     c[n - 1] = -m.trace()
     for k in range(2, n + 1):
         ck = c[n - k + 1]
-        mk = [bi + ck * u for bi, u in zip(b, unit)]
-        b = [sum([a * mk[l] for a, l in row]) for row in nonzero]
-        t = sum([((bi + bias) >> s) & field for bi, s in zip(b, shifts)]) - n * half
+        t = -(n << (w - 1))
+        bk = []
+        for (d, neg, other), bi, ai, s in zip(steps, b, a_rows, shifts):
+            x = d * bi + ck * ai
+            for l in neg:
+                x -= b[l]
+            for a, l in other:
+                x += a * b[l]
+            bk.append(x)
+            t += ((x + bias) >> s) & field
+        b = bk
         if t % k:
             raise ArithmeticError("Faddeev-LeVerrier trace division is not exact")
         c[n - k] = -t // k
@@ -299,17 +336,32 @@ class ExactSpectrum:
 
 
 def extract_integer_roots(p: IntPolynomial, lo: int, hi: int) -> ExactSpectrum:
-    """Split off every integer root of p in [lo, hi], with multiplicity."""
+    """Split off every integer root of p in [lo, hi], with multiplicity.
+
+    The root 0 has the multiplicity of the zero low coefficients.  Any other
+    integer root r divides the constant term, so r is tried only when it
+    does; a Horner evaluation then decides, and only a root is deflated.
+    Once the residual has degree 0 it has no roots left.
+    """
     if p.is_zero:
         raise ValueError("cannot extract roots of the zero polynomial")
     roots = []
+    if lo <= 0 <= hi:
+        c = p.coeffs
+        z = 0
+        while not c[z]:
+            z += 1
+        if z:
+            roots.append((0, z))
+            p = IntPolynomial(c[z:])
     for r in range(lo, hi + 1):
+        if p.degree == 0:
+            break
+        if not r:
+            continue
         mult = 0
-        while True:
-            q, rem = p.deflate(r)
-            if rem != 0:
-                break
-            p = q
+        while p.coeffs[0] % r == 0 and p(r) == 0:
+            p, _ = p.deflate(r)
             mult += 1
         if mult:
             roots.append((r, mult))
@@ -323,13 +375,16 @@ def exact_spectrum(g: Graph) -> ExactSpectrum:
     Integer roots are searched in [0, n].  That range is justified by the
     eigenvalue bound mu <= n; rather than assuming it we also check, via the
     Gershgorin disc bound [0, 2*maxdeg], that the residual has no integer root
-    above n, and raise ArithmeticError if it has one.
+    above n, and raise ArithmeticError if it has one.  As in the root search,
+    only divisors of the residual's constant term can be roots.
     """
     p = char_poly(laplacian(g))
     spec = extract_integer_roots(p, 0, g.n)
-    maxdeg = max((g.degree(v) for v in range(g.n)), default=0)
+    residual = spec.residual
+    c0 = residual.coeffs[0]
+    maxdeg = max(map(int.bit_count, g.adj), default=0)
     for r in range(g.n + 1, 2 * maxdeg + 1):
-        if spec.residual(r) == 0:
+        if c0 % r == 0 and residual(r) == 0:
             raise ArithmeticError("Laplacian eigenvalue above n: bound violated")
     return spec
 

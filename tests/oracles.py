@@ -105,10 +105,14 @@ def is_cograph(g: Graph) -> bool:
 
 
 def satisfies_q_t(g: Graph, q: int, t: int) -> bool:
-    sets = list(p4_paths(g))
-    if q > g.n:
+    return q_t_holds(g.n, list(p4_paths(g)), q, t)
+
+
+def q_t_holds(n: int, sets: list, q: int, t: int) -> bool:
+    """No q-subset of range(n) contains more than t of the given vertex sets."""
+    if q > n:
         return True
-    for sub in itertools.combinations(range(g.n), q):
+    for sub in itertools.combinations(range(n), q):
         picked = set(sub)
         inside = sum(1 for w in sets if w <= picked)
         if inside > t:

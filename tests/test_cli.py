@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import pytest
 
@@ -193,6 +194,7 @@ def test_verify_theorems_clean_run(capsys):
     assert [r["theorem"] for r in doc["results"]] == ["a", "g"]
     assert all(r["violations"] == 0 for r in doc["results"])
     assert all(r["counterexample"] is None for r in doc["results"])
+    assert re.search(r"^theorem a: \d+\.\d{3}s in checks \(summed over workers\)$", err, re.M)
     assert "total:" in err
 
 

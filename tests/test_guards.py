@@ -28,10 +28,12 @@ def outcome(fn):
     return "returned"
 
 
-# a packed field too narrow for the entries: the trace division goes inexact
+# a packed field too narrow for the entries: the trace division goes inexact,
+# in the Laplacian row step (K4) and in the general one (entries -2 and -3)
 real_width = spectral._field_width
 spectral._field_width = lambda r, n: 2
 print(outcome(lambda: spectral.char_poly(laplacian(standard("complete", 4)))))
+print(outcome(lambda: spectral.char_poly(spectral.quotient_matrix(3, 2))))
 spectral._field_width = real_width
 
 # a characteristic polynomial with the root 5 > n = 4 for the star K_{1,3}
@@ -55,6 +57,7 @@ def test_decision_guards_survive_optimize_flag():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
+        "raised: Faddeev-LeVerrier trace division is not exact",
         "raised: Faddeev-LeVerrier trace division is not exact",
         "raised: Laplacian eigenvalue above n: bound violated",
         "raised: recursive and P4-free cograph checks disagree",

@@ -127,6 +127,27 @@ def test_satisfies_q_t_against_oracle():
             assert satisfies_q_t(g, q, t) == oracles.satisfies_q_t(g, q, t), (g, q, t)
 
 
+def test_satisfies_q_t_matches_oracle_on_small_and_seeded_graphs():
+    # the P4-mask search against the oracle's test of every q-subset: every
+    # graph with n <= 6, then seeded graphs at n = 7..12 over a range of
+    # densities, plus spiders, whose many P4s leave them (5, 1) anyway
+    graphs = [g for n in range(0, 7) for g in enumerate_graphs(n)]
+    rng = random.Random(105)
+    for n in range(7, 13):
+        for density in (0.15, 0.3, 0.5, 0.7, 0.85):
+            for _ in range(2):
+                pairs = n * (n - 1) // 2
+                graphs.append(mask_to_graph(n, sum(1 << i for i in range(pairs)
+                                                   if rng.random() < density)))
+        k = n // 2
+        head = standard("empty", n - 2 * k) if n > 2 * k else None
+        graphs += [thin_spider(k, head), thick_spider(k, head)]
+    for g in graphs:
+        sets = list(oracles.p4_paths(g))
+        for q, t in ((5, 1), (6, 2), (7, 3)):
+            assert satisfies_q_t(g, q, t) == oracles.q_t_holds(g.n, sets, q, t), (g, q, t)
+
+
 def test_p4_sparse_examples():
     assert is_p4_sparse(standard("path", 4))
     # C5 packs five P4s into its only 5-subset

@@ -343,3 +343,90 @@ def test_char_poly_matches_sympy():
     for rows in matrices:
         ref = sympy.Matrix(rows).charpoly(x).all_coeffs()
         assert list(char_poly(IntMatrix(rows)).coeffs) == [int(c) for c in reversed(ref)]
+
+
+# ------------------------------------------------ the two shapes of row step
+
+def test_char_poly_every_small_laplacian_matches_oracle():
+    # the Laplacian step (off-diagonal entries 0 or -1 only) on every graph
+    # with n <= 6.  The oracle's char_poly_coeffs interpolates Bareiss
+    # determinants of xI - L at x = 0..n; comparing p(x) with them at the
+    # same points pins the same degree-n polynomial, without the slow
+    # Fraction interpolation.
+    for n in range(0, 7):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            rows = laplacian(mask_to_graph(n, mask)).rows
+            p = char_poly(IntMatrix(rows))
+            assert p.degree == n and p.leading == 1
+            for x in range(n + 1):
+                shifted = [[(x if i == j else 0) - rows[i][j] for j in range(n)]
+                           for i in range(n)]
+                assert p(x) == oracles.bareiss_det(shifted), (n, mask, x)
+
+
+def test_char_poly_unit_off_diagonal_matrices_match_oracle():
+    # off-diagonal entries 0 or -1 but an arbitrary diagonal: the Laplacian
+    # step on matrices whose rows do not sum to zero
+    rng = random.Random(14)
+    for trial in range(150):
+        n = rng.randint(1, 10)
+        bound = (1, 9, 1000, 10 ** 6)[trial % 4]
+        rows = [[rng.randint(-bound, bound) if i == j else -(rng.random() < 0.5)
+                 for j in range(n)] for i in range(n)]
+        assert list(char_poly(IntMatrix(rows)).coeffs) == oracles.char_poly_coeffs(rows), rows
+
+
+# --------------------------------------------------- integer-root splitting
+
+def _split_by_plain_deflation(p, lo, hi):
+    # the reference: try every r in [lo, hi] by synthetic division
+    roots = []
+    for r in range(lo, hi + 1):
+        mult = 0
+        while True:
+            q, rem = p.deflate(r)
+            if rem:
+                break
+            p = q
+            mult += 1
+        if mult:
+            roots.append((r, mult))
+    roots.sort(key=lambda rm: -rm[0])
+    return ExactSpectrum(tuple(roots), p)
+
+
+# residuals without integer roots: x^2 - 2, x^2 + 1, x^2 - 4x + 2 (P4),
+# 2x + 3, x^3 - x - 1, and the constant 1
+_ROOTLESS = ([-2, 0, 1], [1, 0, 1], [2, -4, 1], [3, 2], [-1, -1, 0, 1], [1])
+
+
+def test_extract_integer_roots_matches_plain_deflation():
+    rng = random.Random(15)
+    for _ in range(400):
+        p = IntPolynomial(rng.choice(_ROOTLESS))
+        for _ in range(rng.randint(0, 5)):
+            p = p * IntPolynomial([-rng.randint(-6, 8), 1]) ** rng.randint(1, 3)
+        lo = rng.randint(-5, 4)
+        hi = lo + rng.randint(-1, 9)
+        assert extract_integer_roots(p, lo, hi) == _split_by_plain_deflation(p, lo, hi), (p, lo, hi)
+
+
+def test_extract_integer_roots_cases():
+    x = IntPolynomial([0, 1])
+    cases = [
+        (IntPolynomial([-3, 1]) ** 4 * IntPolynomial([1, 1]), 0, 5),   # repeated root
+        (IntPolynomial([-7, 1]) * IntPolynomial([-2, 1]), 0, 5),       # 7 lies above hi
+        (IntPolynomial([5, 1]) * IntPolynomial([-1, 1]), -3, 3),       # -5 lies below lo
+        (x ** 3 * IntPolynomial([-2, 1]), 1, 4),                       # lo > 0, zero c0
+        (x ** 2 * IntPolynomial([4, 1]) ** 2, -4, 0),                  # negative lo
+        (IntPolynomial([-2, 0, 1]) * IntPolynomial([-3, 1]), 0, 6),    # rootless residual
+    ]
+    for p, lo, hi in cases:
+        spec = extract_integer_roots(p, lo, hi)
+        assert spec == _split_by_plain_deflation(p, lo, hi), (p, lo, hi)
+        assert spec.reconstruct() == p
+    assert extract_integer_roots(x ** 3 * IntPolynomial([-2, 1]), 1, 4).integer_roots == ((2, 1),)
+    spec = extract_integer_roots(x ** 2 * IntPolynomial([4, 1]) ** 2, -4, 0)
+    assert spec.integer_roots == ((0, 2), (-4, 2)) and spec.residual.coeffs == (1,)
+    with pytest.raises(ValueError):
+        extract_integer_roots(IntPolynomial([0]), 0, 3)
