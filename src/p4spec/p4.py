@@ -12,7 +12,10 @@ private helpers behind the public predicates.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graphs import Graph, _components, bits, complement, mask_of
 from .spectral import ExactSpectrum, exact_spectrum
@@ -94,6 +97,11 @@ def is_cograph(g: Graph) -> bool:
 # (q, t) classes
 # =========================================================================
 
+@lru_cache(maxsize=None)
+def _subset_masks(n: int, q: int) -> tuple[int, ...]:
+    return tuple(mask_of(s) for s in itertools.combinations(range(n), q))
+
+
 def satisfies_q_t(g: Graph, q: int, t: int) -> bool:
     """True iff every q-subset of vertices induces at most t P4s.
 
@@ -103,13 +111,9 @@ def satisfies_q_t(g: Graph, q: int, t: int) -> bool:
 
 
 def _satisfies_q_t(n: int, p4masks: list[int], q: int, t: int) -> bool:
-    """Search over P4 masks, not vertex subsets.
-
-    With q <= n, some q-set holds more than t P4s iff some t + 1 distinct P4
-    vertex sets have a union of at most q vertices: pad that union out to q
-    vertices.  Unions grow in index order and a branch stops as soon as its
-    union exceeds q vertices.
-    """
+    """The (q, t) test on P4 vertex masks: a walk over the unions of P4s
+    within q vertices, which hands over to testing every q-subset once the
+    unions it has seen would cost more than a quarter of that."""
     if q < 4:
         raise ValueError("q must be at least 4")
     if t < 0:
@@ -118,16 +122,66 @@ def _satisfies_q_t(n: int, p4masks: list[int], q: int, t: int) -> bool:
         return True
     if q == n:
         return False  # V itself holds every P4
+    # a union costs about four q-subset tests
+    crowded = _crowded_union(p4masks, q, t, math.comb(n, q) // 4)
+    if crowded is None:
+        crowded = any(_holds_more(sm, p4masks, t) for sm in _subset_masks(n, q))
+    return not crowded
 
-    def crowded(start: int, union: int, need: int) -> bool:
-        # some `need` masks from p4masks[start:] keep the union within q
-        for i in range(start, len(p4masks) - need + 1):
-            u = union | p4masks[i]
-            if u.bit_count() <= q and (need == 1 or crowded(i + 1, u, need - 1)):
+
+def _holds_more(sm: int, p4masks: list[int], t: int) -> bool:
+    """True iff more than t of the P4 masks lie inside sm."""
+    count = 0
+    for m in p4masks:
+        if m & ~sm == 0:
+            count += 1
+            if count > t:
                 return True
-        return False
+    return False
 
-    return not crowded(0, 0, t + 1)
+
+def _crowded_union(p4masks: list[int], q: int, t: int, budget: int) -> bool | None:
+    """Does some union of P4 masks within q vertices hold more than t of them?
+
+    A q-set S holds more than t P4s iff the union of the P4s inside S does
+    (it has at most q vertices), and that union is reached from any one of
+    those P4s by adding, one at a time, masks inside S that bring a new
+    vertex.  So a depth-first walk over distinct unions, from each mask,
+    each union grown only by masks that add a vertex and keep it within q,
+    decides the question.  A union is not grown when the masks that fit with
+    it within q vertices number at most t: any q-set around it holds only
+    those.  Each union carries a lower bound on the masks inside it (one
+    more than its parent held); once that bound reaches t, any mask that
+    still fits makes more than t.  Returns None once more than `budget` unions
+    have been seen.
+    """
+    if len(p4masks) > budget:
+        return None
+    seen: set[int] = set()  # grown unions; the masks themselves are distinct
+    for start in p4masks:
+        stack = [(start, 1)]
+        while stack:
+            u, known = stack.pop()
+            inside = 0
+            grow = []
+            for m in p4masks:
+                if m & ~u == 0:
+                    inside += 1
+                elif (u | m).bit_count() <= q:
+                    if known >= t:
+                        return True
+                    grow.append(u | m)
+            if inside > t:
+                return True
+            if inside + len(grow) <= t:
+                continue
+            for v in grow:
+                if v not in seen:
+                    if len(seen) + len(p4masks) >= budget:
+                        return None
+                    seen.add(v)
+                    stack.append((v, inside + 1))
+    return False
 
 
 def is_p4_sparse(g: Graph) -> bool:

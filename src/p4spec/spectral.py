@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .graphs import Graph, complement, disjoint_union
+from .graphs import Graph, bits, complement, disjoint_union
 
 
 # =========================================================================
@@ -204,10 +204,8 @@ def laplacian(g: Graph) -> IntMatrix:
     for v, adj in enumerate(g.adj):
         row = zero[:]
         row[v] = adj.bit_count()
-        while adj:
-            low = adj & -adj
-            row[low.bit_length() - 1] = -1
-            adj ^= low
+        for u in bits(adj):
+            row[u] = -1
         rows.append(row)
     return IntMatrix(rows)
 
@@ -241,12 +239,11 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     M_k = B_{k-1} + c I, row i of B_k = A * M_k is c times packed row i of A
     plus a combination of the packed rows of B_{k-1}: n * (nonzeros per row)
     bigint operations per step instead of n^3 small-int ones.  Each row
-    takes a_ii times its own row, subtracts the rows of its -1 off-diagonal
-    entries, and adds a_il times the rows of its other nonzero ones.  A
-    Laplacian has no other ones, so its step is d_i * B_i minus the sum of
-    its neighbours' rows, with no multiplications by -1.  Entries are stored
-    signed; a diagonal entry is read back by adding half a field to every
-    field first, so that a negative entry below it borrows nothing.
+    takes a_ii times its own row and adds a_il times the rows of its nonzero
+    off-diagonal entries; for a Laplacian that is d_i * B_i minus the sum of
+    its neighbours' rows.  Entries are stored signed; a diagonal entry is
+    read back by adding half a field to every field first, so that a
+    negative entry below it borrows nothing.
 
     Step k divides the trace of B_k by k.  For an integer matrix that is
     always exact, and a remainder raises ArithmeticError rather than being
@@ -262,18 +259,14 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     steps = []
     a_rows = []
     for i, row in enumerate(rows):
-        neg = []
         other = []
         packed = 0
         for l, a in enumerate(row):
             if a:
                 packed += a << shifts[l]
                 if l != i:
-                    if a == -1:
-                        neg.append(l)
-                    else:
-                        other.append((a, l))
-        steps.append((row[i], neg, other))
+                    other.append((a, l))
+        steps.append((row[i], other))
         a_rows.append(packed)
     b = a_rows
     c = [0] * (n + 1)
@@ -283,10 +276,8 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
         ck = c[n - k + 1]
         t = -(n << (w - 1))
         bk = []
-        for (d, neg, other), bi, ai, s in zip(steps, b, a_rows, shifts):
+        for (d, other), bi, ai, s in zip(steps, b, a_rows, shifts):
             x = d * bi + ck * ai
-            for l in neg:
-                x -= b[l]
             for a, l in other:
                 x += a * b[l]
             bk.append(x)

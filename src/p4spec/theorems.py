@@ -12,7 +12,6 @@ the shard count.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import random
 import time
 from dataclasses import dataclass
@@ -21,9 +20,9 @@ from functools import lru_cache
 from .constructions import CASE_IV_KINDS, family, mask_to_graph
 from .formats import serialize_graph6
 from .graphs import Graph, are_isomorphic, bits, complement, \
-    connected_components, induced_subgraph, mask_of
+    connected_components, induced_subgraph
 from .p4 import _is_p4_connected, _is_p4_extendible, _recognize_spider, \
-    _satisfies_q_t, enumerate_p4
+    _satisfies_q_t, _subset_masks, enumerate_p4
 from .spectral import check_union_relation, is_l_integral
 
 DEFAULT_SAMPLE = 1_000_000
@@ -122,11 +121,6 @@ def _check_d(ctx: ScanContext) -> bool:
     if _recognize_spider(ctx.g, ctx.co) is None:
         return True
     return not ctx.lint()
-
-
-@lru_cache(maxsize=None)
-def _subset_masks(n: int, q: int) -> tuple[int, ...]:
-    return tuple(mask_of(s) for s in itertools.combinations(range(n), q))
 
 
 @lru_cache(maxsize=None)

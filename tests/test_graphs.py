@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,8 @@ from p4spec.graphs import (
     pair_order,
 )
 from p4spec.constructions import enumerate_graphs, mask_to_graph, standard
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def test_pair_order_is_column_major():
@@ -145,28 +151,44 @@ def test_enumerate_graphs_counts():
     assert len(masks) == 10
 
 
+BLOCKS_SCRIPT = r"""
+import random
+import sys
+
+from p4spec.constructions import mask_to_graph, thin_spider
+from p4spec.graphs import complement
+from p4spec.p4 import recognize_spider
+from p4spec.spectral import laplacian
+
+rng = random.Random(16)
+graphs = [mask_to_graph(n, rng.getrandbits(n * (n - 1) // 2))
+          for n in range(1, 13) for _ in range(5)]
+spiders = [thin_spider(k) for k in range(2, 7)]
+for build, items in ((laplacian, graphs), (complement, graphs),
+                     (recognize_spider, spiders)):
+    for g in items:
+        build(g)
+    before = sys.getallocatedblocks()
+    for _ in range(50):
+        for g in items:
+            build(g)
+    print(build.__name__, sys.getallocatedblocks() - before)
+"""
+
+
 def test_per_graph_constructors_keep_allocated_blocks_flat():
     # tuple() of a generator allocates room for 10 items and shrinks; the
     # shrunk tuple goes to a free list that a later generator never draws
     # from, so each call leaves a block behind until the free lists fill
     # (about 1 MB of peak RSS per 20,000 classify calls).  Functions that run
-    # once per graph must make their tuples from lists.
-    import sys
-
-    from p4spec.constructions import thin_spider
-    from p4spec.p4 import recognize_spider
-    from p4spec.spectral import laplacian
-
-    rng = random.Random(16)
-    graphs = [mask_to_graph(n, rng.getrandbits(n * (n - 1) // 2))
-              for n in range(1, 13) for _ in range(5)]
-    spiders = [thin_spider(k) for k in range(2, 7)]
-    for build, items in ((laplacian, graphs), (complement, graphs),
-                         (recognize_spider, spiders)):
-        for g in items * 20:
-            build(g)
-        before = sys.getallocatedblocks()
-        for _ in range(50):
-            for g in items:
-                build(g)
-        assert sys.getallocatedblocks() - before < 100, build.__name__
+    # once per graph must make their tuples from lists.  Seen on CPython
+    # 3.10-3.13.  The count runs in a fresh interpreter, whose free lists
+    # no earlier test has filled.
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", BLOCKS_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    grown = dict(line.split() for line in proc.stdout.splitlines())
+    assert sorted(grown) == ["complement", "laplacian", "recognize_spider"]
+    for name, blocks in grown.items():
+        assert int(blocks) < 100, (name, blocks)

@@ -29,7 +29,7 @@ def outcome(fn):
 
 
 # a packed field too narrow for the entries: the trace division goes inexact,
-# in the Laplacian row step (K4) and in the general one (entries -2 and -3)
+# for a Laplacian (K4) and for off-diagonal entries other than -1 (-2, -3)
 real_width = spectral._field_width
 spectral._field_width = lambda r, n: 2
 print(outcome(lambda: spectral.char_poly(laplacian(standard("complete", 4)))))

@@ -1,9 +1,11 @@
 import itertools
+import math
 import random
 
 import pytest
 
 import oracles
+from p4spec import p4
 from p4spec.constructions import (
     case_iv_graph,
     enumerate_graphs,
@@ -14,7 +16,7 @@ from p4spec.constructions import (
     thick_spider,
     thin_spider,
 )
-from p4spec.graphs import complement, disjoint_union, from_edge_list, join
+from p4spec.graphs import complement, disjoint_union, from_edge_list, join, mask_of
 from p4spec.p4 import (
     classify,
     enumerate_p4,
@@ -122,16 +124,10 @@ def test_satisfies_q_t_validation():
 
 
 def test_satisfies_q_t_against_oracle():
-    for g in _sampled_graphs(103, 80, 4, 7):
-        for q, t in ((5, 1), (7, 3), (6, 2), (4, 1)):
-            assert satisfies_q_t(g, q, t) == oracles.satisfies_q_t(g, q, t), (g, q, t)
-
-
-def test_satisfies_q_t_matches_oracle_on_small_and_seeded_graphs():
-    # the P4-mask search against the oracle's test of every q-subset: every
-    # graph with n <= 6, then seeded graphs at n = 7..12 over a range of
-    # densities, plus spiders, whose many P4s leave them (5, 1) anyway
+    # every graph with n <= 6, then seeded graphs at n = 7..12 over a range
+    # of densities, plus spiders, whose many P4s leave them (5, 1) anyway
     graphs = [g for n in range(0, 7) for g in enumerate_graphs(n)]
+    graphs += _sampled_graphs(103, 80, 4, 7)
     rng = random.Random(105)
     for n in range(7, 13):
         for density in (0.15, 0.3, 0.5, 0.7, 0.85):
@@ -144,8 +140,34 @@ def test_satisfies_q_t_matches_oracle_on_small_and_seeded_graphs():
         graphs += [thin_spider(k, head), thick_spider(k, head)]
     for g in graphs:
         sets = list(oracles.p4_paths(g))
-        for q, t in ((5, 1), (6, 2), (7, 3)):
+        for q, t in ((5, 1), (7, 3), (6, 2), (4, 1)):
             assert satisfies_q_t(g, q, t) == oracles.q_t_holds(g.n, sets, q, t), (g, q, t)
+
+
+def _most_p4s_in_a_q_set(g, q):
+    masks = [m for _, m in enumerate_p4(g)]
+    return max(sum(1 for m in masks if m & ~mask_of(s) == 0)
+               for s in itertools.combinations(range(g.n), q))
+
+
+def test_satisfies_q_t_at_the_largest_count():
+    # t at and just below the most P4s any q-set holds, for every q < n: the
+    # walk over unions must go deep here, and past C(n, q) unions the test
+    # falls back to the q-subsets; both searches are checked on their own
+    for g in _sampled_graphs(107, 40, 6, 12):
+        masks = [m for _, m in enumerate_p4(g)]
+        for q in range(4, g.n):
+            top = _most_p4s_in_a_q_set(g, q)
+            for t in range(top + 1):
+                assert p4._crowded_union(masks, q, t, math.inf) == (t < top), (g, q, t)
+            assert satisfies_q_t(g, q, top)
+            assert top == 0 or not satisfies_q_t(g, q, top - 1)
+    # thousands of P4s and t in the thousands, with q = n - 1
+    g = next(_sampled_graphs(109, 1, 24, 24))
+    top = _most_p4s_in_a_q_set(g, 23)
+    assert top > 1000
+    assert satisfies_q_t(g, 23, top)
+    assert not satisfies_q_t(g, 23, top - 1)
 
 
 def test_p4_sparse_examples():
