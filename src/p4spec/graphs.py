@@ -13,7 +13,6 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 _DEFAULT_MAX_N = 64
-ISO_MAX_N = 10
 
 
 def max_vertices() -> int:
@@ -104,9 +103,6 @@ class Graph:
             row = self.adj[u] >> (u + 1) << (u + 1)
             for v in bits(row):
                 yield (u, v)
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(row.bit_count() for row in self.adj))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -209,35 +205,80 @@ def is_connected(g: Graph) -> bool:
     return len(connected_components(g)) == 1
 
 
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    """Brute-force isomorphism test, for test support on small graphs."""
-    if g.n != h.n:
-        return False
+def canonical_form(g: Graph) -> tuple[int, int]:
+    """(code, aut_order): a canonical edge mask of g's isomorphism class and
+    the order of its automorphism group.
+
+    Individualization-refinement (McKay 1981, "Practical graph isomorphism"):
+    the unit partition is refined to an equitable ordered partition, then
+    each vertex of the first non-singleton cell is individualized in turn
+    and the partition refined again, down to discrete partitions.  A leaf
+    orders the vertices; its code is the edge mask, in pair_order bit
+    positions, of g relabeled in that order.  The code is the largest leaf
+    code, so mask_to_graph(n, code) is the class representative.
+
+    Refinement commutes with relabeling, so Aut(g) acts freely on the leaves
+    and the leaves with the largest code form one orbit: their number is
+    |Aut(g)|.  The whole tree is searched, without automorphism pruning, so
+    the cost grows with |Aut(g)|; this is meant for graphs on at most about
+    ten vertices.
+    """
     n = g.n
-    if n > ISO_MAX_N:
-        raise ValueError(f"isomorphism search supports at most {ISO_MAX_N} vertices")
-    if g.edge_count != h.edge_count or g.degree_sequence() != h.degree_sequence():
-        return False
-    gdeg = [g.degree(v) for v in range(n)]
-    hdeg = [h.degree(v) for v in range(n)]
-    mapping = [-1] * n
+    if n < 2:
+        return 0, 1
+    adj = g.adj
+    best = -1
+    count = 0
 
-    def extend(i: int, used: int) -> bool:
-        if i == n:
-            return True
-        gi_adj = g.adj[i]
-        for w in range(n):
-            if used >> w & 1 or hdeg[w] != gdeg[i]:
-                continue
-            ok = True
-            for j in range(i):
-                if (gi_adj >> j & 1) != (h.adj[w] >> mapping[j] & 1):
-                    ok = False
-                    break
-            if ok:
-                mapping[i] = w
-                if extend(i + 1, used | 1 << w):
-                    return True
-        return False
+    def refine(cells: list[int], splitters: list[int]) -> list[int]:
+        # split every cell by the number of neighbours each vertex has in a
+        # splitter; new fragments become splitters, ordered by that count
+        while splitters and len(cells) < n:
+            w = splitters.pop()
+            out = []
+            for cell in cells:
+                if cell & (cell - 1):
+                    groups = {}
+                    rest = cell
+                    while rest:
+                        low = rest & -rest
+                        k = (adj[low.bit_length() - 1] & w).bit_count()
+                        groups[k] = groups.get(k, 0) | low
+                        rest ^= low
+                    if len(groups) > 1:
+                        parts = [groups[k] for k in sorted(groups)]
+                        out += parts
+                        splitters += parts
+                        continue
+                out.append(cell)
+            cells = out
+        return cells
 
-    return extend(0, 0)
+    def search(cells: list[int]):
+        nonlocal best, count
+        if len(cells) == n:
+            order = [cell.bit_length() - 1 for cell in cells]
+            code = 0
+            shift = 0
+            for v in range(1, n):
+                row = adj[order[v]]
+                for u in range(v):
+                    if row >> order[u] & 1:
+                        code |= 1 << (shift + u)
+                shift += v
+            if code > best:
+                best, count = code, 1
+            elif code == best:
+                count += 1
+            return
+        i = 0
+        while not cells[i] & (cells[i] - 1):
+            i += 1
+        target = cells[i]
+        for v in bits(target):
+            single = 1 << v
+            search(refine(cells[:i] + [single, target ^ single] + cells[i + 1:], [single]))
+
+    full = g.full_mask
+    search(refine([full], [full]))
+    return best, count

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .graphs import Graph, bits, complement, disjoint_union
+from .graphs import Graph, bits, disjoint_union
 
 
 # =========================================================================
@@ -596,20 +596,6 @@ def quotient_matrix(k: int, j: int) -> IntMatrix:
 # =========================================================================
 # spectral relations
 # =========================================================================
-
-def check_complement_relation(g: Graph, tol: float = 1e-8) -> bool:
-    """Numeric check of the complement spectrum relation.
-
-    With mu_1 <= ... <= mu_n the Laplacian eigenvalues of g, the complement's
-    eigenvalues are 0 together with n - mu_n, ..., n - mu_2.
-    """
-    if g.n < 1:
-        raise ValueError("needs at least one vertex")
-    mu = numeric_spectrum(g)
-    expected = sorted([0.0] + [g.n - x for x in mu[1:]])
-    actual = numeric_spectrum(complement(g))
-    return all(abs(a - e) <= tol for a, e in zip(actual, expected))
-
 
 def check_union_relation(g: Graph, h: Graph) -> bool:
     """Exact check: char poly of a disjoint union is the product of the parts'."""

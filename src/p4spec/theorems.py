@@ -1,34 +1,38 @@
 """Exhaustive and sampled verification of the structural theorems.
 
 Each theorem is a per-graph (or per-pair) assertion checked over every
-labeled graph up to a vertex bound.  Exhaustive populations are edge-mask
-ranges, so they shard into intervals; from n = 2 on only the lower half of
-the range is enumerated, each mask M < space/2 standing for itself and its
-complement M ^ full.  Sampled populations come from one seeded global
-sequence striped across shards, which keeps aggregate counts independent of
-the shard count.
+labeled graph up to a vertex bound.  The graph theorems are invariant under
+relabeling, so an exhaustive population is scanned once per isomorphism
+class: the n-vertex classes are grown from the (n-1)-vertex ones and deduped
+by canonical form, and each class stands for its n!/|Aut| labeled graphs.
+A class is checked together with its complement's class.  Sampled
+populations come from one seeded global sequence of labeled edge masks
+striped across shards, which keeps aggregate counts independent of the
+shard count; class lists are striped the same way.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
+import math
 import random
 import time
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .constructions import CASE_IV_KINDS, family, mask_to_graph
+from .constructions import CASE_IV_KINDS, family, graph_to_mask, mask_to_graph
 from .formats import serialize_graph6
-from .graphs import Graph, are_isomorphic, bits, complement, \
-    connected_components, induced_subgraph
+from .graphs import Graph, bits, canonical_form, complement, \
+    connected_components, from_edge_list, induced_subgraph
 from .p4 import _is_p4_connected, _is_p4_extendible, _recognize_spider, \
     _satisfies_q_t, _subset_masks, enumerate_p4
 from .spectral import check_union_relation, is_l_integral
 
-DEFAULT_SAMPLE = 1_000_000
 PAIRS_PER_N = 100
 MAX_N = 8
-_CHUNK = 1 << 14
+_CHUNK = 1 << 14  # labeled masks per sampled chunk
+_CLASS_CHUNK = 64  # class pairs per exhaustive chunk
 
 THEOREMS = {
     "a": "cograph implies L-integral",
@@ -52,18 +56,22 @@ class ScanContext:
     `lint_co()` is the partner's `lint()`.  A scan that checks both graphs of
     a complementary pair computes each spectrum once, from that graph's own
     Laplacian.  A graph on at most one vertex is its own complement and its
-    own partner.  The induced P4s are enumerated once; `masks` holds their
-    vertex masks, which the class predicates read.
+    own partner.  A self-complementary graph, known to be isomorphic to its
+    complement, shares its own spectrum with the partner.  The induced P4s
+    are enumerated once; `masks` holds their vertex masks, which the class
+    predicates read.
     """
 
-    __slots__ = ("g", "_p4s", "_masks", "_partner", "_lint")
+    __slots__ = ("g", "_p4s", "_masks", "_partner", "_lint", "_self_co")
 
-    def __init__(self, g: Graph, partner: "ScanContext | None" = None):
+    def __init__(self, g: Graph, partner: "ScanContext | None" = None,
+                 self_complementary: bool = False):
         self.g = g
         self._p4s = None
         self._masks = None
         self._partner = partner
         self._lint = None
+        self._self_co = self_complementary
 
     @property
     def p4s(self):
@@ -96,7 +104,7 @@ class ScanContext:
         return self._lint
 
     def lint_co(self) -> bool:
-        return self.partner.lint()
+        return self.lint() if self._self_co else self.partner.lint()
 
 
 def _check_a(ctx: ScanContext) -> bool:
@@ -123,10 +131,14 @@ def _check_d(ctx: ScanContext) -> bool:
     return not ctx.lint()
 
 
+_CATALOG_FIVE = ("F0", "F1", "F2", "F3", "F4", "F5", "F6")
+_SEEDS_FIVE = tuple(k for k in CASE_IV_KINDS if k != "P4")
+
+
 @lru_cache(maxsize=None)
-def _catalog_five() -> dict[str, Graph]:
-    """The seven 5-vertex catalog graphs F0..F6 by id, built on first use."""
-    return {fid: family(fid) for fid in ("F0", "F1", "F2", "F3", "F4", "F5", "F6")}
+def _catalog_codes(fids: tuple[str, ...]) -> frozenset[int]:
+    """Canonical codes of the named 5-vertex catalog graphs."""
+    return frozenset(canonical_form(family(fid))[0] for fid in fids)
 
 
 def _is_catalog_member(ctx: ScanContext) -> bool:
@@ -136,7 +148,7 @@ def _is_catalog_member(ctx: ScanContext) -> bool:
         return bool(ctx.p4s)  # the P4 would span all four vertices
     if g.n != 5:
         return False
-    return any(are_isomorphic(g, h) for h in _catalog_five().values())
+    return canonical_form(g)[0] in _catalog_codes(_CATALOG_FIVE)
 
 
 def _has_midpoint_extension(ctx: ScanContext) -> bool:
@@ -154,8 +166,7 @@ def _has_midpoint_extension(ctx: ScanContext) -> bool:
                 return True
     # |D| = 5: D induces one of the four 5-vertex seeds
     if n > 5:
-        catalog = _catalog_five()
-        seeds = [catalog[k] for k in CASE_IV_KINDS if k != "P4"]
+        seeds = _catalog_codes(_SEEDS_FIVE)
         for dm in _subset_masks(n, 5):
             inner = [p for p, wm in ctx.p4s if wm & ~dm == 0]
             if not inner:
@@ -169,8 +180,7 @@ def _has_midpoint_extension(ctx: ScanContext) -> bool:
                 continue
             if not all(adj[x] & dm == mids for x in bits(full & ~dm)):
                 continue
-            sub = induced_subgraph(g, dm)
-            if any(are_isomorphic(sub, s) for s in seeds):
+            if canonical_form(induced_subgraph(g, dm))[0] in seeds:
                 return True
     return False
 
@@ -247,48 +257,130 @@ class TheoremResult:
 
 
 class _Tally:
-    __slots__ = ("checked", "violations", "best", "time")
+    __slots__ = ("checked", "violations", "best", "failed", "time")
 
     def __init__(self):
         self.checked = 0
         self.violations = 0
-        self.best = None  # (n, mask) of the smallest counterexample
+        self.best = None  # (n, mask) of the smallest failing sampled graph
+        self.failed = []  # (n, mask) of a graph of each failing class
         self.time = 0.0
 
     def merge(self, other: "_Tally"):
         self.checked += other.checked
         self.violations += other.violations
         self.time += other.time
+        self.failed += other.failed
         if other.best is not None and (self.best is None or other.best < self.best):
             self.best = other.best
 
+    def counterexample(self) -> tuple[int, int] | None:
+        """(n, mask) of the smallest failing labeled graph: the classes are
+        searched only at the smallest n where one fails."""
+        best = self.best
+        if self.failed:
+            n = min(fn for fn, _ in self.failed)
+            found = (n, min(_orbit_min(n, m) for fn, m in self.failed if fn == n))
+            best = found if best is None else min(best, found)
+        return best
+
+
+def _orbit_min(n: int, mask: int) -> int:
+    """Smallest edge mask among the n! relabelings of mask_to_graph(n, mask)."""
+    edges = list(mask_to_graph(n, mask).edges())
+    bit = [[graph_to_mask(from_edge_list(n, [(u, v)])) if u != v else 0
+            for v in range(n)] for u in range(n)]
+    best = mask
+    for perm in itertools.permutations(range(n)):
+        m = 0
+        for u, v in edges:
+            m |= bit[perm[u]][perm[v]]
+        if m < best:
+            best = m
+    return best
+
+
+def _classes(n: int, prev: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The isomorphism classes on n vertices as (code, aut_order) pairs in
+    code order, grown from the classes prev on n - 1 vertices.
+
+    Each class on n - 1 vertices gets vertex n - 1 with each of the 2^(n-1)
+    neighbourhoods; pair_order is column-major, so the pairs (u, n - 1) are
+    the top n - 1 bits of the edge mask.  Certificate: the class weights
+    n!/|Aut| must add up to the 2^C(n,2) labeled graphs, else
+    ArithmeticError (an explicit raise, so it survives python -O).
+    """
+    top = (n - 1) * (n - 2) // 2
+    found = {}
+    for code, _ in prev:
+        for nbrs in range(1 << (n - 1)):
+            c, aut = canonical_form(mask_to_graph(n, code | nbrs << top))
+            found[c] = aut
+    fact = math.factorial(n)
+    total = 0
+    for aut in found.values():
+        if aut < 1 or fact % aut:
+            raise ArithmeticError(f"automorphism group order {aut} does not divide {n}!")
+        total += fact // aut
+    if total != 1 << (n * (n - 1) // 2):
+        raise ArithmeticError(f"class weights on {n} vertices sum to {total}, "
+                              f"not 2^{n * (n - 1) // 2}")
+    return sorted(found.items())
+
+
+def _class_units(n: int, classes: list[tuple[int, int]]) -> list[tuple[int, int, bool]]:
+    """(mask, weight, self_complementary) per complementary pair of classes.
+
+    The class with the smaller code stands for the pair: its complement
+    mask ^ full is a graph of the other class, which has the same weight
+    n!/|Aut| because a graph and its complement share their automorphisms.
+    """
+    fact = math.factorial(n)
+    full = (1 << (n * (n - 1) // 2)) - 1
+    units = []
+    for code, aut in classes:
+        co = canonical_form(mask_to_graph(n, code ^ full))[0]
+        if code <= co:
+            units.append((code, fact // aut, code == co))
+    return units
+
 
 def _scan_chunk(args) -> dict[str, _Tally]:
-    """Run the enabled checks over one chunk of n-vertex edge masks.
+    """Run the enabled checks over one chunk of n-vertex graphs.
 
-    A paired chunk stands for its masks and their complements M ^ full; the
-    two graphs of a pair are checked with partnered contexts.  checks None
-    means DEFAULT_CHECKS.
+    A class chunk holds (mask, weight, self_complementary) units: the class
+    of mask and, unless it is self-complementary, the class of its
+    complement mask ^ full, checked with partnered contexts; each counts
+    weight labeled graphs.  A sampled chunk holds labeled edge masks, each
+    counting once.  checks None means DEFAULT_CHECKS.
     """
-    n, masks, paired, enabled, checks = args
+    n, units, classes, enabled, checks = args
     if checks is None:
         checks = DEFAULT_CHECKS
     tallies = {tid: _Tally() for tid in enabled}
     full = (1 << (n * (n - 1) // 2)) - 1
     perf = time.perf_counter
-    for mask in masks:
-        ctx = ScanContext(mask_to_graph(n, mask))
-        todo = ((ctx, mask), (ctx.partner, mask ^ full)) if paired else ((ctx, mask),)
+    for unit in units:
+        if classes:
+            mask, weight, self_co = unit
+            ctx = ScanContext(mask_to_graph(n, mask), self_complementary=self_co)
+            todo = ((ctx, mask),) if self_co else ((ctx, mask), (ctx.partner, mask ^ full))
+        else:
+            weight = 1
+            ctx = ScanContext(mask_to_graph(n, unit))
+            todo = ((ctx, unit),)
         for c, m in todo:
             for tid in enabled:
                 tally = tallies[tid]
                 t0 = perf()
                 ok = checks[tid](c)
                 tally.time += perf() - t0
-                tally.checked += 1
+                tally.checked += weight
                 if not ok:
-                    tally.violations += 1
-                    if tally.best is None or (n, m) < tally.best:
+                    tally.violations += weight
+                    if classes:
+                        tally.failed.append((n, m))
+                    elif tally.best is None or (n, m) < tally.best:
                         tally.best = (n, m)
     return tallies
 
@@ -322,12 +414,18 @@ def verify_theorems(n_max: int, theorems: str | None = None, *,
     """Check the selected theorems over all labeled graphs with 1..n_max
     vertices.
 
-    Populations above the sampling threshold are drawn uniformly from a
-    seeded RNG instead of enumerated; without an explicit sample size that
-    only happens at n = 8 (10^6 samples).  shards/shard_id restrict this call
-    to one slice of every population; summing slices reproduces the full
-    counts exactly.  checks overrides the per-graph assertions (single worker
-    only; used by tests to exercise the reporting path).
+    Every population is exhaustive unless sample is given: then the
+    populations with more than sample labeled graphs are drawn uniformly
+    from a seeded RNG instead.  An exhaustive population is checked once
+    per isomorphism class, and `checked` and `violations` add up the class
+    weights n!/|Aut|, so they still count labeled graphs; the counterexample
+    is the smallest labeled edge mask of a failing graph, as a labeled scan
+    would report it.  shards/shard_id restrict this call to one slice of
+    every population; summing slices reproduces the full counts exactly.
+    checks overrides the per-graph assertions (single worker only; used by
+    tests to exercise the reporting path).  A custom check must be invariant
+    under relabeling, since it sees one graph per class.  progress, if
+    given, receives one line per population as it is set up.
     """
     if not (1 <= n_max <= MAX_N):
         raise ValueError(f"n_max must be in 1..{MAX_N}")
@@ -348,27 +446,28 @@ def verify_theorems(n_max: int, theorems: str | None = None, *,
     tallies = {tid: _Tally() for tid in enabled}
     populations = []
     chunks = []
+    classes = [(0, 1)]  # the graph on no vertices
     for n in range(1, n_max + 1):
         space = 1 << (n * (n - 1) // 2)
-        threshold = sample if sample is not None else (space if n <= 7 else DEFAULT_SAMPLE)
-        if space <= threshold:
-            # from n = 2 on, mask M < space/2 also stands for its complement
-            paired = n >= 2
-            span = space // 2 if paired else space
-            lo = shard_id * span // shards
-            hi = (shard_id + 1) * span // shards
-            step = _CHUNK // 2 if paired else _CHUNK
+        if sample is None or space <= sample:
             populations.append(f"n={n} exhaustive ({space})")
-            for c in range(lo, hi, step):
-                chunks.append((n, range(c, min(c + step, hi)), paired, graph_enabled, checks))
+            if not graph_enabled:
+                continue
+            t0 = time.perf_counter()
+            classes = _classes(n, classes)
+            units = _class_units(n, classes)[shard_id::shards]
+            for c in range(0, len(units), _CLASS_CHUNK):
+                chunks.append((n, units[c:c + _CLASS_CHUNK], True, graph_enabled, checks))
+            if progress:
+                progress(f"{populations[-1]}: {len(classes)} classes, "
+                         f"generated in {time.perf_counter() - t0:.3f}s")
         else:
-            count = threshold
-            masks = _sample_masks(space, count, seed, n)[shard_id::shards]
-            populations.append(f"n={n} sampled ({count})")
+            masks = _sample_masks(space, sample, seed, n)[shard_id::shards]
+            populations.append(f"n={n} sampled ({sample})")
             for c in range(0, len(masks), _CHUNK):
                 chunks.append((n, masks[c:c + _CHUNK], False, graph_enabled, checks))
-        if progress:
-            progress(populations[-1])
+            if progress:
+                progress(populations[-1])
 
     if graph_enabled:
         with contextlib.ExitStack() as stack:
@@ -410,8 +509,9 @@ def verify_theorems(n_max: int, theorems: str | None = None, *,
         else:
             population = pop_desc
             counterexample = None
-            if tally.best is not None:
-                bn, bm = tally.best
+            best = tally.counterexample()
+            if best is not None:
+                bn, bm = best
                 counterexample = serialize_graph6(mask_to_graph(bn, bm))
         results.append(TheoremResult(
             theorem=tid,

@@ -8,7 +8,11 @@ Tests compare the package's fast paths against these.
 import itertools
 from fractions import Fraction
 
-from p4spec.graphs import Graph
+from p4spec.constructions import mask_to_graph
+from p4spec.formats import serialize_graph6
+from p4spec.graphs import Graph, complement
+from p4spec.spectral import numeric_spectrum
+from p4spec.theorems import DEFAULT_CHECKS, THEOREMS, ScanContext
 
 
 def laplacian_rows(g: Graph) -> list[list[int]]:
@@ -178,3 +182,73 @@ def is_p4_connected(g: Graph) -> bool:
         if not any(w & a and w & b for w in sets):
             return False
     return True
+
+
+def are_isomorphic(g: Graph, h: Graph) -> bool:
+    """Backtracking isomorphism test: map the vertices of g in order onto
+    unused vertices of h of the same degree, keeping every adjacency."""
+    if g.n != h.n:
+        return False
+    n = g.n
+    gdeg = [g.degree(v) for v in range(n)]
+    hdeg = [h.degree(v) for v in range(n)]
+    if sorted(gdeg) != sorted(hdeg):
+        return False
+    mapping = [-1] * n
+
+    def extend(i: int, used: int) -> bool:
+        if i == n:
+            return True
+        for w in range(n):
+            if used >> w & 1 or hdeg[w] != gdeg[i]:
+                continue
+            if all(g.has_edge(i, j) == h.has_edge(w, mapping[j]) for j in range(i)):
+                mapping[i] = w
+                if extend(i + 1, used | 1 << w):
+                    return True
+        return False
+
+    return extend(0, 0)
+
+
+def laplacian_eigenvalues(g: Graph) -> list[float]:
+    """Ascending Laplacian eigenvalues from numpy's symmetric eigensolver,
+    or from p4spec's Jacobi iteration where numpy is not installed."""
+    try:
+        import numpy
+    except ImportError:
+        return numeric_spectrum(g)
+    return [float(x) for x in numpy.linalg.eigvalsh(numpy.array(laplacian_rows(g), dtype=float))]
+
+
+def complement_relation_holds(g: Graph, tol: float = 1e-8) -> bool:
+    """With mu_1 <= ... <= mu_n the Laplacian eigenvalues of g, those of the
+    complement are 0 together with n - mu_n, ..., n - mu_2."""
+    mu = laplacian_eigenvalues(g)
+    expected = sorted([0.0] + [g.n - x for x in mu[1:]])
+    actual = laplacian_eigenvalues(complement(g))
+    return all(abs(a - e) <= tol for a, e in zip(actual, expected))
+
+
+def labeled_scan(n_max: int, checks: dict | None = None) -> list[dict]:
+    """The to_dict() reports of verify_theorems for the graph theorems, from
+    a plain scan: every labeled graph on 1..n_max vertices is checked on its
+    own, in edge-mask order, with no classes and no complement pairing.
+    checks maps theorem ids to check functions (default: DEFAULT_CHECKS)."""
+    checks = checks or DEFAULT_CHECKS
+    population = "; ".join(f"n={n} exhaustive ({1 << n * (n - 1) // 2})"
+                           for n in range(1, n_max + 1))
+    reports = {tid: {"theorem": tid, "description": THEOREMS[tid],
+                     "population": population, "checked": 0, "violations": 0,
+                     "counterexample": None} for tid in sorted(checks)}
+    for n in range(1, n_max + 1):
+        for mask in range(1 << n * (n - 1) // 2):
+            ctx = ScanContext(mask_to_graph(n, mask))
+            for tid, check in sorted(checks.items()):
+                report = reports[tid]
+                report["checked"] += 1
+                if not check(ctx):
+                    report["violations"] += 1
+                    if report["counterexample"] is None:
+                        report["counterexample"] = serialize_graph6(ctx.g)
+    return list(reports.values())

@@ -26,12 +26,11 @@ from p4spec.constructions import (
     thick_spider,
     thin_spider,
 )
-from p4spec.graphs import are_isomorphic, complement
+from p4spec.graphs import complement
 from p4spec.p4 import classify, is_p4_connected, is_p4_extendible, recognize_spider
 from p4spec.spectral import (
     IntPolynomial,
     char_poly,
-    check_complement_relation,
     check_union_relation,
     divides,
     is_l_integral,
@@ -155,9 +154,9 @@ def test_criterion_05_sparse_integral_iff_cograph_n7(capsys, scan_abf):
 
 def test_criterion_06_extendible_integral_iff_cograph(capsys):
     with _verdict(capsys, 6):
-        r = verify_theorems(7, "c", sample=10 ** 6)[0]
-        assert r.checked == 33867 + 10 ** 6
-        assert "n=7 sampled (1000000)" in r.population
+        r = verify_theorems(7, "c")[0]
+        assert r.checked == N7_POPULATION
+        assert "n=7 exhaustive (2097152)" in r.population
         assert r.violations == 0, r
 
 
@@ -203,7 +202,7 @@ def test_criterion_10_family_structure(capsys):
             g = family(fid)
             assert is_p4_extendible(g), fid
             assert not is_l_integral(g), fid
-            assert are_isomorphic(complement(g), family(partner[fid])), fid
+            assert oracles.are_isomorphic(complement(g), family(partner[fid])), fid
 
 
 def test_criterion_11_complement_and_union_relations(capsys):
@@ -212,7 +211,7 @@ def test_criterion_11_complement_and_union_relations(capsys):
         for _ in range(1000):
             g = _random_graph(rng, rng.randint(1, 10))
             h = _random_graph(rng, rng.randint(0, 10))
-            assert check_complement_relation(g)
+            assert oracles.complement_relation_holds(g)
             assert check_union_relation(g, h)
 
 

@@ -198,6 +198,16 @@ def test_verify_theorems_clean_run(capsys):
     assert "total:" in err
 
 
+def test_verify_theorems_reports_classes_on_stderr(capsys):
+    rc, out, err = run(capsys, "verify-theorems", "--n-max", "5", "--theorems", "a",
+                       "--sample", "100")
+    assert rc == 0
+    assert re.search(r"^n=4 exhaustive \(64\): 11 classes, generated in \d+\.\d{3}s$",
+                     err, re.M)
+    assert re.search(r"^n=5 sampled \(100\)$", err, re.M)
+    assert "classes" not in out
+
+
 def test_verify_theorems_stdout_deterministic(capsys):
     _, out1, _ = run(capsys, "verify-theorems", "--n-max", "4")
     _, out2, _ = run(capsys, "verify-theorems", "--n-max", "4")

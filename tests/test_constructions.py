@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from oracles import are_isomorphic
 from p4spec.constructions import (
     CASE_IV_KINDS,
     FAMILY_IDS,
@@ -17,7 +18,7 @@ from p4spec.constructions import (
     thick_spider,
     thin_spider,
 )
-from p4spec.graphs import are_isomorphic, complement, disjoint_union, join, mask_of
+from p4spec.graphs import complement, disjoint_union, join, mask_of
 from p4spec.p4 import enumerate_p4, is_cograph, recognize_spider
 from p4spec.spectral import IntPolynomial, char_poly, divides, laplacian
 

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -6,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from oracles import are_isomorphic
 from p4spec.graphs import (
     Graph,
-    are_isomorphic,
+    canonical_form,
     complement,
     connected_components,
     disjoint_union,
@@ -35,7 +37,7 @@ def test_from_edge_list_basics():
     assert g.has_edge(2, 1)
     assert not g.has_edge(0, 3)
     assert list(g.edges()) == [(0, 1), (1, 2), (2, 3)]
-    assert g.degree_sequence() == (1, 1, 2, 2)
+    assert sorted(g.degree(v) for v in range(4)) == [1, 1, 2, 2]
 
 
 def test_from_edge_list_rejects_bad_edges():
@@ -142,6 +144,87 @@ def test_isomorphism_invariant_under_random_relabeling():
         rng.shuffle(perm)
         h = from_edge_list(n, [(perm[u], perm[v]) for u, v in g.edges()])
         assert are_isomorphic(g, h)
+
+
+def _relabel(g, perm):
+    return from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _shuffled(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return _relabel(g, perm)
+
+
+def _petersen():
+    return from_edge_list(10, [(i, (i + 1) % 5) for i in range(5)]
+                          + [(i, i + 5) for i in range(5)]
+                          + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def _paley9():
+    # GF(9) = Z3[i] / (i^2 + 1); a + b*i is vertex 3a + b, and two vertices
+    # are adjacent when their difference is a nonzero square
+    field = [(a, b) for a in range(3) for b in range(3)]
+    squares = {((a * a - b * b) % 3, (2 * a * b) % 3) for a, b in field[1:]}
+    return from_edge_list(9, [(3 * a + b, 3 * c + d) for (a, b), (c, d)
+                              in itertools.combinations(field, 2)
+                              if ((a - c) % 3, (b - d) % 3) in squares])
+
+
+def _automorphisms(g):
+    return sum(_relabel(g, perm) == g for perm in itertools.permutations(range(g.n)))
+
+
+def test_canonical_form_regular_graphs():
+    # refinement splits nothing in a regular graph, so every vertex is a branch
+    k33 = join(standard("empty", 3), standard("empty", 3))
+    cases = [(standard("cycle", n), 2 * n) for n in range(3, 11)]
+    cases += [(k33, 72), (_petersen(), 120), (_paley9(), 72)]
+    rng = random.Random(5)
+    for g, aut in cases:
+        assert len({g.degree(v) for v in range(g.n)}) == 1
+        code, order = canonical_form(g)
+        assert order == aut
+        assert are_isomorphic(mask_to_graph(g.n, code), g)
+        for _ in range(3):
+            h = _shuffled(rng, g)
+            assert are_isomorphic(g, h)
+            assert canonical_form(h) == (code, order)
+    assert canonical_form(k33)[0] != canonical_form(standard("cycle", 6))[0]
+    assert canonical_form(_paley9())[0] != canonical_form(standard("cycle", 9))[0]
+
+
+def test_canonical_form_against_oracle():
+    rng = random.Random(11)
+    same = differ = 0
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        g = mask_to_graph(n, rng.getrandbits(n * (n - 1) // 2))
+        code, order = canonical_form(g)
+        assert canonical_form(_shuffled(rng, g)) == (code, order)
+        assert are_isomorphic(mask_to_graph(n, code), g)
+        # move one edge: sometimes isomorphic to g, mostly not
+        edges = list(g.edges())
+        gaps = [p for p in itertools.combinations(range(n), 2) if not g.has_edge(*p)]
+        if edges and gaps:
+            edges.remove(rng.choice(edges))
+            h = _shuffled(rng, from_edge_list(n, edges + [rng.choice(gaps)]))
+            iso = are_isomorphic(g, h)
+            assert (canonical_form(h)[0] == code) == iso
+            same += iso
+            differ += not iso
+    assert same > 10 and differ > 100
+
+
+def test_canonical_form_aut_order_small_graphs():
+    for n in range(0, 6):
+        for g in enumerate_graphs(n):
+            assert canonical_form(g)[1] == _automorphisms(g)
+    rng = random.Random(13)
+    for _ in range(30):
+        g = mask_to_graph(6, rng.getrandbits(15))
+        assert canonical_form(g)[1] == _automorphisms(g)
 
 
 def test_enumerate_graphs_counts():

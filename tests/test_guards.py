@@ -12,7 +12,7 @@ from pathlib import Path
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 SCRIPT = r"""
-from p4spec import p4, spectral
+from p4spec import p4, spectral, theorems
 from p4spec.constructions import standard
 from p4spec.graphs import Graph
 from p4spec.spectral import IntPolynomial, laplacian
@@ -48,6 +48,15 @@ real_is_cograph = p4.is_cograph
 p4.is_cograph = lambda g: True
 print(outcome(lambda: p4.classify(standard("path", 4))))
 p4.is_cograph = real_is_cograph
+
+# a corrupted automorphism group order: the class weights n!/|Aut| no longer
+# add up to the 2^C(n,2) labeled graphs
+real_canonical_form = theorems.canonical_form
+theorems.canonical_form = lambda g: (real_canonical_form(g)[0], 1)
+print(outcome(lambda: theorems.verify_theorems(4, "a")))
+theorems.canonical_form = lambda g: (real_canonical_form(g)[0], 5)
+print(outcome(lambda: theorems.verify_theorems(4, "a")))
+theorems.canonical_form = real_canonical_form
 """
 
 
@@ -61,4 +70,6 @@ def test_decision_guards_survive_optimize_flag():
         "raised: Faddeev-LeVerrier trace division is not exact",
         "raised: Laplacian eigenvalue above n: bound violated",
         "raised: recursive and P4-free cograph checks disagree",
+        "raised: class weights on 2 vertices sum to 4, not 2^1",
+        "raised: automorphism group order 5 does not divide 1!",
     ]

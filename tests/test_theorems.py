@@ -1,16 +1,40 @@
+import itertools
+import math
+
 import pytest
 
+import oracles
 from p4spec import p4, spectral, theorems
 from p4spec.constructions import graph_to_mask, mask_to_graph, standard
 from p4spec.formats import parse_graph6, serialize_graph6
-from p4spec.graphs import complement
+from p4spec.graphs import Graph, canonical_form, complement, connected_components, \
+    from_edge_list
 from p4spec.theorems import (
     THEOREMS,
     ScanContext,
     TheoremResult,
+    _classes,
     _pair_population,
     verify_theorems,
 )
+
+# isomorphism classes of graphs on n = 1..7 vertices (OEIS A000088)
+CLASS_COUNTS = [1, 2, 4, 11, 34, 156, 1044]
+
+
+def _class_lists(n_max):
+    """{n: [(code, aut_order), ...]} for n = 1..n_max."""
+    out = {}
+    classes = [(0, 1)]
+    for n in range(1, n_max + 1):
+        classes = out[n] = _classes(n, classes)
+    return out
+
+
+def _self_complementary(n_max):
+    return sum(canonical_form(complement(mask_to_graph(n, code)))[0] == code
+               for n, classes in _class_lists(n_max).items() if n >= 2
+               for code, _ in classes)
 
 
 def _by_id(results):
@@ -139,30 +163,87 @@ def test_scan_context_partners_share_results():
     assert single.partner is single
 
 
-def _failing_at(n, masks):
+def _failing_on_class_of(n, mask):
+    code = canonical_form(mask_to_graph(n, mask))[0]
+
     def check(ctx):
-        return not (ctx.g.n == n and graph_to_mask(ctx.g) in masks)
+        return not (ctx.g.n == n and canonical_form(ctx.g)[0] == code)
     return check
 
 
-@pytest.mark.parametrize("masks, violations, counterexample", [
-    ({50}, 1, "CR"),         # upper half: checked as the partner of mask 13
-    ({40, 60}, 2, "CD"),     # both upper; 60's partner 3 is scanned first
-    ({3, 60}, 2, "Co"),      # a lower mask and its own partner
-])
-def test_paired_scan_reports_upper_half_violations(masks, violations, counterexample):
-    # the figures are those of the unpaired scan over all 2^6 masks at n = 4
-    r = verify_theorems(5, "a", checks={"a": _failing_at(4, masks)})[0]
+def _orbit(n, mask):
+    """Edge masks of every relabeling of mask_to_graph(n, mask)."""
+    edges = list(mask_to_graph(n, mask).edges())
+    return {graph_to_mask(from_edge_list(n, [(p[u], p[v]) for u, v in edges]))
+            for p in itertools.permutations(range(n))}
+
+
+@pytest.mark.parametrize("mask", [50, 3, 60])  # P4, P3 plus a vertex, K_{1,3}
+def test_class_scan_reports_orbit_violations(mask):
+    # a check failing on one class fails on every labeled graph of its orbit
+    orbit = _orbit(4, mask)
+    r = verify_theorems(5, "a", checks={"a": _failing_on_class_of(4, mask)})[0]
     assert r.checked == 1 + 2 + 8 + 64 + 1024
-    assert r.violations == violations
-    assert r.counterexample == counterexample
-    assert r.counterexample == serialize_graph6(mask_to_graph(4, min(masks)))
+    assert r.violations == len(orbit) == math.factorial(4) // canonical_form(
+        mask_to_graph(4, mask))[1]
+    assert r.counterexample == serialize_graph6(mask_to_graph(4, min(orbit)))
     sharded = [verify_theorems(5, "a", shards=3, shard_id=sid,
-                               checks={"a": _failing_at(4, masks)})[0] for sid in range(3)]
+                               checks={"a": _failing_on_class_of(4, mask)})[0]
+               for sid in range(3)]
     assert sum(s.checked for s in sharded) == r.checked
-    assert sum(s.violations for s in sharded) == violations
-    # the shard holding the smallest witness reports it
-    assert counterexample in {s.counterexample for s in sharded}
+    assert sum(s.violations for s in sharded) == r.violations
+    # the shard holding the failing class reports the smallest witness
+    assert r.counterexample in {s.counterexample for s in sharded}
+
+
+def test_class_counts_match_oeis():
+    lists = _class_lists(7)
+    assert [len(lists[n]) for n in range(1, 8)] == CLASS_COUNTS
+    for n, classes in lists.items():
+        assert sum(math.factorial(n) // aut for _, aut in classes) == 2 ** (n * (n - 1) // 2)
+        assert all(canonical_form(mask_to_graph(n, code))[0] == code for code, _ in classes)
+
+
+def test_classes_match_networkx_atlas():
+    nx = pytest.importorskip("networkx")
+    atlas = [h for h in nx.graph_atlas_g() if h.number_of_nodes() == 7]
+    assert len(atlas) == 1044
+    codes = set()
+    for h in atlas:
+        rows = [0] * 7
+        for u, v in h.edges():
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        codes.add(canonical_form(Graph(7, rows))[0])
+    assert codes == {code for code, _ in _class_lists(7)[7]}
+
+
+def test_class_scan_matches_labeled_scan():
+    # the oracle checks all 33,867 labeled graphs on n <= 6 one by one
+    classes = [r.to_dict() for r in verify_theorems(6, "abcdefg")]
+    assert classes == oracles.labeled_scan(6)
+
+
+def _complement_connected(ctx):
+    return len(connected_components(ctx.co)) == 1
+
+
+def _p4_free(ctx):
+    return not ctx.p4s
+
+
+def _few_p4s(ctx):
+    return len(ctx.p4s) < 4
+
+
+def test_custom_invariant_checks_match_labeled_scan():
+    # relabeling-invariant checks whose smallest failing graphs have 2, 4
+    # and 5 vertices
+    checks = {"a": _complement_connected, "b": _p4_free, "c": _few_p4s}
+    for n_max, failing in ((4, "ab"), (6, "abc")):
+        got = [r.to_dict() for r in verify_theorems(n_max, "abc", checks=checks)]
+        assert got == oracles.labeled_scan(n_max, checks)
+        assert "".join(r["theorem"] for r in got if r["violations"]) == failing
 
 
 def test_exhaustive_scan_computes_each_spectrum_once(monkeypatch):
@@ -175,11 +256,14 @@ def test_exhaustive_scan_computes_each_spectrum_once(monkeypatch):
 
     monkeypatch.setattr(spectral, "char_poly", counting)
     results = verify_theorems(5)
-    graphs = 1 + 2 + 8 + 64 + 1024
+    classes = 1 + 2 + 4 + 11 + 34
     pairs = _by_id(results)["h"].checked
     assert pairs == 100 * 4
-    # one spectrum per graph (theorem g included), three per union pair
-    assert len(calls) == graphs + 3 * pairs
+    # one spectrum per isomorphism class (theorem g included): a class and
+    # its complement's class are checked as partners, and a self-complementary
+    # class shares its own; three spectra per union pair
+    assert _self_complementary(5) == 3  # P4, C5 and the bull
+    assert len(calls) == classes + 3 * pairs
 
 
 def test_exhaustive_scan_enumerates_p4s_once_per_graph(monkeypatch):
@@ -193,7 +277,7 @@ def test_exhaustive_scan_enumerates_p4s_once_per_graph(monkeypatch):
     monkeypatch.setattr(p4, "enumerate_p4", counting)
     monkeypatch.setattr(theorems, "enumerate_p4", counting)
     verify_theorems(5, "abcdef")
-    assert len(calls) == 1 + 2 + 8 + 64 + 1024
+    assert len(calls) == 1 + 2 + 4 + 11 + 34  # once per isomorphism class
     calls.clear()
     p4.classify(standard("cycle", 6))
     assert calls == [6]
