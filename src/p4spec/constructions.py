@@ -5,8 +5,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .graphs import Graph, complement, from_edge_list, mask_of, max_vertices, \
-    pair_order
+from .graphs import Graph, check_vertex_count, complement, from_edge_list, \
+    mask_of, pair_order
 from .spectral import IntPolynomial
 
 
@@ -16,6 +16,7 @@ from .spectral import IntPolynomial
 
 def standard(kind: str, n: int) -> Graph:
     """path / cycle / complete / empty on n vertices."""
+    check_vertex_count(n)
     if kind == "path":
         if n < 1:
             raise ValueError("a path needs at least 1 vertex")
@@ -29,8 +30,6 @@ def standard(kind: str, n: int) -> Graph:
             raise ValueError("a complete graph needs at least 1 vertex")
         return from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
     if kind == "empty":
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
         return from_edge_list(n, [])
     raise ValueError(f"unknown standard graph kind {kind!r}")
 
@@ -47,8 +46,7 @@ def _attach_head(rows: list[int], attach_mask: int, head: Graph | None) -> Graph
     """
     base = len(rows)
     n = base + (head.n if head is not None else 0)
-    if n > max_vertices():
-        raise ValueError(f"graph has {n} vertices, exceeding the cap of {max_vertices()}")
+    check_vertex_count(n)
     if n == base:
         return Graph(n, rows, validate=False)
     head_bits = ((1 << head.n) - 1) << base
@@ -67,6 +65,7 @@ def thin_spider(k: int, head: Graph | None = None) -> Graph:
     """
     if k < 2:
         raise ValueError("a spider needs k >= 2")
+    check_vertex_count(2 * k)
     body_m = (1 << k) - 1
     rows = [0] * (2 * k)
     for i in range(k):
@@ -83,6 +82,7 @@ def thick_spider(k: int, head: Graph | None = None) -> Graph:
     """
     if k < 2:
         raise ValueError("a spider needs k >= 2")
+    check_vertex_count(2 * k)
     body_m = ((1 << k) - 1) << k
     rows = [0] * (2 * k)
     for i in range(k):
@@ -201,7 +201,7 @@ def graph_to_mask(g: Graph) -> int:
 def enumerate_graphs(n: int, start: int = 0, stop: int | None = None) -> Iterator[Graph]:
     """All labeled graphs on n vertices in edge-mask order.
 
-    start/stop restrict to a mask interval, which is how scans shard.
+    start/stop restrict to a mask interval.
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")

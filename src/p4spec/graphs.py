@@ -29,14 +29,28 @@ def max_vertices() -> int:
     return value
 
 
+def check_vertex_count(n: int) -> None:
+    """Raise ValueError unless 0 <= n <= max_vertices().  Every graph builder
+    calls this before it allocates anything for n vertices."""
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
+    cap = max_vertices()
+    if n > cap:
+        raise ValueError(f"{n} vertices exceeds the cap of {cap}"
+                         " (set P4SPEC_MAX_N to raise it)")
+
+
 @lru_cache(maxsize=None)
 def pair_order(n: int) -> tuple[tuple[int, int], ...]:
     """Vertex pairs (u, v) with u < v in upper-triangle column-major order.
 
     This is the single source of truth for edge-mask bit positions:
-    (0,1), (0,2), (1,2), (0,3), (1,3), (2,3), ...  Only
-    `constructions.mask_to_graph` and `graph_to_mask` read it; the graph
-    enumerator, the graph6 codec and the theorem engine go through them.
+    (0,1), (0,2), (1,2), (0,3), (1,3), (2,3), ...  `constructions.mask_to_graph`
+    and `graph_to_mask` read it, and the graph enumerator and the graph6
+    codec go through them.  Two places rely on the layout without reading
+    it: `canonical_form` builds its leaf codes in this bit order, and
+    `theorems._classes` puts the pairs (u, n - 1) of a new vertex at the top
+    n - 1 bits of the mask.
     """
     return tuple((u, v) for v in range(n) for u in range(v))
 
@@ -65,11 +79,7 @@ class Graph:
         self.n = n
         self.adj = tuple(adj)
         if validate:
-            if n < 0:
-                raise ValueError(f"vertex count must be nonnegative, got {n}")
-            if n > max_vertices():
-                raise ValueError(f"{n} vertices exceeds the cap of {max_vertices()}"
-                                 " (set P4SPEC_MAX_N to raise it)")
+            check_vertex_count(n)
             if len(self.adj) != n:
                 raise ValueError("adjacency row count does not match n")
             full = (1 << n) - 1
@@ -120,11 +130,7 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     Duplicate edges collapse silently; self-loops and out-of-range endpoints
     raise ValueError.
     """
-    if n < 0:
-        raise ValueError(f"vertex count must be nonnegative, got {n}")
-    if n > max_vertices():
-        raise ValueError(f"{n} vertices exceeds the cap of {max_vertices()}"
-                         " (set P4SPEC_MAX_N to raise it)")
+    check_vertex_count(n)
     rows = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -146,8 +152,7 @@ def complement(g: Graph) -> Graph:
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """G + H with H's vertices shifted up by g.n."""
     n = g.n + h.n
-    if n > max_vertices():
-        raise ValueError(f"union has {n} vertices, exceeding the cap of {max_vertices()}")
+    check_vertex_count(n)
     rows = list(g.adj) + [row << g.n for row in h.adj]
     return Graph(n, rows, validate=False)
 
@@ -155,8 +160,7 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 def join(g: Graph, h: Graph) -> Graph:
     """Disjoint union plus all edges between the two sides."""
     n = g.n + h.n
-    if n > max_vertices():
-        raise ValueError(f"join has {n} vertices, exceeding the cap of {max_vertices()}")
+    check_vertex_count(n)
     gmask = (1 << g.n) - 1
     hmask = ((1 << h.n) - 1) << g.n
     rows = [row | hmask for row in g.adj]

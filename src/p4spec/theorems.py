@@ -5,10 +5,9 @@ labeled graph up to a vertex bound.  The graph theorems are invariant under
 relabeling, so an exhaustive population is scanned once per isomorphism
 class: the n-vertex classes are grown from the (n-1)-vertex ones and deduped
 by canonical form, and each class stands for its n!/|Aut| labeled graphs.
-A class is checked together with its complement's class.  Sampled
-populations come from one seeded global sequence of labeled edge masks
-striped across shards, which keeps aggregate counts independent of the
-shard count; class lists are striped the same way.
+Sampled populations come from one seeded global sequence of labeled edge
+masks.  Shards stripe the list of classes or of sampled masks, which keeps
+aggregate counts independent of the shard count.
 """
 
 from __future__ import annotations
@@ -31,8 +30,7 @@ from .spectral import check_union_relation, is_l_integral
 
 PAIRS_PER_N = 100
 MAX_N = 8
-_CHUNK = 1 << 14  # labeled masks per sampled chunk
-_CLASS_CHUNK = 64  # class pairs per exhaustive chunk
+_CHUNK = 64  # units per chunk
 
 THEOREMS = {
     "a": "cograph implies L-integral",
@@ -51,27 +49,20 @@ THEOREMS = {
 class ScanContext:
     """Per-graph lazy cache shared by the theorem checks.
 
-    Each context has a partner holding the complement graph, made on first
-    use, whose own partner is this context: `co` is the partner's graph and
-    `lint_co()` is the partner's `lint()`.  A scan that checks both graphs of
-    a complementary pair computes each spectrum once, from that graph's own
-    Laplacian.  A graph on at most one vertex is its own complement and its
-    own partner.  A self-complementary graph, known to be isomorphic to its
-    complement, shares its own spectrum with the partner.  The induced P4s
-    are enumerated once; `masks` holds their vertex masks, which the class
-    predicates read.
+    The induced P4s are enumerated once; `masks` holds their vertex masks,
+    which the class predicates read.  `co` is the complement graph and
+    `lint_co()` its L-integrality, each made on first use.
     """
 
-    __slots__ = ("g", "_p4s", "_masks", "_partner", "_lint", "_self_co")
+    __slots__ = ("g", "_p4s", "_masks", "_co", "_lint", "_lint_co")
 
-    def __init__(self, g: Graph, partner: "ScanContext | None" = None,
-                 self_complementary: bool = False):
+    def __init__(self, g: Graph):
         self.g = g
         self._p4s = None
         self._masks = None
-        self._partner = partner
+        self._co = None
         self._lint = None
-        self._self_co = self_complementary
+        self._lint_co = None
 
     @property
     def p4s(self):
@@ -86,17 +77,10 @@ class ScanContext:
         return self._masks
 
     @property
-    def partner(self) -> "ScanContext":
-        if self._partner is None:
-            if self.g.n < 2:
-                self._partner = self
-            else:
-                self._partner = ScanContext(complement(self.g), self)
-        return self._partner
-
-    @property
     def co(self) -> Graph:
-        return self.partner.g
+        if self._co is None:
+            self._co = complement(self.g)
+        return self._co
 
     def lint(self) -> bool:
         if self._lint is None:
@@ -104,7 +88,9 @@ class ScanContext:
         return self._lint
 
     def lint_co(self) -> bool:
-        return self.lint() if self._self_co else self.partner.lint()
+        if self._lint_co is None:
+            self._lint_co = is_l_integral(self.co)
+        return self._lint_co
 
 
 def _check_a(ctx: ScanContext) -> bool:
@@ -239,7 +225,9 @@ class TheoremResult:
     checked: int
     violations: int
     counterexample: str | None
-    check_s: float  # time spent in this theorem's checks, summed over workers
+    # time in this theorem's checks, summed over workers; it includes the
+    # shared P4, complement and spectrum work the theorem is first to ask for
+    check_s: float
 
     @property
     def passed(self) -> bool:
@@ -328,60 +316,34 @@ def _classes(n: int, prev: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return sorted(found.items())
 
 
-def _class_units(n: int, classes: list[tuple[int, int]]) -> list[tuple[int, int, bool]]:
-    """(mask, weight, self_complementary) per complementary pair of classes.
-
-    The class with the smaller code stands for the pair: its complement
-    mask ^ full is a graph of the other class, which has the same weight
-    n!/|Aut| because a graph and its complement share their automorphisms.
-    """
-    fact = math.factorial(n)
-    full = (1 << (n * (n - 1) // 2)) - 1
-    units = []
-    for code, aut in classes:
-        co = canonical_form(mask_to_graph(n, code ^ full))[0]
-        if code <= co:
-            units.append((code, fact // aut, code == co))
-    return units
-
-
 def _scan_chunk(args) -> dict[str, _Tally]:
     """Run the enabled checks over one chunk of n-vertex graphs.
 
-    A class chunk holds (mask, weight, self_complementary) units: the class
-    of mask and, unless it is self-complementary, the class of its
-    complement mask ^ full, checked with partnered contexts; each counts
-    weight labeled graphs.  A sampled chunk holds labeled edge masks, each
-    counting once.  checks None means DEFAULT_CHECKS.
+    A unit (mask, weight) is the graph mask_to_graph(n, mask) standing for
+    weight labeled graphs: a class and its n!/|Aut| in an exhaustive
+    population, a sampled labeled mask and 1 otherwise.  A failing class is
+    recorded for the orbit search in _Tally.counterexample, a failing sample
+    as it is.  checks None means DEFAULT_CHECKS.
     """
-    n, units, classes, enabled, checks = args
+    n, units, exhaustive, enabled, checks = args
     if checks is None:
         checks = DEFAULT_CHECKS
     tallies = {tid: _Tally() for tid in enabled}
-    full = (1 << (n * (n - 1) // 2)) - 1
     perf = time.perf_counter
-    for unit in units:
-        if classes:
-            mask, weight, self_co = unit
-            ctx = ScanContext(mask_to_graph(n, mask), self_complementary=self_co)
-            todo = ((ctx, mask),) if self_co else ((ctx, mask), (ctx.partner, mask ^ full))
-        else:
-            weight = 1
-            ctx = ScanContext(mask_to_graph(n, unit))
-            todo = ((ctx, unit),)
-        for c, m in todo:
-            for tid in enabled:
-                tally = tallies[tid]
-                t0 = perf()
-                ok = checks[tid](c)
-                tally.time += perf() - t0
-                tally.checked += weight
-                if not ok:
-                    tally.violations += weight
-                    if classes:
-                        tally.failed.append((n, m))
-                    elif tally.best is None or (n, m) < tally.best:
-                        tally.best = (n, m)
+    for mask, weight in units:
+        ctx = ScanContext(mask_to_graph(n, mask))
+        for tid in enabled:
+            tally = tallies[tid]
+            t0 = perf()
+            ok = checks[tid](ctx)
+            tally.time += perf() - t0
+            tally.checked += weight
+            if not ok:
+                tally.violations += weight
+                if exhaustive:
+                    tally.failed.append((n, mask))
+                elif tally.best is None or (n, mask) < tally.best:
+                    tally.best = (n, mask)
     return tallies
 
 
@@ -445,29 +407,34 @@ def verify_theorems(n_max: int, theorems: str | None = None, *,
 
     tallies = {tid: _Tally() for tid in enabled}
     populations = []
-    chunks = []
+    sources = []  # (n, exhaustive, iterator over the (mask, weight) units)
     classes = [(0, 1)]  # the graph on no vertices
     for n in range(1, n_max + 1):
         space = 1 << (n * (n - 1) // 2)
-        if sample is None or space <= sample:
+        exhaustive = sample is None or space <= sample
+        if exhaustive:
             populations.append(f"n={n} exhaustive ({space})")
             if not graph_enabled:
                 continue
             t0 = time.perf_counter()
             classes = _classes(n, classes)
-            units = _class_units(n, classes)[shard_id::shards]
-            for c in range(0, len(units), _CLASS_CHUNK):
-                chunks.append((n, units[c:c + _CLASS_CHUNK], True, graph_enabled, checks))
+            fact = math.factorial(n)
+            units = [(code, fact // aut) for code, aut in classes[shard_id::shards]]
             if progress:
                 progress(f"{populations[-1]}: {len(classes)} classes, "
                          f"generated in {time.perf_counter() - t0:.3f}s")
         else:
-            masks = _sample_masks(space, sample, seed, n)[shard_id::shards]
             populations.append(f"n={n} sampled ({sample})")
-            for c in range(0, len(masks), _CHUNK):
-                chunks.append((n, masks[c:c + _CHUNK], False, graph_enabled, checks))
+            # made chunk by chunk, so that a large sample is held as plain masks
+            units = ((m, 1) for m in _sample_masks(space, sample, seed, n)[shard_id::shards])
             if progress:
                 progress(populations[-1])
+        sources.append((n, exhaustive, iter(units)))
+
+    def chunks():
+        for n, exhaustive, units in sources:
+            while chunk := list(itertools.islice(units, _CHUNK)):
+                yield n, chunk, exhaustive, graph_enabled, checks
 
     if graph_enabled:
         with contextlib.ExitStack() as stack:
@@ -476,7 +443,7 @@ def verify_theorems(n_max: int, theorems: str | None = None, *,
                 import multiprocessing  # about 1 MB of modules a serial scan never needs
                 mp = multiprocessing.get_context("fork")
                 scan = stack.enter_context(mp.Pool(workers)).imap_unordered
-            for result in scan(_scan_chunk, chunks):
+            for result in scan(_scan_chunk, chunks()):
                 for tid, tally in result.items():
                     tallies[tid].merge(tally)
 

@@ -1,6 +1,12 @@
 import io
 import json
+import os
+import random
 import re
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -183,6 +189,144 @@ def test_generate_over_vertex_cap_is_bad_input(capsys, monkeypatch):
     assert rc == 2
     assert out == ""
     assert err.startswith("error:") and "cap of 10" in err
+
+
+# Address-space limit for the subprocess tests below: far above what any
+# accepted input needs, far below what an uncapped builder would allocate.
+_MEMORY_LIMIT = 512 << 20
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (_MEMORY_LIMIT, _MEMORY_LIMIT))
+
+
+def run_limited(argv, stdin=""):
+    """Run python with argv in a subprocess under the memory limit."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    env.pop("P4SPEC_MAX_N", None)
+    return subprocess.run([sys.executable, *argv], input=stdin, capture_output=True,
+                          text=True, env=env, preexec_fn=_limit_memory, timeout=600)
+
+
+@pytest.mark.parametrize("expression", ["spider(thin,k=1000000000)", "K100000",
+                                        "path(100000000)"])
+def test_generate_checks_vertex_cap_before_building(expression):
+    proc = run_limited(["-m", "p4spec.cli", "generate", expression])
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "exceeds the cap" in proc.stderr
+
+
+_FUZZ_DRIVER = """
+import contextlib, io, json, sys, traceback
+from p4spec.cli import main
+bad = []
+for argv, text in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    except BaseException:
+        rc = traceback.format_exc()
+    if rc not in (0, 2) or "Traceback" in err.getvalue():
+        bad.append([argv, text, rc])
+print(json.dumps(bad))
+"""
+
+_NAMES = ("union", "join", "complement", "spider", "family", "caseiv", "path",
+          "cycle", "complete", "empty", "thin", "thick", "k", "head", "F0",
+          "F3", "F6", "P4", "K", "E2", "foo")
+
+
+def _fuzz_int(rng):
+    return rng.choice((rng.randint(0, 12), rng.randint(0, 70), rng.randint(0, 10**9)))
+
+
+def _fuzz_expression(rng, depth=0):
+    """A random expression that is usually well formed."""
+    roll = rng.random()
+    if depth > 3 or roll < 0.3:
+        return rng.choice("KEPC") + str(_fuzz_int(rng))
+    if roll < 0.45:
+        return f"{rng.choice(('path', 'cycle', 'complete', 'empty'))}({_fuzz_int(rng)})"
+    if roll < 0.6:
+        ops = ",".join(_fuzz_expression(rng, depth + 1) for _ in range(rng.randint(1, 3)))
+        return f"{rng.choice(('union', 'join'))}({ops})"
+    if roll < 0.7:
+        return f"complement({_fuzz_expression(rng, depth + 1)})"
+    if roll < 0.85:
+        head = f",head={_fuzz_expression(rng, depth + 1)}" if rng.random() < 0.5 else ""
+        return f"spider({rng.choice(('thin', 'thick', 'fat'))},k={_fuzz_int(rng)}{head})"
+    if roll < 0.93:
+        return f"family({rng.choice(('P4', 'F0', 'F3', 'F6', 'F9'))})"
+    head = f",head={_fuzz_expression(rng, depth + 1)}" if rng.random() < 0.5 else ""
+    return f"caseiv({rng.choice(('P4', 'F3', 'F5', 'F0'))}{head})"
+
+
+def _fuzz_tokens(rng):
+    """A random soup of DSL tokens and stray characters."""
+    pieces = []
+    for _ in range(rng.randint(0, 12)):
+        roll = rng.random()
+        if roll < 0.35:
+            pieces.append(rng.choice(_NAMES))
+        elif roll < 0.55:
+            pieces.append(str(_fuzz_int(rng)))
+        elif roll < 0.9:
+            pieces.append(rng.choice("(),="))
+        else:
+            pieces.append(rng.choice(" -!@~\t"))
+    return "".join(pieces)
+
+
+def _fuzz_graph6(rng):
+    n = rng.randint(0, 12)
+    nbytes = (n * (n - 1) // 2 + 5) // 6 + (rng.choice((-1, 1)) if rng.random() < 0.2 else 0)
+    text = chr(63 + n) + "".join(
+        chr(rng.randint(63, 126) if rng.random() < 0.97 else rng.randint(32, 200))
+        for _ in range(nbytes))
+    roll = rng.random()
+    if roll < 0.1:
+        text = "~" + "".join(chr(rng.randint(63, 126)) for _ in range(3)) + text[1:]
+    elif roll < 0.15:
+        text = ">>graph6<<" + text
+    elif roll < 0.2:
+        text += "\n" + text
+    return text
+
+
+def _fuzz_edge_list(rng):
+    n = rng.choice((rng.randint(0, 12), rng.randint(-2, 70), rng.randint(0, 10**9)))
+    top = max(min(n, 13), 1) - 1
+    edges = [(rng.randint(0, top), rng.randint(0, top)) if rng.random() < 0.95
+             else (rng.randint(-1, top + 2), rng.randint(-1, top + 2))
+             for _ in range(rng.randint(0, 20))]
+    m = len(edges) + (rng.choice((-1, 1)) if rng.random() < 0.1 else 0)
+    lines = [f"{n} {m}" if rng.random() < 0.95 else f"{n} x"]
+    lines += [f"{u} {v}" if rng.random() < 0.97 else f"{u}" for u, v in edges]
+    return "\n".join(lines) + "\n"
+
+
+def test_front_ends_fuzz():
+    # every input ends in exit code 0 or 2 with no traceback, under the
+    # memory limit
+    rng = random.Random(2014)
+    cases = []
+    for i in range(2000):
+        text = _fuzz_expression(rng) if i % 2 else _fuzz_tokens(rng)
+        cases.append([["generate", text, "--format", rng.choice(("edges", "g6"))], ""])
+    for i in range(1000):
+        text = _fuzz_graph6(rng) if i % 2 else _fuzz_edge_list(rng)
+        argv = ["analyze", "-", "--format", rng.choice(("auto", "edges", "g6"))]
+        cases.append([argv + (["--json"] if rng.random() < 0.3 else []), text])
+    proc = run_limited(["-c", _FUZZ_DRIVER], json.dumps(cases))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 def test_verify_theorems_clean_run(capsys):

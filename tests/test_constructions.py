@@ -87,13 +87,13 @@ def test_head_attach_respects_vertex_cap(monkeypatch):
     k3 = standard("complete", 3)
     assert thin_spider(3, k3).n == thick_spider(3, k3).n == 9
     assert case_iv_graph("F3", standard("empty", 5)).n == 10
-    with pytest.raises(ValueError, match="exceeding the cap of 10"):
+    with pytest.raises(ValueError, match="exceeds the cap of 10"):
         thin_spider(4, k3)
-    with pytest.raises(ValueError, match="exceeding the cap of 10"):
+    with pytest.raises(ValueError, match="exceeds the cap of 10"):
         thick_spider(4, k3)
-    with pytest.raises(ValueError, match="exceeding the cap of 10"):
+    with pytest.raises(ValueError, match="exceeds the cap of 10"):
         case_iv_graph("F3", standard("empty", 6))
-    with pytest.raises(ValueError, match="exceeding the cap of 10"):
+    with pytest.raises(ValueError, match="exceeds the cap of 10"):
         thin_spider(6, None)
 
 

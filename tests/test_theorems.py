@@ -31,12 +31,6 @@ def _class_lists(n_max):
     return out
 
 
-def _self_complementary(n_max):
-    return sum(canonical_form(complement(mask_to_graph(n, code)))[0] == code
-               for n, classes in _class_lists(n_max).items() if n >= 2
-               for code, _ in classes)
-
-
 def _by_id(results):
     return {r.theorem: r for r in results}
 
@@ -149,18 +143,8 @@ def test_scan_context_caches():
     ctx = ScanContext(standard("cycle", 6))
     assert ctx.p4s is ctx.p4s
     assert ctx.co is ctx.co
-    assert ctx.lint() and ctx.lint_co()
-
-
-def test_scan_context_partners_share_results():
-    ctx = ScanContext(standard("path", 4))
-    partner = ctx.partner
-    assert partner.partner is ctx
-    assert ctx.co is partner.g and partner.co is ctx.g
     assert ctx.co == complement(ctx.g)
-    assert ctx.lint_co() == partner.lint() and partner.lint_co() == ctx.lint()
-    single = ScanContext(standard("empty", 1))
-    assert single.partner is single
+    assert ctx.lint() and ctx.lint_co()
 
 
 def _failing_on_class_of(n, mask):
@@ -236,12 +220,17 @@ def _few_p4s(ctx):
     return len(ctx.p4s) < 4
 
 
+def _complement_l_integral(ctx):
+    return ctx.lint_co()
+
+
 def test_custom_invariant_checks_match_labeled_scan():
-    # relabeling-invariant checks whose smallest failing graphs have 2, 4
-    # and 5 vertices
-    checks = {"a": _complement_connected, "b": _p4_free, "c": _few_p4s}
-    for n_max, failing in ((4, "ab"), (6, "abc")):
-        got = [r.to_dict() for r in verify_theorems(n_max, "abc", checks=checks)]
+    # relabeling-invariant checks whose smallest failing graphs have 2, 4,
+    # 5 and 4 vertices
+    checks = {"a": _complement_connected, "b": _p4_free, "c": _few_p4s,
+              "d": _complement_l_integral}
+    for n_max, failing in ((4, "abd"), (6, "abcd")):
+        got = [r.to_dict() for r in verify_theorems(n_max, "abcd", checks=checks)]
         assert got == oracles.labeled_scan(n_max, checks)
         assert "".join(r["theorem"] for r in got if r["violations"]) == failing
 
@@ -259,11 +248,12 @@ def test_exhaustive_scan_computes_each_spectrum_once(monkeypatch):
     classes = 1 + 2 + 4 + 11 + 34
     pairs = _by_id(results)["h"].checked
     assert pairs == 100 * 4
-    # one spectrum per isomorphism class (theorem g included): a class and
-    # its complement's class are checked as partners, and a self-complementary
-    # class shares its own; three spectra per union pair
-    assert _self_complementary(5) == 3  # P4, C5 and the bull
-    assert len(calls) == classes + 3 * pairs
+    # theorem g asks for the spectra of each class and of its complement,
+    # and every other check reuses them; three spectra per union pair
+    assert len(calls) == 2 * classes + 3 * pairs
+    calls.clear()
+    verify_theorems(5, "abcdef")
+    assert 0 < len(calls) <= classes  # no complement spectra without g
 
 
 def test_exhaustive_scan_enumerates_p4s_once_per_graph(monkeypatch):
