@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 
 from . import __version__
 from .dsl import DslError, parse_dsl
@@ -96,7 +97,7 @@ def cmd_spectrum(args) -> int:
             "is_integral": spec.is_integral,
         })
     elif args.mode == "numeric":
-        _emit({"eigenvalues": numeric_spectrum(g, args.tol)})
+        _emit({"eigenvalues": numeric_spectrum(g)})
     else:
         spider = recognize_spider(g)
         if spider is None or spider.kind != "thin" or any(
@@ -169,8 +170,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("auto", "edges", "g6"), default="auto")
     p.add_argument("--mode", choices=("exact", "numeric", "closed-form"),
                    default="exact")
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="tolerance for numeric mode")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("generate", help="build a graph from an expression")
@@ -200,11 +199,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (ParseError, DslError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    error = None
+    with warnings.catch_warnings(record=True) as caught:
+        # record every warning, even under -W error, and report it as a note
+        warnings.simplefilter("always")
+        try:
+            status = args.func(args)
+        except (ParseError, DslError, ValueError, OSError) as exc:
+            error = exc
+            status = 2
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    return status
 
 
 def main_entry() -> None:

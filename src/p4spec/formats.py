@@ -113,7 +113,11 @@ def parse_graph6(text: str) -> Graph:
         raise ParseError("empty graph6 input")
     if len(lines) > 1:
         raise ParseError(f"graph6 input holds {len(lines)} graphs; expected one")
-    data = lines[0].encode("ascii", errors="replace")
+    try:
+        data = lines[0].encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise ParseError(f"non-ASCII character {exc.object[exc.start]!r} "
+                         "in graph6 input") from None
     for b in data:
         if not (63 <= b <= 126):
             raise ParseError(f"invalid graph6 byte {b}")

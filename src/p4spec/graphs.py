@@ -71,13 +71,19 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 
 class Graph:
-    """A simple undirected graph.  Treat instances as immutable."""
+    """A simple undirected graph.  Treat instances as immutable.
 
-    __slots__ = ("n", "adj")
+    `derived(fn)` keeps fn(g) per graph, so the P4s, the complement and the
+    spectrum are computed once however many predicates read them; equality
+    and hashing read only n and adj.
+    """
+
+    __slots__ = ("n", "adj", "_memo")
 
     def __init__(self, n: int, adj: Iterable[int], validate: bool = True):
         self.n = n
         self.adj = tuple(adj)
+        self._memo = None  # made on the first derived() call
         if validate:
             check_vertex_count(n)
             if len(self.adj) != n:
@@ -92,6 +98,19 @@ class Graph:
                 for v in range(u + 1, n):
                     if (self.adj[u] >> v & 1) != (self.adj[v] >> u & 1):
                         raise ValueError(f"adjacency not symmetric at ({u}, {v})")
+
+    def derived(self, fn):
+        """fn(self), computed on first use and kept; every caller gets the
+        same value, so treat it as read-only.  The memo is keyed by the
+        function object the caller passes, so a wrapped or replaced
+        function gets its own entry."""
+        memo = self._memo
+        if memo is None:
+            memo = self._memo = {}
+        if fn in memo:
+            return memo[fn]
+        value = memo[fn] = fn(self)
+        return value
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()

@@ -5,9 +5,9 @@ its two inner vertices.  `enumerate_p4` walks each edge as a candidate
 middle and pairs an end a in N(b) minus N[c] with an end d in N(c) minus
 N[b] that is not adjacent to a, so each induced P4 is found once and the
 cost grows with the edges and the P4s, not with the 4-sets.  The class
-predicates all read the P4 vertex masks of that one pass: `classify` and
-the theorem scans enumerate once per graph and hand the masks to the
-private helpers behind the public predicates.
+predicates all read that one pass, and the complement, through
+`Graph.derived`, so `classify` and the theorem scans enumerate once per
+graph however many predicates they ask.
 """
 
 from __future__ import annotations
@@ -58,11 +58,12 @@ def enumerate_p4(g: Graph) -> list[tuple[tuple[int, int, int, int], int]]:
 
 
 def p4_count(g: Graph) -> int:
-    return len(enumerate_p4(g))
+    return len(g.derived(enumerate_p4))
 
 
 def _p4_masks(g: Graph) -> list[int]:
-    return [m for _, m in enumerate_p4(g)]
+    """The vertex masks of g's induced P4s; read it as g.derived(_p4_masks)."""
+    return [m for _, m in g.derived(enumerate_p4)]
 
 
 # =========================================================================
@@ -78,7 +79,7 @@ def is_cograph(g: Graph) -> bool:
     together.
     """
     adj = g.adj
-    co = complement(g).adj
+    co = g.derived(complement).adj
 
     def check(mask: int) -> bool:
         if mask.bit_count() <= 3:
@@ -105,19 +106,17 @@ def _subset_masks(n: int, q: int) -> tuple[int, ...]:
 def satisfies_q_t(g: Graph, q: int, t: int) -> bool:
     """True iff every q-subset of vertices induces at most t P4s.
 
-    Vacuously true when q exceeds the vertex count.
+    Vacuously true when q exceeds the vertex count.  A walk over the unions
+    of P4s within q vertices decides it, and hands over to testing every
+    q-subset once the unions it has seen would cost more than a quarter of
+    that.
     """
-    return _satisfies_q_t(g.n, _p4_masks(g), q, t)
-
-
-def _satisfies_q_t(n: int, p4masks: list[int], q: int, t: int) -> bool:
-    """The (q, t) test on P4 vertex masks: a walk over the unions of P4s
-    within q vertices, which hands over to testing every q-subset once the
-    unions it has seen would cost more than a quarter of that."""
     if q < 4:
         raise ValueError("q must be at least 4")
     if t < 0:
         raise ValueError("t must be nonnegative")
+    n = g.n
+    p4masks = g.derived(_p4_masks)
     if len(p4masks) <= t or q > n:
         return True
     if q == n:
@@ -197,10 +196,7 @@ def is_p4_extendible(g: Graph) -> bool:
     "exactly three" admits graphs (the net, for one) that break the
     exactly-one structure theorem, so the overlap is any nonempty one.
     """
-    return _is_p4_extendible(_p4_masks(g))
-
-
-def _is_p4_extendible(p4masks: list[int]) -> bool:
+    p4masks = g.derived(_p4_masks)
     for wm in p4masks:
         outside = 0
         for m in p4masks:
@@ -223,10 +219,8 @@ def is_p4_connected(g: Graph) -> bool:
     adding every P4 vertex set that meets it, repeatedly, reaches all of V.
     Graphs on fewer than two vertices are not p4-connected.
     """
-    return _is_p4_connected(g.n, _p4_masks(g))
-
-
-def _is_p4_connected(n: int, p4masks: list[int]) -> bool:
+    n = g.n
+    p4masks = g.derived(_p4_masks)
     if n < 2 or not p4masks:
         return False
     reach = p4masks[0]
@@ -339,14 +333,10 @@ def recognize_spider(g: Graph) -> SpiderSpec | None:
     Thick recognition goes through the complement: the complement of a thin
     spider is a thick spider on the same partition with legs and body swapped.
     """
-    return _recognize_spider(g, complement(g))
-
-
-def _recognize_spider(g: Graph, co: Graph) -> SpiderSpec | None:
     w = _thin_witness(g)
     if w is not None:
         return SpiderSpec("thin", *w)
-    w = _thin_witness(co)
+    w = _thin_witness(g.derived(complement))
     if w is not None:
         legs, body, head = w
         return SpiderSpec("thick", legs=body, body=legs, head=head)
@@ -392,22 +382,22 @@ class ClassificationReport:
 
 def classify(g: Graph) -> ClassificationReport:
     """Full structural and spectral classification of g."""
-    masks = _p4_masks(g)
+    count = p4_count(g)
     cog = is_cograph(g)
-    if cog != (not masks):
+    if cog != (not count):
         raise ArithmeticError("recursive and P4-free cograph checks disagree")
-    sparse = _satisfies_q_t(g.n, masks, 5, 1)
-    extendible = _is_p4_extendible(masks)
+    sparse = is_p4_sparse(g)
+    extendible = is_p4_extendible(g)
     spec = exact_spectrum(g)
     return ClassificationReport(
         n=g.n,
         m=g.edge_count,
-        p4_count=len(masks),
+        p4_count=count,
         is_cograph=cog,
         is_p4_sparse=sparse,
         is_p4_extendible=extendible,
         is_p4_reducible=sparse and extendible,
-        is_p4_connected=_is_p4_connected(g.n, masks),
+        is_p4_connected=is_p4_connected(g),
         spider=recognize_spider(g),
         l_integral=spec.is_integral,
         spectrum=spec,

@@ -24,8 +24,8 @@ from .constructions import CASE_IV_KINDS, family, graph_to_mask, mask_to_graph
 from .formats import serialize_graph6
 from .graphs import Graph, bits, canonical_form, complement, \
     connected_components, from_edge_list, induced_subgraph
-from .p4 import _is_p4_connected, _is_p4_extendible, _recognize_spider, \
-    _satisfies_q_t, _subset_masks, enumerate_p4
+from .p4 import _subset_masks, enumerate_p4, is_p4_connected, is_p4_extendible, \
+    recognize_spider, satisfies_q_t
 from .spectral import check_union_relation, is_l_integral
 
 PAIRS_PER_N = 100
@@ -46,75 +46,31 @@ THEOREMS = {
 }
 
 
-class ScanContext:
-    """Per-graph lazy cache shared by the theorem checks.
+# The checks share a graph's P4s, complement and L-integrality through
+# Graph.derived, so each is computed once per graph whichever checks run.
 
-    The induced P4s are enumerated once; `masks` holds their vertex masks,
-    which the class predicates read.  `co` is the complement graph and
-    `lint_co()` its L-integrality, each made on first use.
-    """
-
-    __slots__ = ("g", "_p4s", "_masks", "_co", "_lint", "_lint_co")
-
-    def __init__(self, g: Graph):
-        self.g = g
-        self._p4s = None
-        self._masks = None
-        self._co = None
-        self._lint = None
-        self._lint_co = None
-
-    @property
-    def p4s(self):
-        if self._p4s is None:
-            self._p4s = enumerate_p4(self.g)
-        return self._p4s
-
-    @property
-    def masks(self) -> list[int]:
-        if self._masks is None:
-            self._masks = [m for _, m in self.p4s]
-        return self._masks
-
-    @property
-    def co(self) -> Graph:
-        if self._co is None:
-            self._co = complement(self.g)
-        return self._co
-
-    def lint(self) -> bool:
-        if self._lint is None:
-            self._lint = is_l_integral(self.g)
-        return self._lint
-
-    def lint_co(self) -> bool:
-        if self._lint_co is None:
-            self._lint_co = is_l_integral(self.co)
-        return self._lint_co
-
-
-def _check_a(ctx: ScanContext) -> bool:
-    if ctx.p4s:
+def _check_a(g: Graph) -> bool:
+    if g.derived(enumerate_p4):
         return True
-    return ctx.lint()
+    return g.derived(is_l_integral)
 
 
-def _check_b(ctx: ScanContext) -> bool:
-    if not ctx.p4s or not _satisfies_q_t(ctx.g.n, ctx.masks, 5, 1):
+def _check_b(g: Graph) -> bool:
+    if not g.derived(enumerate_p4) or not satisfies_q_t(g, 5, 1):
         return True
-    return not ctx.lint()
+    return not g.derived(is_l_integral)
 
 
-def _check_c(ctx: ScanContext) -> bool:
-    if not ctx.p4s or not _is_p4_extendible(ctx.masks):
+def _check_c(g: Graph) -> bool:
+    if not g.derived(enumerate_p4) or not is_p4_extendible(g):
         return True
-    return not ctx.lint()
+    return not g.derived(is_l_integral)
 
 
-def _check_d(ctx: ScanContext) -> bool:
-    if _recognize_spider(ctx.g, ctx.co) is None:
+def _check_d(g: Graph) -> bool:
+    if recognize_spider(g) is None:
         return True
-    return not ctx.lint()
+    return not g.derived(is_l_integral)
 
 
 _CATALOG_FIVE = ("F0", "F1", "F2", "F3", "F4", "F5", "F6")
@@ -127,26 +83,25 @@ def _catalog_codes(fids: tuple[str, ...]) -> frozenset[int]:
     return frozenset(canonical_form(family(fid))[0] for fid in fids)
 
 
-def _is_catalog_member(ctx: ScanContext) -> bool:
+def _is_catalog_member(g: Graph) -> bool:
     """Isomorphic to P4 or one of the seven 5-vertex catalog graphs."""
-    g = ctx.g
     if g.n == 4:
-        return bool(ctx.p4s)  # the P4 would span all four vertices
+        return bool(g.derived(enumerate_p4))  # the P4 would span all four vertices
     if g.n != 5:
         return False
     return canonical_form(g)[0] in _catalog_codes(_CATALOG_FIVE)
 
 
-def _has_midpoint_extension(ctx: ScanContext) -> bool:
+def _has_midpoint_extension(g: Graph) -> bool:
     """Some proper 4- or 5-subset D induces a catalog seed and every outside
     vertex is adjacent to exactly the midpoints of D."""
-    g = ctx.g
     n = g.n
     adj = g.adj
     full = g.full_mask
+    p4s = g.derived(enumerate_p4)
     # |D| = 4: D must itself be an induced P4
     if n > 4:
-        for path, wm in ctx.p4s:
+        for path, wm in p4s:
             mids = (1 << path[1]) | (1 << path[2])
             if all(adj[x] & wm == mids for x in bits(full & ~wm)):
                 return True
@@ -154,7 +109,7 @@ def _has_midpoint_extension(ctx: ScanContext) -> bool:
     if n > 5:
         seeds = _catalog_codes(_SEEDS_FIVE)
         for dm in _subset_masks(n, 5):
-            inner = [p for p, wm in ctx.p4s if wm & ~dm == 0]
+            inner = [p for p, wm in p4s if wm & ~dm == 0]
             if not inner:
                 continue
             mids = 0
@@ -171,39 +126,37 @@ def _has_midpoint_extension(ctx: ScanContext) -> bool:
     return False
 
 
-def _check_e(ctx: ScanContext) -> bool:
-    g = ctx.g
-    if g.n < 2 or not _is_p4_extendible(ctx.masks):
+def _check_e(g: Graph) -> bool:
+    if g.n < 2 or not is_p4_extendible(g):
         return True
     disconnected = len(connected_components(g)) > 1
-    co_disconnected = len(connected_components(ctx.co)) > 1
+    co_disconnected = len(connected_components(g.derived(complement))) > 1
     hits = int(disconnected) + int(co_disconnected)
-    if not ctx.p4s:
+    if not g.derived(enumerate_p4):
         # every catalog seed contains a P4, so cases iii/iv cannot apply
         return hits == 1
-    if _is_catalog_member(ctx):
+    if _is_catalog_member(g):
         hits += 1
-    if _has_midpoint_extension(ctx):
+    if _has_midpoint_extension(g):
         hits += 1
     return hits == 1
 
 
-def _check_f(ctx: ScanContext) -> bool:
-    g = ctx.g
+def _check_f(g: Graph) -> bool:
     if g.n < 7:
         return True
-    if len(ctx.p4s) <= 3 or _satisfies_q_t(g.n, ctx.masks, 7, 3):
-        if not _is_p4_connected(g.n, ctx.masks):
+    if len(g.derived(enumerate_p4)) <= 3 or satisfies_q_t(g, 7, 3):
+        if not is_p4_connected(g):
             return True
-        spider = _recognize_spider(g, ctx.co)
+        spider = recognize_spider(g)
         if spider is None or spider.head:
             return False
-        return not ctx.lint()
+        return not g.derived(is_l_integral)
     return True
 
 
-def _check_g(ctx: ScanContext) -> bool:
-    return ctx.lint() == ctx.lint_co()
+def _check_g(g: Graph) -> bool:
+    return g.derived(is_l_integral) == g.derived(complement).derived(is_l_integral)
 
 
 DEFAULT_CHECKS = {
@@ -323,19 +276,17 @@ def _scan_chunk(args) -> dict[str, _Tally]:
     weight labeled graphs: a class and its n!/|Aut| in an exhaustive
     population, a sampled labeled mask and 1 otherwise.  A failing class is
     recorded for the orbit search in _Tally.counterexample, a failing sample
-    as it is.  checks None means DEFAULT_CHECKS.
+    as it is.
     """
-    n, units, exhaustive, enabled, checks = args
-    if checks is None:
-        checks = DEFAULT_CHECKS
+    n, units, exhaustive, enabled = args
     tallies = {tid: _Tally() for tid in enabled}
     perf = time.perf_counter
     for mask, weight in units:
-        ctx = ScanContext(mask_to_graph(n, mask))
+        g = mask_to_graph(n, mask)
         for tid in enabled:
             tally = tallies[tid]
             t0 = perf()
-            ok = checks[tid](ctx)
+            ok = DEFAULT_CHECKS[tid](g)
             tally.time += perf() - t0
             tally.checked += weight
             if not ok:
@@ -371,8 +322,7 @@ def _check_pair(n1: int, m1: int, n2: int, m2: int) -> bool:
 def verify_theorems(n_max: int, theorems: str | None = None, *,
                     shards: int = 1, shard_id: int = 0,
                     sample: int | None = None, workers: int = 1,
-                    seed: int = 0, checks=None,
-                    progress=None) -> list[TheoremResult]:
+                    seed: int = 0, progress=None) -> list[TheoremResult]:
     """Check the selected theorems over all labeled graphs with 1..n_max
     vertices.
 
@@ -384,10 +334,9 @@ def verify_theorems(n_max: int, theorems: str | None = None, *,
     is the smallest labeled edge mask of a failing graph, as a labeled scan
     would report it.  shards/shard_id restrict this call to one slice of
     every population; summing slices reproduces the full counts exactly.
-    checks overrides the per-graph assertions (single worker only; used by
-    tests to exercise the reporting path).  A custom check must be invariant
-    under relabeling, since it sees one graph per class.  progress, if
-    given, receives one line per population as it is set up.
+    The checks in DEFAULT_CHECKS must be invariant under relabeling, since
+    each sees one graph per class.  progress, if given, receives one line
+    per population as it is set up.
     """
     if not (1 <= n_max <= MAX_N):
         raise ValueError(f"n_max must be in 1..{MAX_N}")
@@ -401,8 +350,6 @@ def verify_theorems(n_max: int, theorems: str | None = None, *,
     for tid in enabled:
         if tid not in THEOREMS:
             raise ValueError(f"unknown theorem id {tid!r}")
-    if checks is not None and workers > 1:
-        raise ValueError("custom checks run single-worker only")
     graph_enabled = "".join(t for t in enabled if t != "h")
 
     tallies = {tid: _Tally() for tid in enabled}
@@ -434,7 +381,7 @@ def verify_theorems(n_max: int, theorems: str | None = None, *,
     def chunks():
         for n, exhaustive, units in sources:
             while chunk := list(itertools.islice(units, _CHUNK)):
-                yield n, chunk, exhaustive, graph_enabled, checks
+                yield n, chunk, exhaustive, graph_enabled
 
     if graph_enabled:
         with contextlib.ExitStack() as stack:

@@ -202,12 +202,30 @@ def _limit_memory():
 
 
 def run_limited(argv, stdin=""):
-    """Run python with argv in a subprocess under the memory limit."""
+    """Run python with argv in a subprocess under the memory limit; stdin
+    and the captured output are bytes if stdin is."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     env.pop("P4SPEC_MAX_N", None)
     return subprocess.run([sys.executable, *argv], input=stdin, capture_output=True,
-                          text=True, env=env, preexec_fn=_limit_memory, timeout=600)
+                          text=isinstance(stdin, str), env=env,
+                          preexec_fn=_limit_memory, timeout=600)
+
+
+@pytest.mark.parametrize("data", [b"B\xc3\xa9\n", b"B\xff\n"])
+def test_analyze_rejects_non_ascii_graph6_on_stdin(data):
+    proc = run_limited(["-m", "p4spec.cli", "analyze", "-", "--format", "g6"], data)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error:") and b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("flags", [[], ["-W", "error"]])
+def test_duplicate_edge_warning_is_a_note(flags):
+    proc = run_limited([*flags, "-m", "p4spec.cli", "analyze", "-"], "3 2\n0 1\n1 0\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "warning: duplicate edge 0 1 collapsed\n"
+    assert "m: 1\n" in proc.stdout
 
 
 @pytest.mark.parametrize("expression", ["spider(thin,k=1000000000)", "K100000",
@@ -359,7 +377,7 @@ def test_verify_theorems_stdout_deterministic(capsys):
 
 
 def test_verify_theorems_violation_exit_code(capsys, monkeypatch):
-    monkeypatch.setitem(theorems.DEFAULT_CHECKS, "a", lambda ctx: False)
+    monkeypatch.setitem(theorems.DEFAULT_CHECKS, "a", lambda g: False)
     rc, out, _ = run(capsys, "verify-theorems", "--n-max", "2",
                      "--theorems", "a")
     assert rc == 1

@@ -119,6 +119,8 @@ def test_graph6_errors():
     with pytest.raises(ParseError):
         parse_graph6("Bw\x7f")  # byte above 126
     with pytest.raises(ParseError):
+        parse_graph6("Bé")  # not read as "B?", the empty graph on 3 vertices
+    with pytest.raises(ParseError):
         parse_graph6("C")  # truncated body
     with pytest.raises(ParseError):
         parse_graph6("A_~")  # trailing bytes

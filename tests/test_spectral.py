@@ -194,14 +194,6 @@ def test_numeric_spectrum_matches_exact_roots():
             assert numeric == pytest.approx(exact, abs=1e-8)
 
 
-def test_numeric_spectrum_tol_validation():
-    g = standard("path", 3)
-    with pytest.raises(ValueError):
-        numeric_spectrum(g, tol=0.0)
-    with pytest.raises(ValueError):
-        numeric_spectrum(g, tol=1e-15)
-
-
 # -------------------------------------------------------------- closed forms
 
 def test_surd_eigenvalue():

@@ -11,7 +11,6 @@ from p4spec.graphs import Graph, canonical_form, complement, connected_component
     from_edge_list
 from p4spec.theorems import (
     THEOREMS,
-    ScanContext,
     TheoremResult,
     _classes,
     _pair_population,
@@ -103,17 +102,16 @@ def test_validation_errors():
         verify_theorems(4, sample=0)
     with pytest.raises(ValueError):
         verify_theorems(4, workers=0)
-    with pytest.raises(ValueError):
-        verify_theorems(4, checks={"a": lambda ctx: True}, workers=2)
 
 
-def test_injected_violation_is_counted_and_witnessed():
+def test_injected_violation_is_counted_and_witnessed(monkeypatch):
     # flag exactly the triangle on three vertices; the engine must count it
     # once and report the smallest (n, mask) witness as graph6
-    def no_triangles(ctx):
-        return not (ctx.g.n == 3 and ctx.g.edge_count == 3)
+    def no_triangles(g):
+        return not (g.n == 3 and g.edge_count == 3)
 
-    results = verify_theorems(4, "a", checks={"a": no_triangles})
+    monkeypatch.setitem(theorems.DEFAULT_CHECKS, "a", no_triangles)
+    results = verify_theorems(4, "a")
     r = results[0]
     assert not r.passed
     assert r.violations == 1
@@ -121,11 +119,9 @@ def test_injected_violation_is_counted_and_witnessed():
     assert parse_graph6(r.counterexample) == standard("complete", 3)
 
 
-def test_injected_violation_counterexample_is_minimal():
-    def reject_everything(ctx):
-        return False
-
-    r = verify_theorems(3, "b", checks={"b": reject_everything})[0]
+def test_injected_violation_counterexample_is_minimal(monkeypatch):
+    monkeypatch.setitem(theorems.DEFAULT_CHECKS, "b", lambda g: False)
+    r = verify_theorems(3, "b")[0]
     assert r.violations == 1 + 2 + 8
     # smallest graph is the single vertex
     assert r.counterexample == "@"
@@ -139,19 +135,24 @@ def test_multiprocess_matches_single_process():
     assert base == multi
 
 
-def test_scan_context_caches():
-    ctx = ScanContext(standard("cycle", 6))
-    assert ctx.p4s is ctx.p4s
-    assert ctx.co is ctx.co
-    assert ctx.co == complement(ctx.g)
-    assert ctx.lint() and ctx.lint_co()
+def test_graph_derived_values_are_cached():
+    g = standard("cycle", 6)
+    assert g.derived(p4.enumerate_p4) is g.derived(p4.enumerate_p4)
+    assert g.derived(complement) is g.derived(complement)
+    assert g.derived(complement) == complement(g)
+    assert g.derived(spectral.is_l_integral)
+    assert g.derived(complement).derived(spectral.is_l_integral)
+    # the cached values take no part in equality or hashing
+    fresh = standard("cycle", 6)
+    assert g == fresh and hash(g) == hash(fresh)
+    assert len({g, fresh}) == 1
 
 
 def _failing_on_class_of(n, mask):
     code = canonical_form(mask_to_graph(n, mask))[0]
 
-    def check(ctx):
-        return not (ctx.g.n == n and canonical_form(ctx.g)[0] == code)
+    def check(g):
+        return not (g.n == n and canonical_form(g)[0] == code)
     return check
 
 
@@ -163,17 +164,16 @@ def _orbit(n, mask):
 
 
 @pytest.mark.parametrize("mask", [50, 3, 60])  # P4, P3 plus a vertex, K_{1,3}
-def test_class_scan_reports_orbit_violations(mask):
+def test_class_scan_reports_orbit_violations(mask, monkeypatch):
     # a check failing on one class fails on every labeled graph of its orbit
     orbit = _orbit(4, mask)
-    r = verify_theorems(5, "a", checks={"a": _failing_on_class_of(4, mask)})[0]
+    monkeypatch.setitem(theorems.DEFAULT_CHECKS, "a", _failing_on_class_of(4, mask))
+    r = verify_theorems(5, "a")[0]
     assert r.checked == 1 + 2 + 8 + 64 + 1024
     assert r.violations == len(orbit) == math.factorial(4) // canonical_form(
         mask_to_graph(4, mask))[1]
     assert r.counterexample == serialize_graph6(mask_to_graph(4, min(orbit)))
-    sharded = [verify_theorems(5, "a", shards=3, shard_id=sid,
-                               checks={"a": _failing_on_class_of(4, mask)})[0]
-               for sid in range(3)]
+    sharded = [verify_theorems(5, "a", shards=3, shard_id=sid)[0] for sid in range(3)]
     assert sum(s.checked for s in sharded) == r.checked
     assert sum(s.violations for s in sharded) == r.violations
     # the shard holding the failing class reports the smallest witness
@@ -208,29 +208,31 @@ def test_class_scan_matches_labeled_scan():
     assert classes == oracles.labeled_scan(6)
 
 
-def _complement_connected(ctx):
-    return len(connected_components(ctx.co)) == 1
+def _complement_connected(g):
+    return len(connected_components(g.derived(complement))) == 1
 
 
-def _p4_free(ctx):
-    return not ctx.p4s
+def _p4_free(g):
+    return not g.derived(p4.enumerate_p4)
 
 
-def _few_p4s(ctx):
-    return len(ctx.p4s) < 4
+def _few_p4s(g):
+    return len(g.derived(p4.enumerate_p4)) < 4
 
 
-def _complement_l_integral(ctx):
-    return ctx.lint_co()
+def _complement_l_integral(g):
+    return g.derived(complement).derived(spectral.is_l_integral)
 
 
-def test_custom_invariant_checks_match_labeled_scan():
+def test_custom_invariant_checks_match_labeled_scan(monkeypatch):
     # relabeling-invariant checks whose smallest failing graphs have 2, 4,
     # 5 and 4 vertices
     checks = {"a": _complement_connected, "b": _p4_free, "c": _few_p4s,
               "d": _complement_l_integral}
+    for tid, check in checks.items():
+        monkeypatch.setitem(theorems.DEFAULT_CHECKS, tid, check)
     for n_max, failing in ((4, "abd"), (6, "abcd")):
-        got = [r.to_dict() for r in verify_theorems(n_max, "abcd", checks=checks)]
+        got = [r.to_dict() for r in verify_theorems(n_max, "abcd")]
         assert got == oracles.labeled_scan(n_max, checks)
         assert "".join(r["theorem"] for r in got if r["violations"]) == failing
 
@@ -264,13 +266,23 @@ def test_exhaustive_scan_enumerates_p4s_once_per_graph(monkeypatch):
         calls.append(g.n)
         return real(g)
 
+    complements = []
+    real_complement = p4.complement
+
+    def counting_complement(g):
+        complements.append(g.n)
+        return real_complement(g)
+
     monkeypatch.setattr(p4, "enumerate_p4", counting)
     monkeypatch.setattr(theorems, "enumerate_p4", counting)
+    monkeypatch.setattr(p4, "complement", counting_complement)
     verify_theorems(5, "abcdef")
     assert len(calls) == 1 + 2 + 4 + 11 + 34  # once per isomorphism class
     calls.clear()
+    complements.clear()
     p4.classify(standard("cycle", 6))
     assert calls == [6]
+    assert complements == [6]  # is_cograph and recognize_spider share it
 
 
 def test_result_to_dict_has_no_timing():
