@@ -26,10 +26,18 @@ from .theorems import MAX_N, THEOREMS, verify_theorems
 
 
 def _read_text(path: str) -> str:
+    """The bytes of a file, or of stdin for "-", decoded as strict ASCII:
+    no locale decoding, so one input reads the same from either source."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"non-ASCII byte 0x{data[exc.start]:02x} "
+                         f"at offset {exc.start}") from None
 
 
 def _load_graph(path: str, fmt: str) -> Graph:

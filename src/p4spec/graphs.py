@@ -47,10 +47,9 @@ def pair_order(n: int) -> tuple[tuple[int, int], ...]:
     This is the single source of truth for edge-mask bit positions:
     (0,1), (0,2), (1,2), (0,3), (1,3), (2,3), ...  `constructions.mask_to_graph`
     and `graph_to_mask` read it, and the graph enumerator and the graph6
-    codec go through them.  Two places rely on the layout without reading
-    it: `canonical_form` builds its leaf codes in this bit order, and
-    `theorems._classes` puts the pairs (u, n - 1) of a new vertex at the top
-    n - 1 bits of the mask.
+    codec go through them.  `canonical_form` relies on the layout without
+    reading it: it builds its leaf codes in this bit order, so the pairs
+    (u, n - 1) of the last vertex are the top n - 1 bits of a code.
     """
     return tuple((u, v) for v in range(n) for u in range(v))
 
@@ -228,57 +227,106 @@ def is_connected(g: Graph) -> bool:
     return len(connected_components(g)) == 1
 
 
-def canonical_form(g: Graph) -> tuple[int, int]:
-    """(code, aut_order): a canonical edge mask of g's isomorphism class and
-    the order of its automorphism group.
-
-    Individualization-refinement (McKay 1981, "Practical graph isomorphism"):
-    the unit partition is refined to an equitable ordered partition, then
-    each vertex of the first non-singleton cell is individualized in turn
-    and the partition refined again, down to discrete partitions.  A leaf
-    orders the vertices; its code is the edge mask, in pair_order bit
-    positions, of g relabeled in that order.  The code is the largest leaf
-    code, so mask_to_graph(n, code) is the class representative.
-
-    Refinement commutes with relabeling, so Aut(g) acts freely on the leaves
-    and the leaves with the largest code form one orbit: their number is
-    |Aut(g)|.  The whole tree is searched, without automorphism pruning, so
-    the cost grows with |Aut(g)|; this is meant for graphs on at most about
-    ten vertices.
-    """
-    n = g.n
-    if n < 2:
-        return 0, 1
-    adj = g.adj
-    best = -1
-    count = 0
-
-    def refine(cells: list[int], splitters: list[int]) -> list[int]:
-        # split every cell by the number of neighbours each vertex has in a
-        # splitter; new fragments become splitters, ordered by that count
-        while splitters and len(cells) < n:
-            w = splitters.pop()
-            out = []
+def _refine(adj, n: int, cells: list[int], splitters: list[int]) -> list[int]:
+    """Refine an ordered partition (cells as vertex bitmasks) until it is
+    equitable: split every cell by the number of neighbours each vertex has
+    in a splitter, the fragments in place and ordered by that count, and
+    make the fragments splitters.  Refinement commutes with relabeling."""
+    while splitters and len(cells) < n:
+        w = splitters.pop()
+        out = []
+        if not w & (w - 1):
+            # one vertex: a cell splits into its non-neighbours, then its
+            # neighbours
+            row = adj[w.bit_length() - 1]
             for cell in cells:
-                if cell & (cell - 1):
-                    groups = {}
-                    rest = cell
-                    while rest:
-                        low = rest & -rest
-                        k = (adj[low.bit_length() - 1] & w).bit_count()
-                        groups[k] = groups.get(k, 0) | low
-                        rest ^= low
-                    if len(groups) > 1:
-                        parts = [groups[k] for k in sorted(groups)]
-                        out += parts
-                        splitters += parts
-                        continue
-                out.append(cell)
+                hit = cell & row
+                if hit and hit != cell:
+                    parts = [cell ^ hit, hit]
+                    out += parts
+                    splitters += parts
+                else:
+                    out.append(cell)
             cells = out
-        return cells
+            continue
+        for cell in cells:
+            if cell & (cell - 1):
+                groups = {}
+                rest = cell
+                while rest:
+                    low = rest & -rest
+                    k = (adj[low.bit_length() - 1] & w).bit_count()
+                    groups[k] = groups.get(k, 0) | low
+                    rest ^= low
+                if len(groups) > 1:
+                    parts = [groups[k] for k in sorted(groups)]
+                    out += parts
+                    splitters += parts
+                    continue
+            out.append(cell)
+        cells = out
+    return cells
 
-    def search(cells: list[int]):
-        nonlocal best, count
+
+def _absorb(orbits: list[int] | None, gens, cell: int, fixed: int, n: int) -> list[int]:
+    """Merge, on the vertices of cell, the orbits (orbits[v] is the bitmask
+    of v's orbit; None for all singletons) of the automorphisms (perm,
+    fixed-point mask) in gens that fix every vertex of the bitmask fixed."""
+    if orbits is None:
+        orbits = [1 << u for u in range(n)]
+    for perm, fix in gens:
+        if fixed & ~fix:
+            continue
+        for v in bits(cell):
+            w = perm[v]
+            if not orbits[v] >> w & 1:
+                merged = orbits[v] | orbits[w]
+                for u in bits(merged):
+                    orbits[u] = merged
+    return orbits
+
+
+def _search(adj, n: int, root: list[int]):
+    """The search tree below the refined root partition, pruned by the
+    automorphisms it finds (McKay & Piperno 2014, "Practical graph
+    isomorphism, II").
+
+    A node individualizes each vertex of its first non-singleton cell in
+    turn and refines again; a leaf is a discrete partition, an order of
+    the vertices, and its code is the edge mask, in pair_order bit
+    positions, of g relabeled in that order.  Two leaves with one code
+    give the automorphism that maps one order onto the other.  A node skips
+    a child in the orbit of a child it explored, under the automorphisms
+    found so far that fix the node's individualized vertices: both
+    subtrees hold the same codes.  A leaf off the first path with the
+    first leaf's code maps its whole subtree onto the first path's, so the
+    search unwinds to the first-path node where the two paths part.  At
+    each first-path node the automorphisms found then give the full orbit
+    of the first path's child under the stabilizer of the node's
+    individualized vertices, and |Aut| is the product of those orbit sizes.
+
+    Returns (code, aut_order, gens, last): the largest leaf code, |Aut|,
+    the automorphisms found as (perm, fixed-point mask) pairs, which
+    generate Aut, and the vertex the best leaf places last.
+    """
+    gens = []
+    first_code = best = -1
+    first_order = best_order = None
+    aut = 1
+
+    def found(src, dst):
+        perm = [0] * n
+        fix = 0
+        for a, b in zip(src, dst):
+            perm[a] = b
+            if a == b:
+                fix |= 1 << a
+        gens.append((perm, fix))
+
+    def search(cells, depth, fixed, k):
+        # k is the depth of the last first-path node on this path (depth
+        # itself on the first path); returns the depth to unwind to, or n
+        nonlocal first_code, first_order, best, best_order, aut
         if len(cells) == n:
             order = [cell.bit_length() - 1 for cell in cells]
             code = 0
@@ -289,19 +337,87 @@ def canonical_form(g: Graph) -> tuple[int, int]:
                     if row >> order[u] & 1:
                         code |= 1 << (shift + u)
                 shift += v
-            if code > best:
-                best, count = code, 1
+            if first_order is None:
+                first_code = best = code
+                first_order = best_order = order
+            elif code == first_code:
+                found(first_order, order)
+                return k
+            elif code > best:
+                best, best_order = code, order
             elif code == best:
-                count += 1
-            return
+                found(best_order, order)
+            return n
         i = 0
         while not cells[i] & (cells[i] - 1):
             i += 1
         target = cells[i]
+        head = cells[:i]
+        tail = cells[i + 1:]
+        explored = 0
+        orbits = None
+        seen = 0  # generators merged into orbits
         for v in bits(target):
+            if explored:
+                if len(gens) > seen:
+                    orbits = _absorb(orbits, gens[seen:], target, fixed, n)
+                    seen = len(gens)
+                if orbits is not None and orbits[v] & explored:
+                    continue
             single = 1 << v
-            search(refine(cells[:i] + [single, target ^ single] + cells[i + 1:], [single]))
+            child_k = depth + 1 if not explored and depth == k else k
+            explored |= single
+            back = search(_refine(adj, n, head + [single, target ^ single] + tail, [single]),
+                          depth + 1, fixed | single, child_k)
+            if back < depth:
+                return back
+        if depth == k:
+            if len(gens) > seen:
+                orbits = _absorb(orbits, gens[seen:], target, fixed, n)
+            if orbits is not None:
+                aut *= orbits[(target & -target).bit_length() - 1].bit_count()
+        return n
 
+    search(root, 0, 0, 0)
+    return best, aut, gens, best_order[-1]
+
+
+def canonical_form(g: Graph) -> tuple[int, int]:
+    """(code, aut_order): a canonical edge mask of g's isomorphism class and
+    the order of its automorphism group.
+
+    Individualization-refinement (McKay 1981, "Practical graph isomorphism"):
+    the unit partition is refined to an equitable ordered partition and
+    searched as in _search.  The code is the largest leaf code, so
+    mask_to_graph(n, code) is the class representative.
+    """
+    n = g.n
+    if n < 2:
+        return 0, 1
     full = g.full_mask
-    search(refine([full], [full]))
-    return best, count
+    code, aut, _, _ = _search(g.adj, n, _refine(g.adj, n, [full], [full]))
+    return code, aut
+
+
+def _canonical_deletion(g: Graph) -> tuple[int, int] | None:
+    """canonical_form(g) if the vertex n - 1 is in the Aut(g)-orbit of the
+    vertex that the best leaf places last, else None (McKay 1998,
+    "Isomorph-free exhaustive generation": g is then the canonical way to
+    grow g - (n - 1) by one vertex).
+
+    That orbit lies in the last cell of the root refinement, whose vertices
+    have the largest degree, so a vertex n - 1 outside it is rejected
+    before the search.
+    """
+    n = g.n
+    if n < 2:
+        return 0, 1
+    adj = g.adj
+    full = g.full_mask
+    root = _refine(adj, n, [full], [full])
+    last_cell = root[-1]
+    if not last_cell >> (n - 1) & 1:
+        return None
+    code, aut, gens, last = _search(adj, n, root)
+    orbits = _absorb(None, gens, last_cell, 0, n)
+    return (code, aut) if orbits[last] >> (n - 1) & 1 else None

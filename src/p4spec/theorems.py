@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from .constructions import CASE_IV_KINDS, family, graph_to_mask, mask_to_graph
 from .formats import serialize_graph6
-from .graphs import Graph, bits, canonical_form, complement, \
+from .graphs import Graph, _canonical_deletion, bits, canonical_form, complement, \
     connected_components, from_edge_list, induced_subgraph
 from .p4 import _subset_masks, enumerate_p4, is_p4_connected, is_p4_extendible, \
     recognize_spider, satisfies_q_t
@@ -243,20 +243,40 @@ def _orbit_min(n: int, mask: int) -> int:
 
 def _classes(n: int, prev: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """The isomorphism classes on n vertices as (code, aut_order) pairs in
-    code order, grown from the classes prev on n - 1 vertices.
+    code order, grown from the classes prev on n - 1 vertices by canonical
+    deletion (McKay 1998).
 
-    Each class on n - 1 vertices gets vertex n - 1 with each of the 2^(n-1)
-    neighbourhoods; pair_order is column-major, so the pairs (u, n - 1) are
-    the top n - 1 bits of the edge mask.  Certificate: the class weights
-    n!/|Aut| must add up to the 2^C(n,2) labeled graphs, else
+    Each class on n - 1 vertices gets vertex n - 1 with each neighbourhood,
+    and a candidate is kept only if vertex n - 1 is in the Aut-orbit of the
+    vertex that the canonical labeling places last
+    (graphs._canonical_deletion).  Every class has such a vertex, and
+    deleting it leaves a graph isomorphic to some class in prev, so every
+    class is found; neighbourhoods in one Aut-orbit of the parent still
+    give the same class twice, and the dict keyed by code keeps one.  That
+    vertex has the largest degree, so a candidate whose new vertex does
+    not is skipped before any graph is built.  Certificate: the class
+    weights n!/|Aut| must add up to the 2^C(n,2) labeled graphs, else
     ArithmeticError (an explicit raise, so it survives python -O).
     """
-    top = (n - 1) * (n - 2) // 2
+    new = 1 << (n - 1)  # vertex n - 1 as a bit
     found = {}
     for code, _ in prev:
-        for nbrs in range(1 << (n - 1)):
-            c, aut = canonical_form(mask_to_graph(n, code | nbrs << top))
-            found[c] = aut
+        rows = mask_to_graph(n - 1, code).adj
+        degrees = [row.bit_count() for row in rows]
+        top = max(degrees, default=0)
+        # at_least[d]: the parent's vertices of degree d or more
+        at_least = [sum(1 << u for u, du in enumerate(degrees) if du >= d)
+                    for d in range(n)]
+        for nbrs in range(new):
+            d = nbrs.bit_count()
+            # no old vertex may end with a degree above d, the new vertex's
+            if d < top or nbrs & at_least[d]:
+                continue
+            adj = [row | new if nbrs >> u & 1 else row for u, row in enumerate(rows)]
+            adj.append(nbrs)
+            kept = _canonical_deletion(Graph(n, adj, validate=False))
+            if kept is not None:
+                found[kept[0]] = kept[1]
     fact = math.factorial(n)
     total = 0
     for aut in found.values():

@@ -211,6 +211,68 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     return extend(0, 0)
 
 
+def canonical_form(g: Graph) -> tuple[int, int]:
+    """(code, aut_order) from the whole individualization-refinement tree,
+    with no automorphism pruning: the largest leaf code, and the number of
+    leaves that reach it, which is |Aut(g)| because Aut(g) acts freely on
+    the leaves.  The leaves, their codes and the refinement are those of
+    graphs.canonical_form, so the two must agree exactly; the cost here
+    grows with |Aut(g)|."""
+    n = g.n
+    if n < 2:
+        return 0, 1
+    adj = g.adj
+    best = -1
+    count = 0
+
+    def refine(cells, splitters):
+        while splitters and len(cells) < n:
+            w = splitters.pop()
+            out = []
+            for cell in cells:
+                members = [v for v in range(n) if cell >> v & 1]
+                groups = {}
+                for v in members:
+                    k = (adj[v] & w).bit_count()
+                    groups[k] = groups.get(k, 0) | 1 << v
+                if len(groups) > 1:
+                    parts = [groups[k] for k in sorted(groups)]
+                    out += parts
+                    splitters += parts
+                else:
+                    out.append(cell)
+            cells = out
+        return cells
+
+    def search(cells):
+        nonlocal best, count
+        if len(cells) == n:
+            order = [cell.bit_length() - 1 for cell in cells]
+            code = 0
+            shift = 0
+            for v in range(1, n):
+                for u in range(v):
+                    if g.has_edge(order[v], order[u]):
+                        code |= 1 << (shift + u)
+                shift += v
+            if code > best:
+                best, count = code, 1
+            elif code == best:
+                count += 1
+            return
+        i = next(i for i, cell in enumerate(cells) if cell & (cell - 1))
+        target = cells[i]
+        for v in range(n):
+            if target >> v & 1:
+                single = 1 << v
+                search(refine(cells[:i] + [single, target ^ single] + cells[i + 1:],
+                              [single]))
+
+    full = g.full_mask
+    search(refine([full], [full]))
+    return best, count
+
+
 def laplacian_eigenvalues(g: Graph) -> list[float]:
     """Ascending Laplacian eigenvalues from numpy's symmetric eigensolver,
     or from p4spec's Jacobi iteration where numpy is not installed."""

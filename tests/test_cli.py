@@ -20,6 +20,11 @@ def run(capsys, *argv):
     return rc, cap.out, cap.err
 
 
+def stdin_of(text):
+    """A stand-in for sys.stdin that, like the real one, has a byte buffer."""
+    return io.TextIOWrapper(io.BytesIO(text.encode()))
+
+
 @pytest.fixture
 def c6_file(tmp_path):
     path = tmp_path / "c6.g6"
@@ -75,20 +80,20 @@ def test_analyze_text_residual_and_spider(capsys, tmp_path):
 
 
 def test_analyze_stdin(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("EhEG\n"))
+    monkeypatch.setattr("sys.stdin", stdin_of("EhEG\n"))
     rc, out, _ = run(capsys, "analyze", "-", "--format", "g6")
     assert rc == 0
     assert "n: 6" in out
 
 
 def test_analyze_rejects_several_graphs(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("EhEG\nC~\n"))
+    monkeypatch.setattr("sys.stdin", stdin_of("EhEG\nC~\n"))
     rc, out, err = run(capsys, "analyze", "-")
     assert rc == 2
     assert out == ""
     assert err.startswith("error:") and "2 graphs" in err
     # one graph with trailing newlines and blank lines stays valid
-    monkeypatch.setattr("sys.stdin", io.StringIO("\nEhEG\n\n"))
+    monkeypatch.setattr("sys.stdin", stdin_of("\nEhEG\n\n"))
     rc, out, _ = run(capsys, "analyze", "-", "--format", "g6")
     assert rc == 0
     assert "n: 6" in out
@@ -157,7 +162,7 @@ def test_generate_g6(capsys):
 def test_generate_pipe_round_trip(capsys, monkeypatch, tmp_path):
     rc, out, _ = run(capsys, "generate", "join(K1,union(K2,K2))",
                      "--format", "g6")
-    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    monkeypatch.setattr("sys.stdin", stdin_of(out))
     rc, out, _ = run(capsys, "analyze", "-")
     assert rc == 0
     assert "is_cograph: true" in out
@@ -220,6 +225,26 @@ def test_analyze_rejects_non_ascii_graph6_on_stdin(data):
     assert proc.stderr.startswith(b"error:") and b"Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("data", [b"\xd9\xa3 0\n", b"B\xff\n", b"B\xc3\xa9\n", b"3 1\n0 \xb2\n",
+                                  b"EhEG\n"])
+def test_stdin_and_file_read_alike(data, tmp_path):
+    # an Arabic-Indic digit three (UTF-8 d9 a3) passes int() once decoded
+    # by the locale; the raw bytes are rejected on both paths, naming the
+    # byte and its offset
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    piped = run_limited(["-m", "p4spec.cli", "analyze", "-"], data)
+    read = run_limited(["-m", "p4spec.cli", "analyze", str(path)], b"")
+    assert (piped.returncode, piped.stdout, piped.stderr) == \
+        (read.returncode, read.stdout, read.stderr)
+    if data.isascii():
+        assert piped.returncode == 0 and b"n: 6" in piped.stdout
+    else:
+        bad = next(i for i, b in enumerate(data) if b > 127)
+        assert piped.returncode == 2 and piped.stdout == b""
+        assert piped.stderr == b"error: non-ASCII byte 0x%02x at offset %d\n" % (data[bad], bad)
+
+
 @pytest.mark.parametrize("flags", [[], ["-W", "error"]])
 def test_duplicate_edge_warning_is_a_note(flags):
     proc = run_limited([*flags, "-m", "p4spec.cli", "analyze", "-"], "3 2\n0 1\n1 0\n")
@@ -243,7 +268,7 @@ from p4spec.cli import main
 bad = []
 for argv, text in json.load(sys.stdin):
     out, err = io.StringIO(), io.StringIO()
-    sys.stdin = io.StringIO(text)
+    sys.stdin = io.TextIOWrapper(io.BytesIO(text.encode()))
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = main(argv)

@@ -1,12 +1,15 @@
 import itertools
+import math
 import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import oracles
 from oracles import are_isomorphic
 from p4spec.graphs import (
     Graph,
@@ -225,6 +228,86 @@ def test_canonical_form_aut_order_small_graphs():
     for _ in range(30):
         g = mask_to_graph(6, rng.getrandbits(15))
         assert canonical_form(g)[1] == _automorphisms(g)
+
+
+def test_canonical_form_matches_full_tree_oracle():
+    # the pruned search finds the largest leaf code of the whole tree and
+    # |Aut| on every labeled graph with n <= 6 and on seeded larger ones
+    for n in range(0, 7):
+        for g in enumerate_graphs(n):
+            assert canonical_form(g) == oracles.canonical_form(g), (n, g.adj)
+    rng = random.Random(29)
+    for n in (7, 8, 9):
+        for _ in range(60):
+            g = mask_to_graph(n, rng.getrandbits(n * (n - 1) // 2))
+            assert canonical_form(g) == oracles.canonical_form(g), (n, g.adj)
+
+
+def _clique_union(*sizes):
+    g = standard("empty", 0)
+    for size in sizes:
+        g = disjoint_union(g, standard("complete", size))
+    return g
+
+
+def test_canonical_form_high_symmetry_matches_oracle():
+    e3 = standard("empty", 3)
+    cases = [standard(kind, n) for kind in ("empty", "complete") for n in range(2, 9)]
+    cases += [_clique_union(3, 3), _clique_union(2, 2, 2, 2), _clique_union(1, 2, 2, 3),
+              _clique_union(3, 3, 3), complement(_clique_union(3, 3, 3)),
+              join(join(e3, e3), e3), _petersen()]
+    rng = random.Random(31)
+    for g in cases:
+        expected = oracles.canonical_form(g)
+        assert canonical_form(g) == expected
+        assert canonical_form(_shuffled(rng, g)) == expected
+    assert canonical_form(join(join(e3, e3), e3))[1] == 6 ** 3 * 6  # K_{3,3,3}
+    assert canonical_form(_clique_union(3, 3, 3))[1] == 6 ** 3 * 6
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_canonical_form_edgeless_and_complete_are_fast(n):
+    # a full search would visit n! leaves: hours at n = 12
+    t0 = time.perf_counter()
+    assert canonical_form(standard("empty", n)) == (0, math.factorial(n))
+    assert canonical_form(standard("complete", n)) == ((1 << n * (n - 1) // 2) - 1,
+                                                       math.factorial(n))
+    assert time.perf_counter() - t0 < 5.0
+
+
+def test_canonical_form_against_networkx():
+    nx = pytest.importorskip("networkx")
+
+    def to_nx(g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        return h
+
+    rng = random.Random(37)
+    same = differ = 0
+    for n in (10, 11, 12):
+        for i in range(30):
+            # every third graph sparse, where a moved edge is often isomorphic
+            pairs = n * (n - 1) // 2
+            mask = rng.getrandbits(pairs)
+            if i % 3 == 0:
+                mask &= rng.getrandbits(pairs) & rng.getrandbits(pairs)
+            g = mask_to_graph(n, mask)
+            code = canonical_form(g)[0]
+            relabeled = _shuffled(rng, g)
+            assert nx.is_isomorphic(to_nx(g), to_nx(relabeled))
+            assert canonical_form(relabeled)[0] == code
+            # move one edge: isomorphic to g only now and then
+            edges = list(g.edges())
+            gaps = [p for p in itertools.combinations(range(n), 2) if not g.has_edge(*p)]
+            edges.remove(rng.choice(edges))
+            h = _shuffled(rng, from_edge_list(n, edges + [rng.choice(gaps)]))
+            iso = nx.is_isomorphic(to_nx(g), to_nx(h))
+            assert (canonical_form(h)[0] == code) == iso
+            same += iso
+            differ += not iso
+    assert same > 5 and differ > 50
 
 
 def test_enumerate_graphs_counts():

@@ -51,12 +51,32 @@ p4.is_cograph = real_is_cograph
 
 # a corrupted automorphism group order: the class weights n!/|Aut| no longer
 # add up to the 2^C(n,2) labeled graphs
-real_canonical_form = theorems.canonical_form
-theorems.canonical_form = lambda g: (real_canonical_form(g)[0], 1)
+real_deletion = theorems._canonical_deletion
+
+
+def deletion_with_aut(aut):
+    def deletion(g):
+        kept = real_deletion(g)
+        return kept and (kept[0], aut)
+    return deletion
+
+
+theorems._canonical_deletion = deletion_with_aut(1)
 print(outcome(lambda: theorems.verify_theorems(4, "a")))
-theorems.canonical_form = lambda g: (real_canonical_form(g)[0], 5)
+theorems._canonical_deletion = deletion_with_aut(5)
 print(outcome(lambda: theorems.verify_theorems(4, "a")))
-theorems.canonical_form = real_canonical_form
+
+
+# a deletion test that wrongly rejects the triangle (code 7): a class is
+# missing and the weights fall short
+def deletion_without_triangle(g):
+    kept = real_deletion(g)
+    return None if g.n == 3 and kept and kept[0] == 7 else kept
+
+
+theorems._canonical_deletion = deletion_without_triangle
+print(outcome(lambda: theorems.verify_theorems(4, "a")))
+theorems._canonical_deletion = real_deletion
 """
 
 
@@ -72,4 +92,5 @@ def test_decision_guards_survive_optimize_flag():
         "raised: recursive and P4-free cograph checks disagree",
         "raised: class weights on 2 vertices sum to 4, not 2^1",
         "raised: automorphism group order 5 does not divide 1!",
+        "raised: class weights on 3 vertices sum to 7, not 2^3",
     ]

@@ -4,7 +4,7 @@ import math
 import pytest
 
 import oracles
-from p4spec import p4, spectral, theorems
+from p4spec import graphs, p4, spectral, theorems
 from p4spec.constructions import graph_to_mask, mask_to_graph, standard
 from p4spec.formats import parse_graph6, serialize_graph6
 from p4spec.graphs import Graph, canonical_form, complement, connected_components, \
@@ -186,6 +186,21 @@ def test_class_counts_match_oeis():
     for n, classes in lists.items():
         assert sum(math.factorial(n) // aut for _, aut in classes) == 2 ** (n * (n - 1) // 2)
         assert all(canonical_form(mask_to_graph(n, code))[0] == code for code, _ in classes)
+
+
+def test_class_generation_search_count(monkeypatch):
+    # n = 6 has 1,088 candidates (34 classes, 32 neighbourhoods each); the
+    # degree and root-cell tests leave 289 of them for a full search
+    searches = []
+    real_search = graphs._search
+
+    def counted(adj, n, root):
+        searches.append(n)
+        return real_search(adj, n, root)
+
+    monkeypatch.setattr(graphs, "_search", counted)
+    _class_lists(6)
+    assert [searches.count(n) for n in range(1, 7)] == [0, 2, 5, 16, 64, 289]
 
 
 def test_classes_match_networkx_atlas():
