@@ -4,10 +4,13 @@ Every induced P4 a-b-c-d has exactly one middle edge b-c, the edge between
 its two inner vertices.  `enumerate_p4` walks each edge as a candidate
 middle and pairs an end a in N(b) minus N[c] with an end d in N(c) minus
 N[b] that is not adjacent to a, so each induced P4 is found once and the
-cost grows with the edges and the P4s, not with the 4-sets.  The class
-predicates all read that one pass, and the complement, through
-`Graph.derived`, so `classify` and the theorem scans enumerate once per
-graph however many predicates they ask.
+cost grows with the edges and the P4s, not with the 4-sets.  It returns
+only the vertex masks; the inner vertices of a P4 are the two with two
+neighbours inside its mask (`_midpoints`).  The class predicates all read
+that one pass, and the complement, through `Graph.derived`, so `classify`
+and the theorem scans enumerate once per graph however many predicates
+they ask.  `recognize_spider` reads g's degrees before it builds the
+complement, which it needs only for a thick spider.
 """
 
 from __future__ import annotations
@@ -21,12 +24,12 @@ from .graphs import Graph, _components, bits, complement, mask_of
 from .spectral import ExactSpectrum, exact_spectrum
 
 
-def enumerate_p4(g: Graph) -> list[tuple[tuple[int, int, int, int], int]]:
-    """All induced P4s as (path, vertex mask), one entry per vertex set.
+def enumerate_p4(g: Graph) -> list[int]:
+    """The vertex masks of all induced P4s, one per vertex set.
 
-    The path is ordered a-b-c-d along the edges with a < d, so each P4 has a
-    single canonical orientation.  Each edge b-c with b < c is tried as the
-    middle edge; the list is ordered by that edge, then by the ends.
+    Each edge b-c with b < c is tried as the middle edge; the list is
+    ordered by that edge, then by the end a at b, then by the end d at c.
+    `_midpoints` reads a P4's inner vertices back from its mask.
     """
     adj = g.adj
     out = []
@@ -37,33 +40,40 @@ def enumerate_p4(g: Graph) -> list[tuple[tuple[int, int, int, int], int]]:
         while later:
             cm = later & -later
             later ^= cm
-            c = cm.bit_length() - 1
-            nc = adj[c]
-            ends_b = nb & ~nc & ~cm
-            ends_c = nc & ~nb & ~bm
-            if not (ends_b and ends_c):
+            nc = adj[cm.bit_length() - 1]
+            ends_b = nb & ~(nc | cm)
+            if not ends_b:
+                continue
+            ends_c = nc & ~(nb | bm)
+            if not ends_c:
                 continue
             bc = bm | cm
             while ends_b:
                 am = ends_b & -ends_b
                 ends_b ^= am
-                a = am.bit_length() - 1
-                ds = ends_c & ~adj[a]
+                ds = ends_c & ~adj[am.bit_length() - 1]
                 while ds:
                     dm = ds & -ds
                     ds ^= dm
-                    d = dm.bit_length() - 1
-                    out.append(((a, b, c, d) if a < d else (d, c, b, a), bc | am | dm))
+                    out.append(bc | am | dm)
     return out
+
+
+def _midpoints(adj: list[int], wm: int) -> int:
+    """The inner vertices of the induced P4 on the vertex mask wm, as a
+    mask: each has two neighbours in wm, each end has one."""
+    mids = 0
+    rest = wm
+    while rest:
+        vm = rest & -rest
+        rest ^= vm
+        if (adj[vm.bit_length() - 1] & wm).bit_count() == 2:
+            mids |= vm
+    return mids
 
 
 def p4_count(g: Graph) -> int:
     return len(g.derived(enumerate_p4))
-
-
-def _p4_masks(g: Graph) -> list[int]:
-    """The vertex masks of g's induced P4s; read it as g.derived(_p4_masks)."""
-    return [m for _, m in g.derived(enumerate_p4)]
 
 
 # =========================================================================
@@ -116,7 +126,7 @@ def satisfies_q_t(g: Graph, q: int, t: int) -> bool:
     if t < 0:
         raise ValueError("t must be nonnegative")
     n = g.n
-    p4masks = g.derived(_p4_masks)
+    p4masks = g.derived(enumerate_p4)
     if len(p4masks) <= t or q > n:
         return True
     if q == n:
@@ -196,7 +206,7 @@ def is_p4_extendible(g: Graph) -> bool:
     "exactly three" admits graphs (the net, for one) that break the
     exactly-one structure theorem, so the overlap is any nonempty one.
     """
-    p4masks = g.derived(_p4_masks)
+    p4masks = g.derived(enumerate_p4)
     for wm in p4masks:
         outside = 0
         for m in p4masks:
@@ -220,7 +230,7 @@ def is_p4_connected(g: Graph) -> bool:
     Graphs on fewer than two vertices are not p4-connected.
     """
     n = g.n
-    p4masks = g.derived(_p4_masks)
+    p4masks = g.derived(enumerate_p4)
     if n < 2 or not p4masks:
         return False
     reach = p4masks[0]
@@ -336,6 +346,10 @@ def recognize_spider(g: Graph) -> SpiderSpec | None:
     w = _thin_witness(g)
     if w is not None:
         return SpiderSpec("thin", *w)
+    # the complement's legs would be g's vertices of degree n - 2, and a
+    # spider has at least two legs: _thin_witness's first test, read off g
+    if [row.bit_count() for row in g.adj].count(g.n - 2) < 2:
+        return None
     w = _thin_witness(g.derived(complement))
     if w is not None:
         legs, body, head = w

@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import os
 import random
 import time
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from .constructions import CASE_IV_KINDS, family, graph_to_mask, mask_to_graph
 from .formats import serialize_graph6
 from .graphs import Graph, _canonical_deletion, bits, canonical_form, complement, \
     connected_components, from_edge_list, induced_subgraph
-from .p4 import _subset_masks, enumerate_p4, is_p4_connected, is_p4_extendible, \
+from .p4 import _midpoints, _subset_masks, enumerate_p4, is_p4_connected, is_p4_extendible, \
     recognize_spider, satisfies_q_t
 from .spectral import check_union_relation, is_l_integral
 
@@ -101,22 +102,21 @@ def _has_midpoint_extension(g: Graph) -> bool:
     p4s = g.derived(enumerate_p4)
     # |D| = 4: D must itself be an induced P4
     if n > 4:
-        for path, wm in p4s:
-            mids = (1 << path[1]) | (1 << path[2])
+        for wm in p4s:
+            mids = _midpoints(adj, wm)
             if all(adj[x] & wm == mids for x in bits(full & ~wm)):
                 return True
     # |D| = 5: D induces one of the four 5-vertex seeds
     if n > 5:
         seeds = _catalog_codes(_SEEDS_FIVE)
         for dm in _subset_masks(n, 5):
-            inner = [p for p, wm in p4s if wm & ~dm == 0]
-            if not inner:
-                continue
             mids = 0
             ends = 0
-            for p in inner:
-                mids |= (1 << p[1]) | (1 << p[2])
-                ends |= (1 << p[0]) | (1 << p[3])
+            for wm in p4s:
+                if wm & ~dm == 0:
+                    inner = _midpoints(adj, wm)
+                    mids |= inner
+                    ends |= wm ^ inner
             if mids & ends or (mids | ends) != dm:
                 continue
             if not all(adj[x] & dm == mids for x in bits(full & ~dm)):
@@ -354,6 +354,8 @@ def verify_theorems(n_max: int, theorems: str | None = None, *,
     is the smallest labeled edge mask of a failing graph, as a labeled scan
     would report it.  shards/shard_id restrict this call to one slice of
     every population; summing slices reproduces the full counts exactly.
+    workers > 1 checks the chunks in a pool of at most that many processes,
+    and of no more than the cores or the chunks; the report is the same.
     The checks in DEFAULT_CHECKS must be invariant under relabeling, since
     each sees one graph per class.  progress, if given, receives one line
     per population as it is set up.
@@ -375,6 +377,7 @@ def verify_theorems(n_max: int, theorems: str | None = None, *,
     tallies = {tid: _Tally() for tid in enabled}
     populations = []
     sources = []  # (n, exhaustive, iterator over the (mask, weight) units)
+    chunk_count = 0
     classes = [(0, 1)]  # the graph on no vertices
     for n in range(1, n_max + 1):
         space = 1 << (n * (n - 1) // 2)
@@ -387,15 +390,19 @@ def verify_theorems(n_max: int, theorems: str | None = None, *,
             classes = _classes(n, classes)
             fact = math.factorial(n)
             units = [(code, fact // aut) for code, aut in classes[shard_id::shards]]
+            count = len(units)
             if progress:
                 progress(f"{populations[-1]}: {len(classes)} classes, "
                          f"generated in {time.perf_counter() - t0:.3f}s")
         else:
             populations.append(f"n={n} sampled ({sample})")
+            masks = _sample_masks(space, sample, seed, n)[shard_id::shards]
+            count = len(masks)
             # made chunk by chunk, so that a large sample is held as plain masks
-            units = ((m, 1) for m in _sample_masks(space, sample, seed, n)[shard_id::shards])
+            units = ((m, 1) for m in masks)
             if progress:
                 progress(populations[-1])
+        chunk_count += -(-count // _CHUNK)
         sources.append((n, exhaustive, iter(units)))
 
     def chunks():
@@ -404,12 +411,14 @@ def verify_theorems(n_max: int, theorems: str | None = None, *,
                 yield n, chunk, exhaustive, graph_enabled
 
     if graph_enabled:
+        # more processes than cores or chunks would only wait
+        procs = min(workers, os.cpu_count() or 1, chunk_count)
         with contextlib.ExitStack() as stack:
             scan = map
-            if workers > 1:
+            if procs > 1:
                 import multiprocessing  # about 1 MB of modules a serial scan never needs
                 mp = multiprocessing.get_context("fork")
-                scan = stack.enter_context(mp.Pool(workers)).imap_unordered
+                scan = stack.enter_context(mp.Pool(procs)).imap_unordered
             for result in scan(_scan_chunk, chunks()):
                 for tid, tally in result.items():
                     tallies[tid].merge(tally)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import are_isomorphic
+from oracles import are_isomorphic, p4_paths
 from p4spec.constructions import (
     CASE_IV_KINDS,
     FAMILY_IDS,
@@ -148,17 +148,11 @@ def test_family_complement_pairings():
 # ------------------------------------------------------------------- case iv
 
 def _midpoints(g):
-    mids = set()
-    for (a, b, c, d), _ in enumerate_p4(g):
-        mids.update((b, c))
-    return mids
+    return {v for _, b, c, _ in p4_paths(g).values() for v in (b, c)}
 
 
 def _endpoints(g):
-    ends = set()
-    for (a, b, c, d), _ in enumerate_p4(g):
-        ends.update((a, d))
-    return ends
+    return {v for a, _, _, d in p4_paths(g).values() for v in (a, d)}
 
 
 def test_case_iv_kinds():

@@ -15,7 +15,7 @@ from p4spec.formats import (
     serialize_edge_list,
     serialize_graph6,
 )
-from p4spec.graphs import from_edge_list
+from p4spec.graphs import from_edge_list, max_vertices
 
 
 # ---------------------------------------------------------------- edge lists
@@ -53,6 +53,12 @@ def test_parse_edge_list_warns_on_duplicates():
         g = parse_edge_list("3 2\n0 1\n1 0\n")
     assert g.edge_count == 1
     assert any("duplicate" in str(w.message) for w in caught)
+
+
+def _seeded_graph(rng, n):
+    pairs = n * (n - 1) // 2
+    density = rng.choice((0.1, 0.5, 0.9))
+    return mask_to_graph(n, sum(1 << i for i in range(pairs) if rng.random() < density))
 
 
 def test_edge_list_round_trip():
@@ -96,6 +102,35 @@ def test_graph6_round_trip_sampled_n7():
     for _ in range(300):
         g = mask_to_graph(7, rng.getrandbits(21))
         assert parse_graph6(serialize_graph6(g)) == g
+
+
+def test_graph6_matches_networkx():
+    # n = 63 and 64 take the long form, "~" and three bytes of n
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(24)
+    for n in range(0, 65):
+        for _ in range(3):
+            g = _seeded_graph(rng, n)
+            ref = nx.Graph()
+            ref.add_nodes_from(range(n))
+            ref.add_edges_from(g.edges())
+            text = serialize_graph6(g)
+            assert text.startswith("~") == (n >= 63)
+            assert nx.to_graph6_bytes(ref, header=False) == (text + "\n").encode()
+            assert parse_graph6(nx.to_graph6_bytes(ref).decode()) == g  # >>graph6<< header
+            back = nx.from_graph6_bytes(text.encode())
+            assert sorted(back.nodes) == list(range(n))
+            assert {frozenset(e) for e in back.edges} == {frozenset(e) for e in g.edges()}
+
+
+def test_round_trips_up_to_the_vertex_cap():
+    rng = random.Random(25)
+    for n in range(0, max_vertices() + 1):
+        g = _seeded_graph(rng, n)
+        assert parse_graph6(serialize_graph6(g)) == g
+        assert parse_edge_list(serialize_edge_list(g)) == g
+        assert load_document(serialize(g, "g6")).graph == g
+        assert load_document(serialize(g, "edges")).graph == g
 
 
 def test_graph6_long_form(monkeypatch):

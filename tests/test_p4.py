@@ -50,28 +50,32 @@ def test_enumerate_p4_examples():
 
 
 def test_enumerate_p4_path_orientation():
-    path, mask = enumerate_p4(standard("path", 4))[0]
-    assert path == (0, 1, 2, 3)
-    assert mask == 0b1111
-    for p, m in enumerate_p4(standard("cycle", 6)):
-        a, b, c, d = p
-        assert a < d
-        assert m == (1 << a) | (1 << b) | (1 << c) | (1 << d)
+    # the masks come back in middle-edge order, and each one's midpoints are
+    # the inner vertices of its path
+    assert enumerate_p4(standard("path", 4)) == [0b1111]
+    assert p4._midpoints(standard("path", 4).adj, 0b1111) == 0b0110
+    for n in (5, 6, 7):
+        _assert_p4_entries_match_oracle(standard("cycle", n))
+        _assert_p4_entries_match_oracle(standard("path", n))
+
+
+def _middle_edge_key(path):
+    """Where the enumeration lists the P4 a-b-c-d: by its middle edge, then
+    by the end at the middle edge's smaller vertex, then the other end."""
+    a, b, c, d = path
+    return (b, c, a, d) if b < c else (c, b, d, a)
 
 
 def _assert_p4_entries_match_oracle(g):
-    entries = enumerate_p4(g)
-    got = {}
-    for path, mask in entries:
-        a, b, c, d = path
-        assert a < d, path
-        assert mask == (1 << a) | (1 << b) | (1 << c) | (1 << d)
-        assert mask.bit_count() == 4, path
-        assert g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(c, d), path
-        assert not (g.has_edge(a, c) or g.has_edge(b, d) or g.has_edge(a, d)), path
-        got[frozenset(path)] = path
-    assert len(got) == len(entries), "two entries share a vertex set"
-    assert got == oracles.p4_paths(g)
+    masks = enumerate_p4(g)
+    paths = oracles.p4_paths(g)
+    got = [frozenset(v for v in range(g.n) if m >> v & 1) for m in masks]
+    assert len(set(got)) == len(got), "two entries share a vertex set"
+    assert set(got) == set(paths)
+    assert got == sorted(paths, key=lambda w: _middle_edge_key(paths[w]))
+    for m, w in zip(masks, got):
+        a, b, c, d = paths[w]
+        assert p4._midpoints(g.adj, m) == (1 << b) | (1 << c), (g, paths[w])
 
 
 def test_enumerate_p4_against_oracle():
@@ -145,7 +149,7 @@ def test_satisfies_q_t_against_oracle():
 
 
 def _most_p4s_in_a_q_set(g, q):
-    masks = [m for _, m in enumerate_p4(g)]
+    masks = enumerate_p4(g)
     return max(sum(1 for m in masks if m & ~mask_of(s) == 0)
                for s in itertools.combinations(range(g.n), q))
 
@@ -155,7 +159,7 @@ def test_satisfies_q_t_at_the_largest_count():
     # walk over unions must go deep here, and past C(n, q) unions the test
     # falls back to the q-subsets; both searches are checked on their own
     for g in _sampled_graphs(107, 40, 6, 12):
-        masks = [m for _, m in enumerate_p4(g)]
+        masks = enumerate_p4(g)
         for q in range(4, g.n):
             top = _most_p4s_in_a_q_set(g, q)
             for t in range(top + 1):
@@ -312,19 +316,65 @@ def test_c6_is_not_a_spider():
     assert recognize_spider(standard("cycle", 6)) is None
 
 
+def _assert_spider_matches_oracle(g):
+    kinds = oracles.spider_kinds(g)
+    spec = recognize_spider(g)
+    if spec is None:
+        assert not kinds, (g, kinds)
+    else:
+        assert spec.kind in kinds
+        assert spec.verify(g)
+        # k = 2 thin/thick coincide and thin wins
+        if kinds == {"thin", "thick"} and spec.k == 2:
+            assert spec.kind == "thin"
+
+
 def test_recognize_spider_against_oracle():
     for n in range(0, 7):
         for g in enumerate_graphs(n):
-            kinds = oracles.spider_kinds(g)
-            spec = recognize_spider(g)
-            if spec is None:
-                assert not kinds, (g, kinds)
-            else:
-                assert spec.kind in kinds
-                assert spec.verify(g)
-                # k = 2 thin/thick coincide and thin wins
-                if kinds == {"thin", "thick"} and spec.k == 2:
-                    assert spec.kind == "thin"
+            _assert_spider_matches_oracle(g)
+    # dense graphs have vertices of degree n - 2, the complement's legs, so
+    # the degree test before the complement passes on some and fails on most
+    rng = random.Random(111)
+    for n in range(7, 13):
+        pairs = n * (n - 1) // 2
+        for density in (0.3, 0.5, 0.7, 0.85, 0.93):
+            g = mask_to_graph(n, sum(1 << i for i in range(pairs) if rng.random() < density))
+            _assert_spider_matches_oracle(g)
+            _assert_spider_matches_oracle(complement(g))
+
+
+def test_recognize_constructed_spiders():
+    # spiders and their complements, k = 2..5 with every catalog head; at
+    # k = 2 thin and thick coincide and thin wins
+    for k in range(2, 6):
+        for name, head in head_catalog().items():
+            for build, kind in ((thin_spider, "thin"), (thick_spider, "thick")):
+                g = build(k, head)
+                co_kind = {"thin": "thick", "thick": "thin"}[kind]
+                for h, want in ((g, kind), (complement(g), co_kind)):
+                    spec = recognize_spider(h)
+                    assert spec is not None, (k, name, kind)
+                    assert spec.kind == ("thin" if k == 2 else want), (k, name, kind)
+                    assert spec.k == k and len(spec.head) == head.n
+                    assert spec.verify(h)
+
+
+def test_recognize_spider_reads_degrees_before_the_complement(monkeypatch):
+    built = []
+    real = p4.complement
+
+    def counting(g):
+        built.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(p4, "complement", counting)
+    # every vertex of C7 has degree 2, so its complement has no leg
+    assert recognize_spider(standard("cycle", 7)) is None
+    assert built == []
+    spec = recognize_spider(thick_spider(3, standard("path", 3)))
+    assert spec is not None and spec.kind == "thick"
+    assert built == [9]
 
 
 def test_spider_complement_swaps_kind():

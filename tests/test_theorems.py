@@ -135,6 +135,53 @@ def test_multiprocess_matches_single_process():
     assert base == multi
 
 
+def test_pool_never_outnumbers_cores_or_chunks(monkeypatch):
+    import multiprocessing
+
+    from p4spec.cli import main
+
+    pools = []  # (processes asked for, chunks mapped)
+
+    class Pool:
+        """Records its size and the chunks it gets; maps in this process."""
+
+        def __init__(self, processes):
+            self.processes = processes
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, fn, items):
+            items = list(items)
+            pools.append((self.processes, len(items)))
+            return map(fn, items)
+
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: type("Context", (), {"Pool": Pool}))
+    cores = 64
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: cores)
+    serial = [r.to_dict() for r in verify_theorems(3, "adh", seed=3)]
+    # one chunk for each of n = 1, 2, 3
+    assert [r.to_dict() for r in verify_theorems(3, "adh", seed=3, workers=50)] == serial
+    assert main(["verify-theorems", "--n-max", "3", "--workers", str(10 ** 9)]) == 0
+    assert pools == [(3, 3), (3, 3)]
+    pools.clear()
+    # n = 1..4 exhaustive, one chunk each, then 1000 samples at n = 5 in 16
+    verify_theorems(5, "d", sample=1000, workers=10 ** 9)
+    # shard 1 of 3: 0, 1, 1 and 1 chunks of classes, then 333 samples in 6
+    verify_theorems(5, "d", sample=1000, shards=3, shard_id=1, workers=10 ** 9)
+    cores = 8
+    verify_theorems(5, "d", sample=1000, workers=10 ** 9)
+    assert pools == [(20, 20), (9, 9), (8, 20)]
+    # one core, or a count the platform cannot tell, scans in this process
+    for cores in (1, None):
+        verify_theorems(5, "d", sample=1000, workers=10 ** 9)
+    assert len(pools) == 3
+
+
 def test_graph_derived_values_are_cached():
     g = standard("cycle", 6)
     assert g.derived(p4.enumerate_p4) is g.derived(p4.enumerate_p4)
