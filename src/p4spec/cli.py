@@ -4,7 +4,8 @@ Four subcommands: analyze (classification report), spectrum (exact, numeric
 or closed-form eigenvalues), generate (construction expressions to edge list
 or graph6), verify-theorems (exhaustive checks over all small graphs).
 
-Exit codes: 0 success, 1 a theorem check found a violation, 2 bad input.
+Exit codes: 0 success, 1 a theorem violation or a failed certificate, 2 bad
+input.
 Reports go to stdout and are deterministic; progress and timing go to stderr.
 """
 
@@ -21,7 +22,8 @@ from .dsl import DslError, parse_dsl
 from .formats import ParseError, load_document, serialize
 from .graphs import Graph, mask_of
 from .p4 import ClassificationReport, classify, recognize_spider
-from .spectral import exact_spectrum, numeric_spectrum, thin_spider_closed_form
+from .spectral import char_poly, exact_spectrum, laplacian, numeric_spectrum, \
+    thin_spider_closed_form
 from .theorems import MAX_N, THEOREMS, verify_theorems
 
 
@@ -112,6 +114,10 @@ def cmd_spectrum(args) -> int:
                 g.adj[v] & mask_of(spider.head) for v in spider.head):
             raise ValueError("not a thin spider with edgeless head")
         cf = thin_spider_closed_form(spider.k, len(spider.head))
+        # the surds come from formulas: print them only once they expand to g's
+        if cf.char_poly() != char_poly(laplacian(g)):
+            raise ArithmeticError("closed-form spectrum does not match the "
+                                  "characteristic polynomial")
         _emit({
             "entries": [[str(v), m] for v, m in cf.entries],
             "values": cf.values(),
@@ -128,7 +134,7 @@ def cmd_generate(args) -> int:
 
 def cmd_verify(args) -> int:
     theorems = None
-    if args.theorems:
+    if args.theorems is not None:
         theorems = "".join(part.strip() for part in args.theorems.split(","))
     t0 = time.perf_counter()
     results = verify_theorems(
@@ -216,6 +222,10 @@ def main(argv=None) -> int:
         except (ParseError, DslError, ValueError, OSError) as exc:
             error = exc
             status = 2
+        except ArithmeticError as exc:
+            # a certificate behind an exact claim failed
+            error = exc
+            status = 1
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     if error is not None:

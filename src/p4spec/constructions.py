@@ -1,9 +1,7 @@
 """Graph constructors: standard families, spiders, the 5-vertex catalog,
-midpoint extensions and exhaustive enumeration."""
+midpoint extensions and edge masks."""
 
 from __future__ import annotations
-
-from typing import Iterator
 
 from .graphs import Graph, check_vertex_count, complement, from_edge_list, \
     mask_of, pair_order
@@ -156,21 +154,20 @@ def case_iv_polynomials(j: int) -> tuple[IntPolynomial, IntPolynomial]:
     """The degree-5 factor of the F3 midpoint extension with a j-vertex head,
     and its quartic cofactor after splitting off the root 1.
 
-    Returns (quintic, quartic) with quintic = (x - 1) * quartic, an identity
-    that is asserted.  The quartic is negative at 0 and positive at 1, so it
-    has a root strictly inside (0, 1).
+    Returns (quintic, quartic) with quintic = (x - 1) * quartic.  The quartic
+    is negative at 0 and positive at 1, so it has a root strictly inside
+    (0, 1).
     """
     if j < 1:
         raise ValueError("head size j must be at least 1")
     quintic = IntPolynomial([2, -2, -(j * j + 5 * j + 6), j * j + 3 * j + 1,
                              2 * j + 4, 1])
     quartic = IntPolynomial([-2, 0, j * j + 5 * j + 6, 2 * j + 5, 1])
-    assert IntPolynomial([-1, 1]) * quartic == quintic
     return quintic, quartic
 
 
 # =========================================================================
-# exhaustive enumeration
+# edge masks
 # =========================================================================
 
 def mask_to_graph(n: int, mask: int) -> Graph:
@@ -196,24 +193,6 @@ def graph_to_mask(g: Graph) -> int:
         if g.adj[u] >> v & 1:
             mask |= 1 << i
     return mask
-
-
-def enumerate_graphs(n: int, start: int = 0, stop: int | None = None) -> Iterator[Graph]:
-    """All labeled graphs on n vertices in edge-mask order.
-
-    start/stop restrict to a mask interval.
-    """
-    if n < 0:
-        raise ValueError("vertex count must be nonnegative")
-    if n > 8:
-        raise ValueError("exhaustive enumeration is capped at n = 8")
-    space = 1 << (n * (n - 1) // 2)
-    if stop is None:
-        stop = space
-    if not (0 <= start <= stop <= space):
-        raise ValueError("mask interval out of range")
-    for mask in range(start, stop):
-        yield mask_to_graph(n, mask)
 
 
 def head_catalog() -> dict[str, Graph]:

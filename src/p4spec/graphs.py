@@ -45,9 +45,9 @@ def pair_order(n: int) -> tuple[tuple[int, int], ...]:
     """Vertex pairs (u, v) with u < v in upper-triangle column-major order.
 
     This is the single source of truth for edge-mask bit positions:
-    (0,1), (0,2), (1,2), (0,3), (1,3), (2,3), ...  `constructions.mask_to_graph`
-    and `graph_to_mask` read it, and the graph enumerator and the graph6
-    codec go through them.  `canonical_form` relies on the layout without
+    (0,1), (0,2), (1,2), (0,3), (1,3), (2,3), ...  `constructions.mask_to_graph`,
+    `graph_to_mask` and `theorems._orbit_min` read it, and the graph6 codec
+    goes through the first two.  `canonical_form` relies on the layout without
     reading it: it builds its leaf codes in this bit order, so the pairs
     (u, n - 1) of the last vertex are the top n - 1 bits of a code.
     """

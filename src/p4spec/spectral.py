@@ -41,10 +41,6 @@ class IntPolynomial:
         return len(self.coeffs) - 1
 
     @property
-    def leading(self) -> int:
-        return self.coeffs[-1]
-
-    @property
     def is_zero(self) -> bool:
         return self.coeffs == (0,)
 
@@ -59,21 +55,6 @@ class IntPolynomial:
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            out[i] -= c
-        return IntPolynomial(out)
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         a, b = self.coeffs, other.coeffs
@@ -95,29 +76,6 @@ class IntPolynomial:
             base = base * base
             exp >>= 1
         return result
-
-    def __divmod__(self, den: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
-        """Long division over the integers; raises if a step is not exact."""
-        if den.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        num = list(self.coeffs)
-        d = den.coeffs
-        dd = len(d) - 1
-        lead = d[-1]
-        if len(num) - 1 < dd:
-            return IntPolynomial([0]), IntPolynomial(num)
-        q = [0] * (len(num) - dd)
-        for i in range(len(num) - 1, dd - 1, -1):
-            c = num[i]
-            if c == 0:
-                continue
-            if c % lead != 0:
-                raise ValueError("division not exact over the integers")
-            f = c // lead
-            q[i - dd] = f
-            for j, dj in enumerate(d):
-                num[i - dd + j] -= f * dj
-        return IntPolynomial(q), IntPolynomial(num[:dd] if dd else [0])
 
     def deflate(self, root: int) -> tuple["IntPolynomial", int]:
         """Synthetic division by (x - root); returns (quotient, remainder)."""
@@ -151,17 +109,6 @@ class IntPolynomial:
         return f"IntPolynomial({list(self.coeffs)})"
 
 
-def divides(den: IntPolynomial, num: IntPolynomial) -> bool:
-    """True iff den divides num exactly over the integers."""
-    if den.is_zero:
-        return num.is_zero
-    try:
-        _, rem = divmod(num, den)
-    except ValueError:
-        return False
-    return rem.is_zero
-
-
 # =========================================================================
 # integer matrices and the exact characteristic polynomial
 # =========================================================================
@@ -183,9 +130,6 @@ class IntMatrix:
 
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.n))
-
-    def row_sums(self) -> tuple[int, ...]:
-        return tuple(sum(r) for r in self.rows)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntMatrix) and self.rows == other.rows
@@ -312,19 +256,6 @@ class ExactSpectrum:
     def total_multiplicity(self) -> int:
         return sum(m for _, m in self.integer_roots) + self.residual.degree
 
-    def reconstruct(self) -> IntPolynomial:
-        p = self.residual
-        for root, mult in self.integer_roots:
-            p = p * (IntPolynomial([-root, 1]) ** mult)
-        return p
-
-    def expanded(self) -> list[int]:
-        """Integer eigenvalues repeated by multiplicity, descending."""
-        out = []
-        for root, mult in self.integer_roots:
-            out.extend([root] * mult)
-        return out
-
 
 def extract_integer_roots(p: IntPolynomial, lo: int, hi: int) -> ExactSpectrum:
     """Split off every integer root of p in [lo, hi], with multiplicity.
@@ -363,20 +294,17 @@ def extract_integer_roots(p: IntPolynomial, lo: int, hi: int) -> ExactSpectrum:
 def exact_spectrum(g: Graph) -> ExactSpectrum:
     """Exact Laplacian spectrum: integer eigenvalues plus residual factor.
 
-    Integer roots are searched in [0, n].  That range is justified by the
-    eigenvalue bound mu <= n; rather than assuming it we also check, via the
-    Gershgorin disc bound [0, 2*maxdeg], that the residual has no integer root
-    above n, and raise ArithmeticError if it has one.  As in the root search,
-    only divisors of the residual's constant term can be roots.
+    Every Laplacian eigenvalue is at most n.  Rather than assuming that
+    bound, the integer roots are searched up to the Gershgorin disc bound
+    max(n, 2*maxdeg), and a root above n raises ArithmeticError.  The search
+    tries only divisors of the constant term, so the range past n costs
+    little.
     """
     p = char_poly(laplacian(g))
-    spec = extract_integer_roots(p, 0, g.n)
-    residual = spec.residual
-    c0 = residual.coeffs[0]
     maxdeg = max(map(int.bit_count, g.adj), default=0)
-    for r in range(g.n + 1, 2 * maxdeg + 1):
-        if c0 % r == 0 and residual(r) == 0:
-            raise ArithmeticError("Laplacian eigenvalue above n: bound violated")
+    spec = extract_integer_roots(p, 0, max(g.n, 2 * maxdeg))
+    if spec.integer_roots and spec.integer_roots[0][0] > g.n:
+        raise ArithmeticError("Laplacian eigenvalue above n: bound violated")
     return spec
 
 
@@ -471,6 +399,10 @@ class SurdEigenvalue:
             raise ValueError("sign must be -1 or +1")
         if self.q <= 0 or math.isqrt(self.q) ** 2 == self.q:
             raise ValueError(f"q = {self.q} must be a positive non-square")
+        d = (self.p + 2) ** 2 - self.q
+        if d % 4:
+            raise ValueError(f"(p + 2)^2 - q = {d} is not divisible by 4: "
+                             "the surd pair has no integer quadratic")
 
     def value(self) -> float:
         return (self.p + 2 + self.sign * math.sqrt(self.q)) / 2.0
@@ -481,9 +413,7 @@ class SurdEigenvalue:
     def pair_quadratic(self) -> IntPolynomial:
         """Monic quadratic with this surd and its conjugate as roots."""
         a = self.p + 2
-        num = a * a - self.q
-        assert num % 4 == 0, "surd pair does not have an integer quadratic"
-        return IntPolynomial([num // 4, -a, 1])
+        return IntPolynomial([(a * a - self.q) // 4, -a, 1])
 
     def __str__(self) -> str:
         op = "+" if self.sign > 0 else "-"
@@ -567,9 +497,7 @@ def thin_spider_closed_form(k: int, head_size: int) -> ClosedFormSpectrum:
         entries.append((SurdEigenvalue(p, q2, 1), 1))
         entries.append((SurdEigenvalue(p, q2, -1), 1))
         entries.append((0, 1))
-    spec = ClosedFormSpectrum(tuple(entries))
-    assert spec.total_multiplicity == 2 * k + j
-    return spec
+    return ClosedFormSpectrum(tuple(entries))
 
 
 def quotient_matrix(k: int, j: int) -> IntMatrix:
@@ -583,11 +511,9 @@ def quotient_matrix(k: int, j: int) -> IntMatrix:
         raise ValueError("a spider needs k >= 2")
     if j < 1:
         raise ValueError("the quotient needs a nonempty head")
-    m = IntMatrix([[j + 1, -1, -j],
-                   [-1, 1, 0],
-                   [-k, 0, k]])
-    assert m.row_sums() == (0, 0, 0)
-    return m
+    return IntMatrix([[j + 1, -1, -j],
+                      [-1, 1, 0],
+                      [-k, 0, k]])
 
 
 # =========================================================================

@@ -21,10 +21,10 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .constructions import CASE_IV_KINDS, family, graph_to_mask, mask_to_graph
+from .constructions import CASE_IV_KINDS, family, mask_to_graph
 from .formats import serialize_graph6
 from .graphs import Graph, _canonical_deletion, bits, canonical_form, complement, \
-    connected_components, from_edge_list, induced_subgraph
+    connected_components, induced_subgraph, pair_order
 from .p4 import _midpoints, _subset_masks, enumerate_p4, is_p4_connected, is_p4_extendible, \
     recognize_spider, satisfies_q_t
 from .spectral import check_union_relation, is_l_integral
@@ -198,13 +198,14 @@ class TheoremResult:
 
 
 class _Tally:
-    __slots__ = ("checked", "violations", "best", "failed", "time")
+    __slots__ = ("checked", "violations", "failed", "time")
 
     def __init__(self):
         self.checked = 0
         self.violations = 0
-        self.best = None  # (n, mask) of the smallest failing sampled graph
-        self.failed = []  # (n, mask) of a graph of each failing class
+        # (n, mask, exhaustive) of each failing graph: a class representative
+        # in an exhaustive population, a labeled graph in a sampled one
+        self.failed = []
         self.time = 0.0
 
     def merge(self, other: "_Tally"):
@@ -212,25 +213,25 @@ class _Tally:
         self.violations += other.violations
         self.time += other.time
         self.failed += other.failed
-        if other.best is not None and (self.best is None or other.best < self.best):
-            self.best = other.best
 
     def counterexample(self) -> tuple[int, int] | None:
-        """(n, mask) of the smallest failing labeled graph: the classes are
-        searched only at the smallest n where one fails."""
-        best = self.best
-        if self.failed:
-            n = min(fn for fn, _ in self.failed)
-            found = (n, min(_orbit_min(n, m) for fn, m in self.failed if fn == n))
-            best = found if best is None else min(best, found)
-        return best
+        """(n, mask) of the smallest failing labeled graph: at the smallest n
+        where one fails, the orbit minimum of each failing class, or the
+        failing sampled mask as it is."""
+        if not self.failed:
+            return None
+        n = min(fn for fn, _, _ in self.failed)
+        return n, min(_orbit_min(n, m) if exhaustive else m
+                      for fn, m, exhaustive in self.failed if fn == n)
 
 
 def _orbit_min(n: int, mask: int) -> int:
     """Smallest edge mask among the n! relabelings of mask_to_graph(n, mask)."""
-    edges = list(mask_to_graph(n, mask).edges())
-    bit = [[graph_to_mask(from_edge_list(n, [(u, v)])) if u != v else 0
-            for v in range(n)] for u in range(n)]
+    pairs = pair_order(n)
+    edges = [pairs[i] for i in bits(mask)]
+    bit = [[0] * n for _ in range(n)]
+    for i, (u, v) in enumerate(pairs):
+        bit[u][v] = bit[v][u] = 1 << i
     best = mask
     for perm in itertools.permutations(range(n)):
         m = 0
@@ -294,9 +295,8 @@ def _scan_chunk(args) -> dict[str, _Tally]:
 
     A unit (mask, weight) is the graph mask_to_graph(n, mask) standing for
     weight labeled graphs: a class and its n!/|Aut| in an exhaustive
-    population, a sampled labeled mask and 1 otherwise.  A failing class is
-    recorded for the orbit search in _Tally.counterexample, a failing sample
-    as it is.
+    population, a sampled labeled mask and 1 otherwise.  Each failing unit
+    is recorded for _Tally.counterexample.
     """
     n, units, exhaustive, enabled = args
     tallies = {tid: _Tally() for tid in enabled}
@@ -311,10 +311,7 @@ def _scan_chunk(args) -> dict[str, _Tally]:
             tally.checked += weight
             if not ok:
                 tally.violations += weight
-                if exhaustive:
-                    tally.failed.append((n, mask))
-                elif tally.best is None or (n, mask) < tally.best:
-                    tally.best = (n, mask)
+                tally.failed.append((n, mask, exhaustive))
     return tallies
 
 
@@ -344,7 +341,8 @@ def verify_theorems(n_max: int, theorems: str | None = None, *,
                     sample: int | None = None, workers: int = 1,
                     seed: int = 0, progress=None) -> list[TheoremResult]:
     """Check the selected theorems over all labeled graphs with 1..n_max
-    vertices.
+    vertices.  theorems is a string of ids from THEOREMS; None selects all
+    of them, and an empty selection is a ValueError.
 
     Every population is exhaustive unless sample is given: then the
     populations with more than sample labeled graphs are drawn uniformly
@@ -368,7 +366,9 @@ def verify_theorems(n_max: int, theorems: str | None = None, *,
         raise ValueError("sample size must be positive")
     if workers < 1:
         raise ValueError("workers must be positive")
-    enabled = "".join(sorted(set(theorems))) if theorems else "abcdefgh"
+    enabled = "".join(sorted(THEOREMS if theorems is None else set(theorems)))
+    if not enabled:
+        raise ValueError("empty theorem selection")
     for tid in enabled:
         if tid not in THEOREMS:
             raise ValueError(f"unknown theorem id {tid!r}")

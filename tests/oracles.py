@@ -26,6 +26,24 @@ def laplacian_rows(g: Graph) -> list[list[int]]:
     return rows
 
 
+def labeled_graphs(n: int):
+    """Every labeled graph on n vertices, in edge-mask order."""
+    return (mask_to_graph(n, mask) for mask in range(1 << n * (n - 1) // 2))
+
+
+def poly_remainder(num, den) -> list:
+    """Remainder of num divided by den, by long division over Fraction;
+    ascending coefficients in and out.  den divides num over the rationals
+    iff every entry is 0, and over the integers too when den is monic."""
+    rem = [Fraction(c) for c in num]
+    d = len(den) - 1
+    for i in range(len(rem) - 1, d - 1, -1):
+        f = rem[i] / den[d]
+        for j, c in enumerate(den):
+            rem[i - d + j] -= f * c
+    return rem[:d]
+
+
 def bareiss_det(matrix) -> int:
     """Fraction-free Gaussian elimination determinant, exact over ints."""
     m = [list(row) for row in matrix]
@@ -144,15 +162,17 @@ def spider_kinds(g: Graph) -> set:
     kinds = set()
     for k in range(2, n // 2 + 1):
         for s in itertools.combinations(range(n), k):
+            # the legs are independent: test that before choosing a body
+            if any(g.has_edge(u, v) for u, v in itertools.combinations(s, 2)):
+                continue
             s_set = set(s)
             rest = verts - s_set
             for c in itertools.combinations(sorted(rest), k):
-                c_set = set(c)
-                r_set = rest - c_set
-                if any(g.has_edge(u, v) for u, v in itertools.combinations(s, 2)):
-                    continue
+                # the body is a clique: test that before the joins
                 if not all(g.has_edge(u, v) for u, v in itertools.combinations(c, 2)):
                     continue
+                c_set = set(c)
+                r_set = rest - c_set
                 if not all(g.has_edge(u, v) for u in c_set for v in r_set):
                     continue
                 if any(g.has_edge(u, v) for u in s_set for v in r_set):

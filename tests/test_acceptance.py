@@ -18,7 +18,6 @@ from p4spec.constructions import (
     FAMILY_IDS,
     case_iv_graph,
     case_iv_polynomials,
-    enumerate_graphs,
     family,
     head_catalog,
     mask_to_graph,
@@ -32,7 +31,6 @@ from p4spec.spectral import (
     IntPolynomial,
     char_poly,
     check_union_relation,
-    divides,
     is_l_integral,
     laplacian,
     numeric_spectrum,
@@ -105,7 +103,7 @@ def test_criterion_03_quotient_matrix_divides(capsys):
                 continue
             full = char_poly(laplacian(thin_spider(k, _edgeless_head(j))))
             part = char_poly(quotient_matrix(k, j))
-            assert divides(part, full), (k, j)
+            assert not any(oracles.poly_remainder(full.coeffs, part.coeffs)), (k, j)
 
 
 def test_criterion_04_eigenvector_residual(capsys):
@@ -224,7 +222,7 @@ def test_criterion_12_oracle_equivalence(capsys):
             slow = tuple(oracles.char_poly_coeffs(oracles.laplacian_rows(g)))
             assert fast == slow
         for n in range(0, 7):
-            for g in enumerate_graphs(n):
+            for g in oracles.labeled_graphs(n):
                 assert is_p4_connected(g) == oracles.is_p4_connected(g)
                 spec = recognize_spider(g)
                 kinds = oracles.spider_kinds(g)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from p4spec import theorems
+from p4spec import cli, theorems
 from p4spec.cli import main
 
 
@@ -139,6 +139,20 @@ def test_spectrum_closed_form(capsys, tmp_path):
     assert entries["(7+sqrt(29))/2"] == 2
     assert entries["0"] == 1
     assert len(doc["values"]) == 8
+
+
+def test_spectrum_closed_form_is_checked_before_printing(capsys, monkeypatch, tmp_path):
+    # formulas for one leg too many: the certificate fails, nothing is printed
+    real = cli.thin_spider_closed_form
+    monkeypatch.setattr(cli, "thin_spider_closed_form", lambda k, j: real(k + 1, j))
+    gf = tmp_path / "spider.g6"
+    gf.write_text(run(capsys, "generate", "spider(thin,k=3,head=E2)", "--format", "g6")[1])
+    rc, out, err = run(capsys, "spectrum", str(gf), "--mode", "closed-form")
+    assert rc == 1
+    assert out == ""
+    assert err.splitlines() == ["error: closed-form spectrum does not match the "
+                                "characteristic polynomial"]
+    assert "Traceback" not in err
 
 
 def test_spectrum_closed_form_rejects_non_spider(capsys, c6_file):
@@ -412,6 +426,10 @@ def test_verify_theorems_violation_exit_code(capsys, monkeypatch):
 
 
 def test_verify_theorems_bad_args(capsys):
-    rc, _, err = run(capsys, "verify-theorems", "--n-max", "99")
-    assert rc == 2
-    assert err.startswith("error:")
+    # an empty selection is bad input, not all eight theorems
+    for flags in (("--n-max", "99"), ("--n-max", "2", "--theorems", ","),
+                  ("--n-max", "2", "--theorems", "")):
+        rc, out, err = run(capsys, "verify-theorems", *flags)
+        assert rc == 2, flags
+        assert out == ""
+        assert err.startswith("error:")

@@ -3,13 +3,12 @@ import random
 
 import pytest
 
-from oracles import are_isomorphic, p4_paths
+from oracles import are_isomorphic, p4_paths, poly_remainder
 from p4spec.constructions import (
     CASE_IV_KINDS,
     FAMILY_IDS,
     case_iv_graph,
     case_iv_polynomials,
-    enumerate_graphs,
     family,
     graph_to_mask,
     head_catalog,
@@ -20,7 +19,7 @@ from p4spec.constructions import (
 )
 from p4spec.graphs import complement, disjoint_union, join, mask_of
 from p4spec.p4 import enumerate_p4, is_cograph, recognize_spider
-from p4spec.spectral import IntPolynomial, char_poly, divides, laplacian
+from p4spec.spectral import IntPolynomial, char_poly, laplacian
 
 
 # ----------------------------------------------------------------- standard
@@ -200,13 +199,13 @@ def test_case_iv_polynomials_divide_f3_char_poly():
     sub = IntPolynomial([1, -1])
     for j in (1, 2, 3, 5):
         quintic, _ = case_iv_polynomials(j)
-        comp = IntPolynomial([0])
+        factor = [0] * 6
         for i, c in enumerate(quintic.coeffs):
-            comp = comp + IntPolynomial([c]) * (sub ** i)
-        factor = IntPolynomial([-c for c in comp.coeffs])
-        assert factor.leading == 1
+            for t, b in enumerate((sub ** i).coeffs):
+                factor[t] -= c * b
+        assert factor[-1] == 1
         g = case_iv_graph("F3", standard("empty", j))
-        assert divides(factor, char_poly(laplacian(g)))
+        assert not any(poly_remainder(char_poly(laplacian(g)).coeffs, factor))
 
 
 def test_case_iv_polynomials_validation():
@@ -254,12 +253,6 @@ def test_mask_round_trip():
         for mask in range(0, 1 << (n * (n - 1) // 2), 7):
             g = mask_to_graph(n, mask)
             assert graph_to_mask(g) == mask
-
-
-def test_enumerate_graphs_bounds():
-    with pytest.raises(ValueError):
-        list(enumerate_graphs(9))
-    assert len(list(enumerate_graphs(0))) == 1
 
 
 def test_head_catalog():

@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from p4spec.constructions import enumerate_graphs, mask_to_graph, standard
+from p4spec.constructions import mask_to_graph, standard
 from p4spec.formats import (
     GraphDocument,
     ParseError,

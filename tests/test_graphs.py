@@ -23,7 +23,7 @@ from p4spec.graphs import (
     join,
     pair_order,
 )
-from p4spec.constructions import enumerate_graphs, mask_to_graph, standard
+from p4spec.constructions import mask_to_graph, standard
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -222,7 +222,7 @@ def test_canonical_form_against_oracle():
 
 def test_canonical_form_aut_order_small_graphs():
     for n in range(0, 6):
-        for g in enumerate_graphs(n):
+        for g in oracles.labeled_graphs(n):
             assert canonical_form(g)[1] == _automorphisms(g)
     rng = random.Random(13)
     for _ in range(30):
@@ -234,7 +234,7 @@ def test_canonical_form_matches_full_tree_oracle():
     # the pruned search finds the largest leaf code of the whole tree and
     # |Aut| on every labeled graph with n <= 6 and on seeded larger ones
     for n in range(0, 7):
-        for g in enumerate_graphs(n):
+        for g in oracles.labeled_graphs(n):
             assert canonical_form(g) == oracles.canonical_form(g), (n, g.adj)
     rng = random.Random(29)
     for n in (7, 8, 9):
@@ -308,13 +308,6 @@ def test_canonical_form_against_networkx():
             same += iso
             differ += not iso
     assert same > 5 and differ > 50
-
-
-def test_enumerate_graphs_counts():
-    assert len(list(enumerate_graphs(3))) == 8
-    assert len(list(enumerate_graphs(4))) == 64
-    masks = [g for g in enumerate_graphs(4, start=10, stop=20)]
-    assert len(masks) == 10
 
 
 BLOCKS_SCRIPT = r"""

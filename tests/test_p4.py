@@ -8,7 +8,6 @@ import oracles
 from p4spec import p4
 from p4spec.constructions import (
     case_iv_graph,
-    enumerate_graphs,
     family,
     head_catalog,
     mask_to_graph,
@@ -80,7 +79,7 @@ def _assert_p4_entries_match_oracle(g):
 
 def test_enumerate_p4_against_oracle():
     for n in range(0, 7):
-        for g in enumerate_graphs(n):
+        for g in oracles.labeled_graphs(n):
             _assert_p4_entries_match_oracle(g)
     for g in _sampled_graphs(101, 300, 7, 12):
         _assert_p4_entries_match_oracle(g)
@@ -98,7 +97,7 @@ def test_is_cograph_examples():
 
 def test_cograph_closed_under_union_and_join():
     rng = random.Random(102)
-    cographs = [g for g in enumerate_graphs(4) if is_cograph(g)]
+    cographs = [g for g in oracles.labeled_graphs(4) if is_cograph(g)]
     for _ in range(30):
         a, b = rng.choice(cographs), rng.choice(cographs)
         assert is_cograph(disjoint_union(a, b))
@@ -107,13 +106,13 @@ def test_cograph_closed_under_union_and_join():
 
 def test_cograph_recursive_equals_definitional():
     for n in range(0, 7):
-        for g in enumerate_graphs(n):
+        for g in oracles.labeled_graphs(n):
             assert is_cograph(g) == (not enumerate_p4(g))
 
 
 def test_labeled_cograph_counts():
     # 1, 2, 8, 52 labeled cographs on 1..4 vertices
-    counts = [sum(is_cograph(g) for g in enumerate_graphs(n)) for n in (1, 2, 3, 4)]
+    counts = [sum(is_cograph(g) for g in oracles.labeled_graphs(n)) for n in (1, 2, 3, 4)]
     assert counts == [1, 2, 8, 52]
 
 
@@ -130,7 +129,7 @@ def test_satisfies_q_t_validation():
 def test_satisfies_q_t_against_oracle():
     # every graph with n <= 6, then seeded graphs at n = 7..12 over a range
     # of densities, plus spiders, whose many P4s leave them (5, 1) anyway
-    graphs = [g for n in range(0, 7) for g in enumerate_graphs(n)]
+    graphs = [g for n in range(0, 7) for g in oracles.labeled_graphs(n)]
     graphs += _sampled_graphs(103, 80, 4, 7)
     rng = random.Random(105)
     for n in range(7, 13):
@@ -185,13 +184,13 @@ def test_p4_sparse_examples():
 
 def test_p4_sparse_matches_oracle_exhaustive():
     for n in range(0, 6):
-        for g in enumerate_graphs(n):
+        for g in oracles.labeled_graphs(n):
             assert is_p4_sparse(g) == oracles.satisfies_q_t(g, 5, 1)
 
 
 def test_p4_sparse_complement_closed():
     for n in range(0, 7):
-        for g in enumerate_graphs(n):
+        for g in oracles.labeled_graphs(n):
             if is_p4_sparse(g) != is_p4_sparse(complement(g)):
                 pytest.fail(f"complement closure broken at {g!r}")
     for g in _sampled_graphs(104, 300, 7, 7):
@@ -218,7 +217,7 @@ def test_net_is_not_extendible():
 
 def test_p4_extendible_against_oracle():
     for n in range(0, 6):
-        for g in enumerate_graphs(n):
+        for g in oracles.labeled_graphs(n):
             assert is_p4_extendible(g) == oracles.is_p4_extendible(g)
     for g in _sampled_graphs(105, 200, 6, 7):
         assert is_p4_extendible(g) == oracles.is_p4_extendible(g)
@@ -227,7 +226,7 @@ def test_p4_extendible_against_oracle():
 def test_p4_extendible_complement_closed():
     for n in range(0, 7):
 
-        for g in enumerate_graphs(n):
+        for g in oracles.labeled_graphs(n):
             assert is_p4_extendible(g) == is_p4_extendible(complement(g))
     for g in _sampled_graphs(106, 300, 7, 7):
         assert is_p4_extendible(g) == is_p4_extendible(complement(g))
@@ -248,7 +247,7 @@ def test_p4_reducible():
     # C5 is P4-extendible but not P4-sparse
     assert not is_p4_reducible(standard("cycle", 5))
     for n in range(0, 6):
-        for g in enumerate_graphs(n):
+        for g in oracles.labeled_graphs(n):
             assert is_p4_reducible(g) == (is_p4_sparse(g) and is_p4_extendible(g))
 
 
@@ -277,7 +276,7 @@ def test_p4_connected_examples():
 
 def test_p4_connected_against_oracle():
     for n in range(1, 7):
-        for g in enumerate_graphs(n):
+        for g in oracles.labeled_graphs(n):
             assert is_p4_connected(g) == oracles.is_p4_connected(g)
     for g in _sampled_graphs(109, 300, 7, 10):
         assert is_p4_connected(g) == oracles.is_p4_connected(g)
@@ -331,7 +330,7 @@ def _assert_spider_matches_oracle(g):
 
 def test_recognize_spider_against_oracle():
     for n in range(0, 7):
-        for g in enumerate_graphs(n):
+        for g in oracles.labeled_graphs(n):
             _assert_spider_matches_oracle(g)
     # dense graphs have vertices of degree n - 2, the complement's legs, so
     # the degree test before the complement passes on some and fails on most

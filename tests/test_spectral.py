@@ -14,7 +14,6 @@ from p4spec.spectral import (
     SurdEigenvalue,
     char_poly,
     check_union_relation,
-    divides,
     exact_spectrum,
     extract_integer_roots,
     is_l_integral,
@@ -28,6 +27,14 @@ from p4spec.spectral import (
 
 def _random_graph(rng, n):
     return mask_to_graph(n, rng.getrandbits(n * (n - 1) // 2))
+
+
+def _product(spec):
+    # the residual times (x - r)^m for every integer root r of multiplicity m
+    p = spec.residual
+    for root, mult in spec.integer_roots:
+        p = p * IntPolynomial([-root, 1]) ** mult
+    return p
 
 
 # ---------------------------------------------------------------- polynomials
@@ -46,28 +53,9 @@ def test_polynomial_arithmetic():
     p = IntPolynomial([1, 1])       # 1 + x
     q = IntPolynomial([-1, 1])      # -1 + x
     assert (p * q).coeffs == (-1, 0, 1)
-    assert (p + q).coeffs == (0, 2)
-    assert (p - q).coeffs == (2,)
     assert (p ** 3).coeffs == (1, 3, 3, 1)
     assert p(3) == 4
     assert (p * q)(5) == 24
-
-
-def test_division_exact_and_inexact():
-    num = IntPolynomial([-1, 0, 1])
-    den = IntPolynomial([1, 1])
-    q, r = divmod(num, den)
-    assert q.coeffs == (-1, 1)
-    assert r.is_zero
-    assert divides(den, num)
-    assert not divides(IntPolynomial([2, 1]), num)
-    with pytest.raises(ZeroDivisionError):
-        divmod(num, IntPolynomial([0]))
-
-
-def test_division_requires_integer_quotient():
-    # x^2 + 1 over 2x: leading step 1/2 is not an integer
-    assert not divides(IntPolynomial([0, 2]), IntPolynomial([1, 0, 1]))
 
 
 def test_deflate():
@@ -97,7 +85,7 @@ def test_laplacian_row_sums_vanish():
     rng = random.Random(1)
     for _ in range(20):
         g = _random_graph(rng, rng.randint(1, 8))
-        assert set(laplacian(g).row_sums()) == {0}
+        assert all(sum(row) == 0 for row in laplacian(g).rows)
 
 
 def test_char_poly_matches_interpolation_oracle():
@@ -135,7 +123,7 @@ def test_exact_spectrum_reconstructs_char_poly():
     for _ in range(40):
         g = _random_graph(rng, rng.randint(0, 8))
         spec = exact_spectrum(g)
-        assert spec.reconstruct() == char_poly(laplacian(g))
+        assert _product(spec) == char_poly(laplacian(g))
         assert spec.total_multiplicity == g.n
 
 
@@ -189,7 +177,7 @@ def test_numeric_spectrum_matches_exact_roots():
     for _ in range(25):
         g = _random_graph(rng, rng.randint(1, 8))
         numeric = numeric_spectrum(g)
-        exact = sorted(exact_spectrum(g).expanded())
+        exact = sorted(r for r, m in exact_spectrum(g).integer_roots for _ in range(m))
         if exact_spectrum(g).is_integral:
             assert numeric == pytest.approx(exact, abs=1e-8)
 
@@ -215,6 +203,8 @@ def test_surd_validation():
         SurdEigenvalue(3, 0, 1)
     with pytest.raises(ValueError):
         SurdEigenvalue(3, 5, 2)
+    with pytest.raises(ValueError):
+        SurdEigenvalue(1, 2, 1)  # (1 + 2)^2 - 2 = 7 is not divisible by 4
 
 
 def test_closed_form_matches_exact_char_poly():
@@ -254,9 +244,9 @@ def test_quotient_matrix_divides_spider_char_poly():
     for k in range(2, 5):
         for j in range(1, 4):
             q = quotient_matrix(k, j)
-            assert q.row_sums() == (0, 0, 0)
+            assert [sum(row) for row in q.rows] == [0, 0, 0]
             full = char_poly(laplacian(thin_spider(k, standard("empty", j))))
-            assert divides(char_poly(q), full)
+            assert not any(oracles.poly_remainder(full.coeffs, char_poly(q).coeffs))
 
 
 def test_quotient_matrix_requires_head():
@@ -348,7 +338,7 @@ def test_char_poly_every_small_laplacian_matches_oracle():
         for mask in range(1 << (n * (n - 1) // 2)):
             rows = laplacian(mask_to_graph(n, mask)).rows
             p = char_poly(IntMatrix(rows))
-            assert p.degree == n and p.leading == 1
+            assert p.degree == n and p.coeffs[-1] == 1
             for x in range(n + 1):
                 shifted = [[(x if i == j else 0) - rows[i][j] for j in range(n)]
                            for i in range(n)]
@@ -415,7 +405,7 @@ def test_extract_integer_roots_cases():
     for p, lo, hi in cases:
         spec = extract_integer_roots(p, lo, hi)
         assert spec == _split_by_plain_deflation(p, lo, hi), (p, lo, hi)
-        assert spec.reconstruct() == p
+        assert _product(spec) == p
     assert extract_integer_roots(x ** 3 * IntPolynomial([-2, 1]), 1, 4).integer_roots == ((2, 1),)
     spec = extract_integer_roots(x ** 2 * IntPolynomial([4, 1]) ** 2, -4, 0)
     assert spec.integer_roots == ((0, 2), (-4, 2)) and spec.residual.coeffs == (1,)

@@ -95,6 +95,8 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         verify_theorems(4, "az")
     with pytest.raises(ValueError):
+        verify_theorems(2, "")
+    with pytest.raises(ValueError):
         verify_theorems(4, shards=2, shard_id=2)
     with pytest.raises(ValueError):
         verify_theorems(4, shards=0)
@@ -125,6 +127,13 @@ def test_injected_violation_counterexample_is_minimal(monkeypatch):
     assert r.violations == 1 + 2 + 8
     # smallest graph is the single vertex
     assert r.counterexample == "@"
+    # a sampled population reports the smallest failing mask it drew as it
+    # is, not relabeled: at seed 4 the n = 4 draws start at mask 8, whose
+    # orbit minimum is mask 1
+    monkeypatch.setitem(theorems.DEFAULT_CHECKS, "b", lambda g: g.n < 4)
+    r = verify_theorems(4, "b", sample=20, seed=4)[0]
+    assert r.violations == 20
+    assert r.counterexample == serialize_graph6(mask_to_graph(4, 8))
 
 
 def test_multiprocess_matches_single_process():
