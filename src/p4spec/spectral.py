@@ -114,51 +114,78 @@ class IntPolynomial:
 # =========================================================================
 
 class IntMatrix:
-    """Square integer matrix, rows as tuples."""
+    """Square integer matrix, kept as the nonzero entries char_poly reads.
 
-    __slots__ = ("n", "rows")
+    diag is the diagonal.  minus[i] holds the ascending columns of the -1
+    entries off the diagonal of row i, and other[i] a (value, column) pair
+    for each of its other nonzero off-diagonal entries.  bound is the
+    largest absolute row sum, the r of _field_width.
+    """
+
+    __slots__ = ("n", "diag", "minus", "other", "bound")
 
     def __init__(self, rows: Iterable[Iterable[int]]):
-        # a list, not a generator: tuple() of a generator over-allocates and
+        # lists, not generators: tuple() of a generator over-allocates and
         # shrinks, and CPython keeps the shrunk tuples on free lists that
         # only exact-size requests reuse, so peak RSS grows call by call
-        self.rows = tuple([tuple(r) for r in rows])
-        self.n = len(self.rows)
-        for r in self.rows:
-            if len(r) != self.n:
+        rows = [tuple(r) for r in rows]
+        n = len(rows)
+        minus = []
+        other = []
+        for i, row in enumerate(rows):
+            if len(row) != n:
                 raise ValueError("matrix is not square")
+            minus.append(tuple([l for l, a in enumerate(row) if a == -1 and l != i]))
+            other.append(tuple([(a, l) for l, a in enumerate(row)
+                                if a and a != -1 and l != i]))
+        self.n = n
+        self.diag = tuple([row[i] for i, row in enumerate(rows)])
+        self.minus = tuple(minus)
+        self.other = tuple(other)
+        self.bound = max([sum(map(abs, row)) for row in rows], default=0)
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The dense rows."""
+        out = []
+        for i, d in enumerate(self.diag):
+            row = [0] * self.n
+            row[i] = d
+            for l in self.minus[i]:
+                row[l] = -1
+            for a, l in self.other[i]:
+                row[l] = a
+            out.append(tuple(row))
+        return tuple(out)
 
     def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.n))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntMatrix) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
+        return sum(self.diag)
 
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self.rows]})"
 
 
 def laplacian(g: Graph) -> IntMatrix:
-    """Degree matrix minus adjacency matrix."""
-    zero = [0] * g.n
-    rows = []
-    for v, adj in enumerate(g.adj):
-        row = zero[:]
-        row[v] = adj.bit_count()
-        for u in bits(adj):
-            row[u] = -1
-        rows.append(row)
-    return IntMatrix(rows)
+    """Degree matrix minus adjacency matrix, read off the adjacency bitsets.
+
+    Every off-diagonal nonzero is a -1, so other stays empty, and the
+    largest absolute row sum is twice the largest degree.
+    """
+    m = object.__new__(IntMatrix)
+    m.n = g.n
+    m.diag = tuple([row.bit_count() for row in g.adj])
+    m.minus = tuple([tuple([*bits(row)]) for row in g.adj])
+    m.other = ((),) * g.n
+    m.bound = 2 * max(m.diag, default=0)
+    return m
 
 
 def _field_width(r: int, n: int) -> int:
     """Bits per packed entry for an n x n matrix of largest absolute row sum r.
 
-    Every eigenvalue has |lambda| <= r, so |c_{n-j}| <= C(n, j) * r^j, and
-    every power has ||A^m||_inf <= r^m.  Faddeev-LeVerrier's
+    char_poly passes IntMatrix.bound as r.  Every eigenvalue has
+    |lambda| <= r, so |c_{n-j}| <= C(n, j) * r^j, and every power has
+    ||A^m||_inf <= r^m.  Faddeev-LeVerrier's
     B_k = A * M_k = sum_{j<k} c_{n-j} A^{k-j} then has
     ||B_k||_inf <= r^k * sum_{j<k} C(n, j) <= (2r)^n, and M_{k+1} = B_k + c I
     has the same bound.  So every entry the kernel reads lies in
@@ -182,12 +209,13 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     _field_width for why w is wide enough).  Packing is linear, so with
     M_k = B_{k-1} + c I, row i of B_k = A * M_k is c times packed row i of A
     plus a combination of the packed rows of B_{k-1}: n * (nonzeros per row)
-    bigint operations per step instead of n^3 small-int ones.  Each row
-    takes a_ii times its own row and adds a_il times the rows of its nonzero
-    off-diagonal entries; for a Laplacian that is d_i * B_i minus the sum of
-    its neighbours' rows.  Entries are stored signed; a diagonal entry is
-    read back by adding half a field to every field first, so that a
-    negative entry below it borrows nothing.
+    bigint operations per step instead of n^3 small-int ones.  Row i takes
+    a_ii times its own row, subtracts the rows of its -1 entries and adds
+    a_il times the rows of its other nonzero off-diagonal entries; for a
+    Laplacian that is d_i * B_i minus the sum of its neighbours' rows.
+    Entries are stored signed; a diagonal entry is read back by adding half
+    a field to every field first, so that a negative entry below it borrows
+    nothing.
 
     Step k divides the trace of B_k by k.  For an integer matrix that is
     always exact, and a remainder raises ArithmeticError rather than being
@@ -196,21 +224,17 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     n = m.n
     if n == 0:
         return IntPolynomial([1])
-    rows = m.rows
-    w = _field_width(max(sum(map(abs, row)) for row in rows), n)
+    w = _field_width(m.bound, n)
     shifts, bias = _packing(n, w)
     field = (1 << w) - 1
-    steps = []
+    diag, minus, other = m.diag, m.minus, m.other
     a_rows = []
-    for i, row in enumerate(rows):
-        other = []
-        packed = 0
-        for l, a in enumerate(row):
-            if a:
-                packed += a << shifts[l]
-                if l != i:
-                    other.append((a, l))
-        steps.append((row[i], other))
+    for d, mi, oi, s in zip(diag, minus, other, shifts):
+        packed = d << s
+        for l in mi:
+            packed -= 1 << shifts[l]
+        for a, l in oi:
+            packed += a << shifts[l]
         a_rows.append(packed)
     b = a_rows
     c = [0] * (n + 1)
@@ -220,9 +244,11 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
         ck = c[n - k + 1]
         t = -(n << (w - 1))
         bk = []
-        for (d, other), bi, ai, s in zip(steps, b, a_rows, shifts):
+        for d, mi, oi, bi, ai, s in zip(diag, minus, other, b, a_rows, shifts):
             x = d * bi + ck * ai
-            for a, l in other:
+            for l in mi:
+                x -= b[l]
+            for a, l in oi:
                 x += a * b[l]
             bk.append(x)
             t += ((x + bias) >> s) & field
@@ -251,10 +277,6 @@ class ExactSpectrum:
     @property
     def is_integral(self) -> bool:
         return self.residual.degree == 0
-
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.integer_roots) + self.residual.degree
 
 
 def extract_integer_roots(p: IntPolynomial, lo: int, hi: int) -> ExactSpectrum:
@@ -407,9 +429,6 @@ class SurdEigenvalue:
     def value(self) -> float:
         return (self.p + 2 + self.sign * math.sqrt(self.q)) / 2.0
 
-    def conjugate(self) -> "SurdEigenvalue":
-        return SurdEigenvalue(self.p, self.q, -self.sign)
-
     def pair_quadratic(self) -> IntPolynomial:
         """Monic quadratic with this surd and its conjugate as roots."""
         a = self.p + 2
@@ -425,10 +444,6 @@ class ClosedFormSpectrum:
     """Spectrum entries (value, multiplicity); values are ints or surd pairs."""
 
     entries: tuple[tuple[int | SurdEigenvalue, int], ...]
-
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.entries)
 
     def values(self) -> list[float]:
         """All eigenvalues as floats, ascending, repeated by multiplicity."""

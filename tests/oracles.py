@@ -195,10 +195,10 @@ def is_p4_connected(g: Graph) -> bool:
     n = g.n
     if n < 2:
         return False
-    sets = [w for w in p4_paths(g)]
-    for amask in range(1, 1 << (n - 1)):
-        a = {v for v in range(n) if amask >> v & 1}
-        b = set(range(n)) - a
+    full = (1 << n) - 1
+    sets = [sum(1 << v for v in quad) for quad in p4_paths(g)]
+    for a in range(1, 1 << (n - 1)):
+        b = full ^ a
         if not any(w & a and w & b for w in sets):
             return False
     return True
