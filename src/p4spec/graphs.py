@@ -305,9 +305,9 @@ def _search(adj, n: int, root: list[int]):
     of the first path's child under the stabilizer of the node's
     individualized vertices, and |Aut| is the product of those orbit sizes.
 
-    Returns (code, aut_order, gens, last): the largest leaf code, |Aut|,
+    Returns (code, aut_order, gens, order): the largest leaf code, |Aut|,
     the automorphisms found as (perm, fixed-point mask) pairs, which
-    generate Aut, and the vertex the best leaf places last.
+    generate Aut, and the best leaf's order of the vertices.
     """
     gens = []
     first_code = best = -1
@@ -379,7 +379,7 @@ def _search(adj, n: int, root: list[int]):
         return n
 
     search(root, 0, 0, 0)
-    return best, aut, gens, best_order[-1]
+    return best, aut, gens, best_order
 
 
 def canonical_form(g: Graph) -> tuple[int, int]:
@@ -399,25 +399,36 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     return code, aut
 
 
-def _canonical_deletion(g: Graph) -> tuple[int, int] | None:
-    """canonical_form(g) if the vertex n - 1 is in the Aut(g)-orbit of the
-    vertex that the best leaf places last, else None (McKay 1998,
-    "Isomorph-free exhaustive generation": g is then the canonical way to
-    grow g - (n - 1) by one vertex).
+def _canonical_deletion(g: Graph) -> tuple[bool, tuple | None]:
+    """Whether the vertex n - 1 is the canonical deletion of g (McKay 1998,
+    "Isomorph-free exhaustive generation"): whether it is in the Aut(g)-orbit
+    of the vertex that the best leaf places last, so that g is the canonical
+    way to grow g - (n - 1) by one vertex.
 
-    That orbit lies in the last cell of the root refinement, whose vertices
-    have the largest degree, so a vertex n - 1 outside it is rejected
-    before the search.
+    Returns (searched, kept).  searched tells whether _search ran: that
+    orbit lies in the last cell of the root refinement, whose vertices have
+    the largest degree, so a vertex n - 1 outside it is rejected before the
+    search.  kept is None on a rejection, else (code, aut_order, gens) with
+    (code, aut_order) = canonical_form(g) and gens generators of the
+    automorphism group of the class representative mask_to_graph(n, code),
+    each a tuple perm mapping vertex i to perm[i].  The representative's
+    vertex i is g's vertex order[i] in the best leaf's order, so an
+    automorphism perm of g becomes pos[perm[order[i]]], pos inverting order.
     """
     n = g.n
     if n < 2:
-        return 0, 1
+        return False, (0, 1, ())
     adj = g.adj
     full = g.full_mask
     root = _refine(adj, n, [full], [full])
     last_cell = root[-1]
     if not last_cell >> (n - 1) & 1:
-        return None
-    code, aut, gens, last = _search(adj, n, root)
+        return False, None
+    code, aut, gens, order = _search(adj, n, root)
     orbits = _absorb(None, gens, last_cell, 0, n)
-    return (code, aut) if orbits[last] >> (n - 1) & 1 else None
+    if not orbits[order[-1]] >> (n - 1) & 1:
+        return True, None
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    return True, (code, aut, tuple(tuple(pos[perm[v]] for v in order) for perm, _ in gens))

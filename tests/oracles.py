@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from p4spec.constructions import mask_to_graph
 from p4spec.formats import serialize_graph6
-from p4spec.graphs import Graph, complement
+from p4spec.graphs import Graph, complement, mask_of
 from p4spec.spectral import numeric_spectrum
 from p4spec.theorems import DEFAULT_CHECKS, THEOREMS
 
@@ -104,21 +104,20 @@ def char_poly_coeffs(matrix) -> list[int]:
 
 def p4_paths(g: Graph) -> dict:
     """frozenset of 4 vertices -> path order (a, b, c, d), a < d, for every
-    4-subset whose induced subgraph is a path, found by trying all orderings."""
+    4-subset whose induced subgraph is a path, found by trying every 4-subset.
+    The graphs on 4 vertices with 3 edges are P4, K_{1,3} and K3 + K1, and P4
+    is the one with degrees 1, 1, 2, 2: its ends are the degree-1 vertices,
+    each next to one middle vertex."""
     found = {}
     for quad in itertools.combinations(range(g.n), 4):
-        edges = {frozenset(p) for p in
-                 itertools.combinations(quad, 2) if g.has_edge(*p)}
-        if len(edges) != 3:
-            continue  # a path on 4 vertices has 3 edges
-        for perm in itertools.permutations(quad):
-            a, b, c, d = perm
-            if a > d:
-                continue
-            want = {frozenset((a, b)), frozenset((b, c)), frozenset((c, d))}
-            if edges == want:
-                found[frozenset(quad)] = perm
-                break
+        inside = mask_of(quad)
+        degrees = [(g.adj[v] & inside).bit_count() for v in quad]
+        if sorted(degrees) != [1, 1, 2, 2]:
+            continue
+        a, d = (v for v, k in zip(quad, degrees) if k == 1)
+        b = (g.adj[a] & inside).bit_length() - 1
+        c = (g.adj[d] & inside).bit_length() - 1
+        found[frozenset(quad)] = (a, b, c, d)
     return found
 
 
@@ -155,37 +154,36 @@ def is_p4_extendible(g: Graph) -> bool:
 
 
 def spider_kinds(g: Graph) -> set:
-    """All kinds under which g is a spider, by exhaustive partition and
-    bijection search."""
+    """All kinds under which g is a spider, by exhaustive leg set and
+    bijection search.  The legs are independent and have no neighbours
+    outside the body, and every body vertex is adjacent to a leg (thin: its
+    own, thick: every other, k >= 2), so the body is the union of the legs'
+    neighbourhoods: each leg set fixes the body and the head."""
     n = g.n
-    verts = set(range(n))
     kinds = set()
     for k in range(2, n // 2 + 1):
         for s in itertools.combinations(range(n), k):
-            # the legs are independent: test that before choosing a body
-            if any(g.has_edge(u, v) for u, v in itertools.combinations(s, 2)):
+            legs = mask_of(s)
+            body = 0
+            for u in s:
+                body |= g.adj[u]
+            # independent legs, with a body of k vertices
+            if body & legs or body.bit_count() != k:
                 continue
-            s_set = set(s)
-            rest = verts - s_set
-            for c in itertools.combinations(sorted(rest), k):
-                # the body is a clique: test that before the joins
-                if not all(g.has_edge(u, v) for u, v in itertools.combinations(c, 2)):
-                    continue
-                c_set = set(c)
-                r_set = rest - c_set
-                if not all(g.has_edge(u, v) for u in c_set for v in r_set):
-                    continue
-                if any(g.has_edge(u, v) for u in s_set for v in r_set):
-                    continue
-                for perm in itertools.permutations(c):
-                    thin = all(g.has_edge(s[i], perm[j]) == (i == j)
-                               for i in range(k) for j in range(k))
-                    thick = all(g.has_edge(s[i], perm[j]) == (i != j)
-                                for i in range(k) for j in range(k))
-                    if thin:
-                        kinds.add("thin")
-                    if thick:
-                        kinds.add("thick")
+            c = [v for v in range(n) if body >> v & 1]
+            rest = g.full_mask & ~legs  # the body and the head
+            # the body is a clique joined to the head
+            if any((g.adj[v] | 1 << v) & rest != rest for v in c):
+                continue
+            for perm in itertools.permutations(c):
+                thin = all(g.has_edge(s[i], perm[j]) == (i == j)
+                           for i in range(k) for j in range(k))
+                thick = all(g.has_edge(s[i], perm[j]) == (i != j)
+                            for i in range(k) for j in range(k))
+                if thin:
+                    kinds.add("thin")
+                if thick:
+                    kinds.add("thick")
     return kinds
 
 

@@ -56,8 +56,8 @@ real_deletion = theorems._canonical_deletion
 
 def deletion_with_aut(aut):
     def deletion(g):
-        kept = real_deletion(g)
-        return kept and (kept[0], aut)
+        searched, kept = real_deletion(g)
+        return searched, kept and (kept[0], aut, kept[2])
     return deletion
 
 
@@ -70,8 +70,8 @@ print(outcome(lambda: theorems.verify_theorems(4, "a")))
 # a deletion test that wrongly rejects the triangle (code 7): a class is
 # missing and the weights fall short
 def deletion_without_triangle(g):
-    kept = real_deletion(g)
-    return None if g.n == 3 and kept and kept[0] == 7 else kept
+    searched, kept = real_deletion(g)
+    return searched, None if g.n == 3 and kept and kept[0] == 7 else kept
 
 
 theorems._canonical_deletion = deletion_without_triangle

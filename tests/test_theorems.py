@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+from collections import Counter
 
 import pytest
 
@@ -22,11 +24,12 @@ CLASS_COUNTS = [1, 2, 4, 11, 34, 156, 1044]
 
 
 def _class_lists(n_max):
-    """{n: [(code, aut_order), ...]} for n = 1..n_max."""
+    """{n: [(code, aut_order, gens), ...]} for n = 1..n_max."""
     out = {}
-    classes = [(0, 1)]
+    classes = [(0, 1, ())]
     for n in range(1, n_max + 1):
-        classes = out[n] = _classes(n, classes)
+        classes, _ = _classes(n, classes)
+        out[n] = classes
     return out
 
 
@@ -85,6 +88,30 @@ def test_pair_population_shards_partition():
         striped.extend(full[sid::4])
     assert sorted(striped) == sorted(full)
     assert _pair_population(5, seed=0) == full  # deterministic
+
+
+def test_union_pairs_are_checked_once_and_counted_per_draw(monkeypatch):
+    # all 100 draws at n = 2 are the pair K1, K1: one check, 100 violations
+    calls = Counter()
+
+    def failing_on_two(n1, m1, n2, m2):
+        calls[n1 + n2] += 1
+        return n1 + n2 != 2
+
+    monkeypatch.setattr(theorems, "_check_pair", failing_on_two)
+    r = verify_theorems(4, "h")[0]
+    assert calls[2] == 1
+    assert r.violations == 100
+    assert r.checked == 100 * 3
+    assert r.counterexample == "@|@"
+    for n in (3, 4):
+        assert calls[n] == len(set(_pair_population(n, 0)))
+    for shards in (2, 3):
+        parts = [verify_theorems(4, "h", shards=shards, shard_id=sid)[0]
+                 for sid in range(shards)]
+        assert sum(p.checked for p in parts) == r.checked
+        assert sum(p.violations for p in parts) == r.violations
+        assert r.counterexample in {p.counterexample for p in parts}
 
 
 def test_validation_errors():
@@ -240,13 +267,14 @@ def test_class_counts_match_oeis():
     lists = _class_lists(7)
     assert [len(lists[n]) for n in range(1, 8)] == CLASS_COUNTS
     for n, classes in lists.items():
-        assert sum(math.factorial(n) // aut for _, aut in classes) == 2 ** (n * (n - 1) // 2)
-        assert all(canonical_form(mask_to_graph(n, code))[0] == code for code, _ in classes)
+        assert sum(math.factorial(n) // aut for _, aut, _ in classes) == 2 ** (n * (n - 1) // 2)
+        assert all(canonical_form(mask_to_graph(n, code))[0] == code for code, _, _ in classes)
 
 
 def test_class_generation_search_count(monkeypatch):
     # n = 6 has 1,088 candidates (34 classes, 32 neighbourhoods each); the
-    # degree and root-cell tests leave 289 of them for a full search
+    # degree test, one neighbourhood per parent orbit and the root-cell test
+    # leave 156 of them for a full search, one per class
     searches = []
     real_search = graphs._search
 
@@ -255,8 +283,70 @@ def test_class_generation_search_count(monkeypatch):
         return real_search(adj, n, root)
 
     monkeypatch.setattr(graphs, "_search", counted)
-    _class_lists(6)
-    assert [searches.count(n) for n in range(1, 7)] == [0, 2, 5, 16, 64, 289]
+    classes = [(0, 1, ())]
+    reported = []
+    for n in range(1, 7):
+        classes, count = _classes(n, classes)
+        reported.append(count)
+    assert [searches.count(n) for n in range(1, 7)] == [0, 2, 4, 11, 34, 156]
+    assert reported == [0, 2, 4, 11, 34, 156]
+
+
+# sha256 of repr([(code, aut_order), ...]) for the 1,044 classes on 7 vertices
+CLASSES_7_SHA256 = "7a0bff75da1808869b8122614be5a068acdad2f17d44061db9f81003a038bf05"
+
+
+def test_class_lists_match_labeled_reference():
+    # every labeled graph on n <= 6 vertices, through canonical_form alone
+    lists = _class_lists(7)
+    for n in range(1, 7):
+        reference = sorted({canonical_form(g) for g in oracles.labeled_graphs(n)})
+        assert [(code, aut) for code, aut, _ in lists[n]] == reference, n
+    pinned = repr([(code, aut) for code, aut, _ in lists[7]])
+    assert hashlib.sha256(pinned.encode()).hexdigest() == CLASSES_7_SHA256
+
+
+def test_class_generators_generate_the_automorphism_group():
+    for n, classes in _class_lists(6).items():
+        for code, aut, gens in classes:
+            edges = set(mask_to_graph(n, code).edges())
+            for perm in gens:
+                assert {tuple(sorted((perm[u], perm[v]))) for u, v in edges} == edges
+            # the group the generators generate, as the closure of the identity
+            group = {tuple(range(n))}
+            frontier = list(group)
+            while frontier:
+                p = frontier.pop()
+                for q in gens:
+                    r = tuple(q[v] for v in p)
+                    if r not in group:
+                        group.add(r)
+                        frontier.append(r)
+            assert len(group) == aut, (n, code)
+
+
+def _parents_with(n, code, gens):
+    """The classes on n vertices with the generators of class code replaced."""
+    return [(c, aut, gens if c == code else old) for c, aut, old in _class_lists(n)[n]]
+
+
+def test_non_automorphism_generator_loses_a_class():
+    # K3 + K1 (code 52, vertex 0 isolated): swapping vertices 0 and 1 is no
+    # automorphism; with it in place of a true generator, neighbourhoods that
+    # give different classes share an orbit, and one class on 5 vertices is
+    # never tried
+    code, aut, gens = next(c for c in _class_lists(4)[4] if c[0] == 52)
+    assert aut == 6 and gens[0] == (0, 1, 3, 2)
+    bad = ((1, 0, 2, 3),) + gens[1:]
+    with pytest.raises(ArithmeticError, match="sum to 1019, not 2"):
+        _classes(5, _parents_with(4, 52, bad))
+
+
+def test_missing_generators_find_a_class_twice():
+    # without the automorphism swapping vertices 0 and 1 of K1 + K1 (code
+    # 0), its neighbourhoods {0} and {1} both give K2 + K1 (code 4)
+    with pytest.raises(ArithmeticError, match="class 4 on 3 vertices found twice"):
+        _classes(3, _parents_with(2, 0, ()))
 
 
 def test_classes_match_networkx_atlas():
@@ -270,7 +360,7 @@ def test_classes_match_networkx_atlas():
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         codes.add(canonical_form(Graph(7, rows))[0])
-    assert codes == {code for code, _ in _class_lists(7)[7]}
+    assert codes == {code for code, _, _ in _class_lists(7)[7]}
 
 
 def test_class_scan_matches_labeled_scan():
@@ -319,11 +409,12 @@ def test_exhaustive_scan_computes_each_spectrum_once(monkeypatch):
     monkeypatch.setattr(spectral, "char_poly", counting)
     results = verify_theorems(5)
     classes = 1 + 2 + 4 + 11 + 34
-    pairs = _by_id(results)["h"].checked
-    assert pairs == 100 * 4
+    assert _by_id(results)["h"].checked == 100 * 4
+    distinct_pairs = sum(len(set(_pair_population(n, 0))) for n in range(2, 6))
+    assert distinct_pairs < 100 * 4
     # theorem g asks for the spectra of each class and of its complement,
-    # and every other check reuses them; three spectra per union pair
-    assert len(calls) == 2 * classes + 3 * pairs
+    # and every other check reuses them; three spectra per distinct union pair
+    assert len(calls) == 2 * classes + 3 * distinct_pairs
     calls.clear()
     verify_theorems(5, "abcdef")
     assert 0 < len(calls) <= classes  # no complement spectra without g
