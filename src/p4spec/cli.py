@@ -7,6 +7,8 @@ or graph6), verify-theorems (exhaustive checks over all small graphs).
 Exit codes: 0 success, 1 a theorem violation or a failed certificate, 2 bad
 input.
 Reports go to stdout and are deterministic; progress and timing go to stderr.
+generate and verify-theorems import the dsl and theorems modules when they
+run, so that analyze and spectrum start without loading either.
 """
 
 from __future__ import annotations
@@ -17,14 +19,12 @@ import sys
 import time
 import warnings
 
-from . import __version__
-from .dsl import DslError, parse_dsl
+from . import MAX_N, THEOREMS, __version__
 from .formats import ParseError, load_document, serialize
 from .graphs import Graph, mask_of
 from .p4 import ClassificationReport, classify, recognize_spider
 from .spectral import char_poly, exact_spectrum, laplacian, numeric_spectrum, \
     thin_spider_closed_form
-from .theorems import MAX_N, THEOREMS, verify_theorems
 
 
 def _read_text(path: str) -> str:
@@ -126,6 +126,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from .dsl import parse_dsl
     g = parse_dsl(args.expression)
     text = serialize(g, args.format)
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -133,6 +134,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .theorems import verify_theorems
     theorems = None
     if args.theorems is not None:
         theorems = "".join(part.strip() for part in args.theorems.split(","))
@@ -219,7 +221,7 @@ def main(argv=None) -> int:
         warnings.simplefilter("always")
         try:
             status = args.func(args)
-        except (ParseError, DslError, ValueError, OSError) as exc:
+        except (ValueError, OSError) as exc:  # ParseError and DslError included
             error = exc
             status = 2
         except ArithmeticError as exc:

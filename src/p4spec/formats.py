@@ -9,7 +9,7 @@ byte, zero-padded.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .constructions import graph_to_mask, mask_to_graph
 from .graphs import Graph, from_edge_list, max_vertices
@@ -154,11 +154,10 @@ def serialize_graph6(g: Graph) -> str:
     return bytes(out).decode("ascii")
 
 
-@dataclass(frozen=True)
-class GraphDocument:
+class GraphDocument(namedtuple("GraphDocument", "graph")):
     """A parsed graph input."""
 
-    graph: Graph
+    __slots__ = ()
 
 
 def detect_format(text: str) -> str:

@@ -379,6 +379,9 @@ def _search(adj, n: int, root: list[int]):
         return n
 
     search(root, 0, 0, 0)
+    # search reaches itself through its closure cell; breaking that cycle
+    # lets reference counting free the search without the cyclic collector
+    search = None
     return best, aut, gens, best_order
 
 

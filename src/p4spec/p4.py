@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .graphs import Graph, _components, bits, complement, mask_of
-from .spectral import ExactSpectrum, exact_spectrum
+from .spectral import exact_spectrum
 
 
 def enumerate_p4(g: Graph) -> list[int]:
@@ -248,14 +248,11 @@ def is_p4_connected(g: Graph) -> bool:
 # spiders
 # =========================================================================
 
-@dataclass(frozen=True)
-class SpiderSpec:
-    """Spider partition: legs (stable set), body (clique), optional head."""
+class SpiderSpec(namedtuple("SpiderSpec", "kind legs body head")):
+    """Spider partition: kind "thin" or "thick", then legs (stable set), body
+    (clique) and a possibly empty head, each a tuple of vertices."""
 
-    kind: str  # "thin" or "thick"
-    legs: tuple[int, ...]
-    body: tuple[int, ...]
-    head: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def k(self) -> int:
@@ -361,19 +358,13 @@ def recognize_spider(g: Graph) -> SpiderSpec | None:
 # classification report
 # =========================================================================
 
-@dataclass(frozen=True)
-class ClassificationReport:
-    n: int
-    m: int
-    p4_count: int
-    is_cograph: bool
-    is_p4_sparse: bool
-    is_p4_extendible: bool
-    is_p4_reducible: bool
-    is_p4_connected: bool
-    spider: SpiderSpec | None
-    l_integral: bool
-    spectrum: ExactSpectrum
+class ClassificationReport(namedtuple(
+        "ClassificationReport", "n m p4_count is_cograph is_p4_sparse is_p4_extendible "
+        "is_p4_reducible is_p4_connected spider l_integral spectrum")):
+    """What classify finds: counts and flags, the SpiderSpec or None, and the
+    ExactSpectrum."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

@@ -11,7 +11,7 @@ eigensolver; no external linear algebra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -263,16 +263,15 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
 # exact spectra
 # =========================================================================
 
-@dataclass(frozen=True)
-class ExactSpectrum:
+class ExactSpectrum(namedtuple("ExactSpectrum", "integer_roots residual")):
     """Integer eigenvalues with multiplicities plus the unfactored residual.
 
-    integer_roots is sorted by eigenvalue, descending.  The residual is monic
-    with no integer roots; degree 0 means the spectrum is fully integral.
+    integer_roots is a tuple of (eigenvalue, multiplicity) pairs sorted by
+    eigenvalue, descending.  The residual is a monic IntPolynomial with no
+    integer roots; degree 0 means the spectrum is fully integral.
     """
 
-    integer_roots: tuple[tuple[int, int], ...]
-    residual: IntPolynomial
+    __slots__ = ()
 
     @property
     def is_integral(self) -> bool:
@@ -408,23 +407,26 @@ def numeric_spectrum(g: Graph) -> list[float]:
 # closed-form spider spectra
 # =========================================================================
 
-@dataclass(frozen=True)
-class SurdEigenvalue:
+class SurdEigenvalue(namedtuple("SurdEigenvalue", "p q sign")):
     """The exact value (p + 2 + sign*sqrt(q)) / 2 with q a non-square."""
 
-    p: int
-    q: int
-    sign: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sign not in (-1, 1):
+    def __new__(cls, p: int, q: int, sign: int):
+        if sign not in (-1, 1):
             raise ValueError("sign must be -1 or +1")
-        if self.q <= 0 or math.isqrt(self.q) ** 2 == self.q:
-            raise ValueError(f"q = {self.q} must be a positive non-square")
-        d = (self.p + 2) ** 2 - self.q
+        if q <= 0 or math.isqrt(q) ** 2 == q:
+            raise ValueError(f"q = {q} must be a positive non-square")
+        d = (p + 2) ** 2 - q
         if d % 4:
             raise ValueError(f"(p + 2)^2 - q = {d} is not divisible by 4: "
                              "the surd pair has no integer quadratic")
+        return super().__new__(cls, p, q, sign)
+
+    @classmethod
+    def _make(cls, fields):
+        # namedtuple's _make, which _replace calls, would skip the checks
+        return cls(*fields)
 
     def value(self) -> float:
         return (self.p + 2 + self.sign * math.sqrt(self.q)) / 2.0
@@ -439,11 +441,10 @@ class SurdEigenvalue:
         return f"({self.p + 2}{op}sqrt({self.q}))/2"
 
 
-@dataclass(frozen=True)
-class ClosedFormSpectrum:
+class ClosedFormSpectrum(namedtuple("ClosedFormSpectrum", "entries")):
     """Spectrum entries (value, multiplicity); values are ints or surd pairs."""
 
-    entries: tuple[tuple[int | SurdEigenvalue, int], ...]
+    __slots__ = ()
 
     def values(self) -> list[float]:
         """All eigenvalues as floats, ascending, repeated by multiplicity."""

@@ -24,6 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import MAX_N, THEOREMS
 from .constructions import CASE_IV_KINDS, family, mask_to_graph
 from .formats import serialize_graph6
 from .graphs import Graph, _canonical_deletion, bits, canonical_form, complement, \
@@ -33,21 +34,7 @@ from .p4 import _midpoints, _subset_masks, enumerate_p4, is_p4_connected, is_p4_
 from .spectral import check_union_relation, is_l_integral
 
 PAIRS_PER_N = 100
-MAX_N = 8
 _CHUNK = 64  # units per chunk
-
-THEOREMS = {
-    "a": "cograph implies L-integral",
-    "b": "P4-sparse and not cograph implies not L-integral",
-    "c": "P4-extendible and not cograph implies not L-integral",
-    "d": "spider implies not L-integral",
-    "e": "P4-extendible graphs: exactly one of disconnected, co-disconnected, "
-         "catalog member, midpoint extension",
-    "f": "(7,3) and p4-connected on >= 7 vertices implies headless spider "
-         "and not L-integral",
-    "g": "L-integral iff the complement is L-integral",
-    "h": "disjoint union multiplies Laplacian characteristic polynomials",
-}
 
 
 # The checks share a graph's P4s, complement and L-integrality through
@@ -390,7 +377,8 @@ def verify_theorems(n_max: int, theorems: str | None = None, *,
     and of no more than the cores or the chunks; the report is the same.
     The checks in DEFAULT_CHECKS must be invariant under relabeling, since
     each sees one graph per class.  progress, if given, receives one line
-    per population as it is set up.
+    per population as it is set up, and one counting theorem h's distinct
+    pairs once they are checked.
     """
     if not (1 <= n_max <= MAX_N):
         raise ValueError(f"n_max must be in 1..{MAX_N}")
@@ -462,10 +450,12 @@ def verify_theorems(n_max: int, theorems: str | None = None, *,
     if "h" in enabled:
         tally = tallies["h"]
         t0 = time.perf_counter()
+        distinct = 0
         for n in range(2, n_max + 1):
             # pairs are drawn with replacement: check each distinct pair once
             # and count it once per draw
             draws = Counter(_pair_population(n, seed)[shard_id::shards])
+            distinct += len(draws)
             for (n1, m1, n2, m2), weight in draws.items():
                 tally.checked += weight
                 if not _check_pair(n1, m1, n2, m2):
@@ -474,6 +464,8 @@ def verify_theorems(n_max: int, theorems: str | None = None, *,
                     if pair_best is None or key < pair_best:
                         pair_best = key
         tally.time += time.perf_counter() - t0
+        if progress:
+            progress(f"theorem h: {distinct} distinct pairs of {tally.checked} draws")
 
     pop_desc = "; ".join(populations)
     results = []

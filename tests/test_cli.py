@@ -434,3 +434,55 @@ def test_verify_theorems_bad_args(capsys):
         assert rc == 2, flags
         assert out == ""
         assert err.startswith("error:")
+
+
+def test_verify_theorems_reports_distinct_pairs_on_stderr(capsys):
+    # theorem h draws its pairs with replacement: at seed 0 the 500 draws for
+    # n = 2..6 hold 181 distinct pairs, yet all 500 count as checked
+    rc, out, err = run(capsys, "verify-theorems", "--n-max", "6", "--theorems", "h")
+    assert rc == 0
+    assert re.search(r"^theorem h: 181 distinct pairs of 500 draws$", err, re.M)
+    assert json.loads(out)["results"][0]["checked"] == 500
+
+
+VERIFY_HELP = """\
+usage: p4spec verify-theorems [-h] --n-max N_MAX [--theorems THEOREMS]
+                              [--shards SHARDS] [--shard-id SHARD_ID]
+                              [--sample SAMPLE] [--workers WORKERS]
+                              [--seed SEED]
+
+options:
+  -h, --help           show this help message and exit
+  --n-max N_MAX        largest vertex count, 1..8
+  --theorems THEOREMS  comma separated ids from a,b,c,d,e,f,g,h (default all)
+  --shards SHARDS
+  --shard-id SHARD_ID
+  --sample SAMPLE      sample populations larger than this instead of
+                       enumerating
+  --workers WORKERS
+  --seed SEED
+"""
+
+
+def test_verify_theorems_help(capsys, monkeypatch):
+    # the ids and the vertex bound come from the package, not from theorems.py
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-theorems", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == VERIFY_HELP
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["generate", "cycle("], ""),  # DslError
+    (["generate", "spider(thin,k=1)"], ""),  # DslError
+    (["analyze", "-", "--format", "g6"], "B\n"),  # ParseError
+    (["analyze", "-", "--format", "edges"], "3 1\n0 9\n"),  # ParseError
+])
+def test_parse_and_dsl_errors_are_one_error_line(capsys, monkeypatch, argv, text):
+    # both are ValueErrors, which the CLI reports as bad input
+    monkeypatch.setattr("sys.stdin", stdin_of(text))
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import os
@@ -13,6 +14,7 @@ import oracles
 from oracles import are_isomorphic
 from p4spec.graphs import (
     Graph,
+    _canonical_deletion,
     canonical_form,
     complement,
     connected_components,
@@ -308,6 +310,25 @@ def test_canonical_form_against_networkx():
             same += iso
             differ += not iso
     assert same > 5 and differ > 50
+
+
+def test_canonical_searches_leave_no_reference_cycles():
+    # a cycle per search would hold its frames, generators and leaf orders
+    # until the cyclic collector runs
+    rng = random.Random(17)
+    graphs = [mask_to_graph(5, m) for m in range(1 << 10)]
+    graphs += [mask_to_graph(n, rng.getrandbits(n * (n - 1) // 2))
+               for n in (6, 7, 8) for _ in range(50)]
+    graphs += [standard("empty", 8), standard("complete", 8)]
+    gc.collect()
+    gc.disable()
+    try:
+        for g in graphs:
+            canonical_form(g)
+            _canonical_deletion(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 BLOCKS_SCRIPT = r"""
