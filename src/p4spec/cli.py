@@ -14,7 +14,6 @@ run, so that analyze and spectrum start without loading either.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 import warnings
@@ -47,6 +46,7 @@ def _load_graph(path: str, fmt: str) -> Graph:
 
 
 def _emit(doc: dict) -> None:
+    import json  # a text report never needs it
     print(json.dumps(doc, indent=2))
 
 
@@ -101,11 +101,7 @@ def cmd_spectrum(args) -> int:
     g = _load_graph(args.input, args.format)
     if args.mode == "exact":
         spec = exact_spectrum(g)
-        _emit({
-            "integer_roots": [[v, m] for v, m in spec.integer_roots],
-            "residual": list(spec.residual.coeffs),
-            "is_integral": spec.is_integral,
-        })
+        _emit({**spec.to_dict(), "is_integral": spec.is_integral})
     elif args.mode == "numeric":
         _emit({"eigenvalues": numeric_spectrum(g)})
     else:

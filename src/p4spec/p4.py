@@ -378,10 +378,7 @@ class ClassificationReport(namedtuple(
             "is_p4_connected": self.is_p4_connected,
             "spider": self.spider.to_dict() if self.spider else None,
             "l_integral": self.l_integral,
-            "spectrum": {
-                "integer_roots": [[v, m] for v, m in self.spectrum.integer_roots],
-                "residual": list(self.spectrum.residual.coeffs),
-            },
+            "spectrum": self.spectrum.to_dict(),
         }
 
 

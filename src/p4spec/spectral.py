@@ -277,6 +277,10 @@ class ExactSpectrum(namedtuple("ExactSpectrum", "integer_roots residual")):
     def is_integral(self) -> bool:
         return self.residual.degree == 0
 
+    def to_dict(self) -> dict:
+        return {"integer_roots": [[v, m] for v, m in self.integer_roots],
+                "residual": list(self.residual.coeffs)}
+
 
 def extract_integer_roots(p: IntPolynomial, lo: int, hi: int) -> ExactSpectrum:
     """Split off every integer root of p in [lo, hi], with multiplicity.

@@ -8,8 +8,11 @@ canonical augmentation, which finds each class exactly once, and each class
 stands for its n!/|Aut| labeled graphs.  Sampled populations come from one
 seeded global sequence of labeled edge masks.  Theorem h draws seeded union
 pairs with replacement; each distinct pair is checked once and counts once
-per draw.  Shards stripe the list of classes, of sampled masks or of drawn
-pairs, which keeps aggregate counts independent of the shard count.
+per draw.  Every population, theorem h's pairs included, is a sequence of
+(key, weight) units that _scan_chunk checks chunk by chunk, in this
+process or in a pool.  Shards stripe the list of classes, of sampled masks
+or of drawn pairs, which keeps aggregate counts independent of the shard
+count.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import os
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 from . import MAX_N, THEOREMS
@@ -177,14 +180,7 @@ class TheoremResult:
         return self.violations == 0
 
     def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "description": self.description,
-            "population": self.population,
-            "checked": self.checked,
-            "violations": self.violations,
-            "counterexample": self.counterexample,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "check_s"}
 
 
 class _Tally:
@@ -193,8 +189,9 @@ class _Tally:
     def __init__(self):
         self.checked = 0
         self.violations = 0
-        # (n, mask, exhaustive) of each failing graph: a class representative
-        # in an exhaustive population, a labeled graph in a sampled one
+        # (n, key, exhaustive) of each failing unit: a class representative's
+        # mask in an exhaustive population, a labeled mask in a sampled one,
+        # a drawn pair (n1, m1, n2, m2) for theorem h
         self.failed = []
         self.time = 0.0
 
@@ -204,15 +201,15 @@ class _Tally:
         self.time += other.time
         self.failed += other.failed
 
-    def counterexample(self) -> tuple[int, int] | None:
-        """(n, mask) of the smallest failing labeled graph: at the smallest n
-        where one fails, the orbit minimum of each failing class, or the
-        failing sampled mask as it is."""
+    def counterexample(self) -> tuple[int, int | tuple] | None:
+        """(n, key) of the smallest failing unit: at the smallest n where one
+        fails, the orbit minimum of each failing class, or the smallest
+        failing sampled mask or drawn pair as it is."""
         if not self.failed:
             return None
         n = min(fn for fn, _, _ in self.failed)
-        return n, min(_orbit_min(n, m) if exhaustive else m
-                      for fn, m, exhaustive in self.failed if fn == n)
+        return n, min(_orbit_min(n, key) if exhaustive else key
+                      for fn, key, exhaustive in self.failed if fn == n)
 
 
 def _orbit_min(n: int, mask: int) -> int:
@@ -312,27 +309,34 @@ def _classes(n: int, prev: list[tuple]) -> tuple[list[tuple], int]:
 
 
 def _scan_chunk(args) -> dict[str, _Tally]:
-    """Run the enabled checks over one chunk of n-vertex graphs.
+    """Run the checks of theorem ids `enabled` over one chunk of units.
 
-    A unit (mask, weight) is the graph mask_to_graph(n, mask) standing for
-    weight labeled graphs: a class and its n!/|Aut| in an exhaustive
-    population, a sampled labeled mask and 1 otherwise.  Each failing unit
+    A unit (key, weight) stands for weight members of an n-vertex
+    population.  For the graph theorems the key is the mask of the graph
+    mask_to_graph(n, key), and the weight n!/|Aut| for a class in an
+    exhaustive population, 1 for a sampled labeled mask.  For theorem h,
+    which runs in chunks of its own, the key is a drawn union pair
+    (n1, m1, n2, m2) and the weight its number of draws.  Each failing unit
     is recorded for _Tally.counterexample.
     """
     n, units, exhaustive, enabled = args
     tallies = {tid: _Tally() for tid in enabled}
+    if enabled == "h":
+        subjects = ((key, key, weight) for key, weight in units)
+        checks = [(tallies["h"], lambda pair: _check_pair(*pair))]
+    else:
+        subjects = ((mask, mask_to_graph(n, mask), weight) for mask, weight in units)
+        checks = [(tallies[tid], DEFAULT_CHECKS[tid]) for tid in enabled]
     perf = time.perf_counter
-    for mask, weight in units:
-        g = mask_to_graph(n, mask)
-        for tid in enabled:
-            tally = tallies[tid]
+    for key, subject, weight in subjects:
+        for tally, check in checks:
             t0 = perf()
-            ok = DEFAULT_CHECKS[tid](g)
+            ok = check(subject)
             tally.time += perf() - t0
             tally.checked += weight
             if not ok:
                 tally.violations += weight
-                tally.failed.append((n, mask, exhaustive))
+                tally.failed.append((n, key, exhaustive))
     return tallies
 
 
@@ -378,7 +382,7 @@ def verify_theorems(n_max: int, theorems: str | None = None, *,
     The checks in DEFAULT_CHECKS must be invariant under relabeling, since
     each sees one graph per class.  progress, if given, receives one line
     per population as it is set up, and one counting theorem h's distinct
-    pairs once they are checked.
+    pairs once they are drawn.
     """
     if not (1 <= n_max <= MAX_N):
         raise ValueError(f"n_max must be in 1..{MAX_N}")
@@ -394,20 +398,18 @@ def verify_theorems(n_max: int, theorems: str | None = None, *,
     for tid in enabled:
         if tid not in THEOREMS:
             raise ValueError(f"unknown theorem id {tid!r}")
-    graph_enabled = "".join(t for t in enabled if t != "h")
+    graph_ids = enabled.replace("h", "")
 
     tallies = {tid: _Tally() for tid in enabled}
     populations = []
-    sources = []  # (n, exhaustive, iterator over the (mask, weight) units)
-    chunk_count = 0
+    sources = []  # (n, exhaustive, theorem ids, unit count, iterator over the units)
     classes = [(0, 1, ())]  # the graph on no vertices
-    for n in range(1, n_max + 1):
+    # a graph population is set up only when a graph theorem runs
+    for n in range(1, n_max + 1) if graph_ids else ():
         space = 1 << (n * (n - 1) // 2)
         exhaustive = sample is None or space <= sample
         if exhaustive:
             populations.append(f"n={n} exhaustive ({space})")
-            if not graph_enabled:
-                continue
             t0 = time.perf_counter()
             classes, searches = _classes(n, classes)
             fact = math.factorial(n)
@@ -425,73 +427,53 @@ def verify_theorems(n_max: int, theorems: str | None = None, *,
             units = ((m, 1) for m in masks)
             if progress:
                 progress(populations[-1])
-        chunk_count += -(-count // _CHUNK)
-        sources.append((n, exhaustive, iter(units)))
-
-    def chunks():
-        for n, exhaustive, units in sources:
-            while chunk := list(itertools.islice(units, _CHUNK)):
-                yield n, chunk, exhaustive, graph_enabled
-
-    if graph_enabled:
-        # more processes than cores or chunks would only wait
-        procs = min(workers, os.cpu_count() or 1, chunk_count)
-        with contextlib.ExitStack() as stack:
-            scan = map
-            if procs > 1:
-                import multiprocessing  # about 1 MB of modules a serial scan never needs
-                mp = multiprocessing.get_context("fork")
-                scan = stack.enter_context(mp.Pool(procs)).imap_unordered
-            for result in scan(_scan_chunk, chunks()):
-                for tid, tally in result.items():
-                    tallies[tid].merge(tally)
-
-    pair_best = None
+        sources.append((n, exhaustive, graph_ids, count, iter(units)))
     if "h" in enabled:
-        tally = tallies["h"]
-        t0 = time.perf_counter()
-        distinct = 0
+        distinct = draws = 0
         for n in range(2, n_max + 1):
             # pairs are drawn with replacement: check each distinct pair once
             # and count it once per draw
-            draws = Counter(_pair_population(n, seed)[shard_id::shards])
-            distinct += len(draws)
-            for (n1, m1, n2, m2), weight in draws.items():
-                tally.checked += weight
-                if not _check_pair(n1, m1, n2, m2):
-                    tally.violations += weight
-                    key = (n1 + n2, n1, m1, m2)
-                    if pair_best is None or key < pair_best:
-                        pair_best = key
-        tally.time += time.perf_counter() - t0
+            pairs = Counter(_pair_population(n, seed)[shard_id::shards])
+            distinct += len(pairs)
+            draws += pairs.total()
+            sources.append((n, False, "h", len(pairs), iter(pairs.items())))
         if progress:
-            progress(f"theorem h: {distinct} distinct pairs of {tally.checked} draws")
+            progress(f"theorem h: {distinct} distinct pairs of {draws} draws")
 
-    pop_desc = "; ".join(populations)
+    def chunks():
+        for n, exhaustive, ids, _, units in sources:
+            while chunk := list(itertools.islice(units, _CHUNK)):
+                yield n, chunk, exhaustive, ids
+
+    # more processes than cores or chunks would only wait
+    procs = min(workers, os.cpu_count() or 1,
+                sum(-(-count // _CHUNK) for _, _, _, count, _ in sources))
+    with contextlib.ExitStack() as stack:
+        scan = map
+        if procs > 1:
+            import multiprocessing  # about 1 MB of modules a serial scan never needs
+            mp = multiprocessing.get_context("fork")
+            scan = stack.enter_context(mp.Pool(procs)).imap_unordered
+        for result in scan(_scan_chunk, chunks()):
+            for tid, tally in result.items():
+                tallies[tid].merge(tally)
+
     results = []
     for tid in enabled:
         tally = tallies[tid]
-        if tid == "h":
-            population = f"seeded graph pairs, {PAIRS_PER_N} per n in 2..{n_max}"
+        best = tally.counterexample()
+        if best is None:
             counterexample = None
-            if pair_best is not None:
-                _, n1, m1, m2 = pair_best
-                counterexample = (serialize_graph6(mask_to_graph(n1, m1)) + "|"
-                                  + serialize_graph6(mask_to_graph(pair_best[0] - n1, m2)))
+        elif tid == "h":
+            n1, m1, n2, m2 = best[1]
+            counterexample = (serialize_graph6(mask_to_graph(n1, m1)) + "|"
+                              + serialize_graph6(mask_to_graph(n2, m2)))
         else:
-            population = pop_desc
-            counterexample = None
-            best = tally.counterexample()
-            if best is not None:
-                bn, bm = best
-                counterexample = serialize_graph6(mask_to_graph(bn, bm))
+            counterexample = serialize_graph6(mask_to_graph(*best))
+        population = (f"seeded graph pairs, {PAIRS_PER_N} per n in 2..{n_max}"
+                      if tid == "h" else "; ".join(populations))
         results.append(TheoremResult(
-            theorem=tid,
-            description=THEOREMS[tid],
-            population=population,
-            checked=tally.checked,
-            violations=tally.violations,
-            counterexample=counterexample,
-            check_s=tally.time,
-        ))
+            theorem=tid, description=THEOREMS[tid], population=population,
+            checked=tally.checked, violations=tally.violations,
+            counterexample=counterexample, check_s=tally.time))
     return results

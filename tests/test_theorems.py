@@ -114,6 +114,33 @@ def test_union_pairs_are_checked_once_and_counted_per_draw(monkeypatch):
         assert r.counterexample in {p.counterexample for p in parts}
 
 
+def test_failing_union_pairs_report_the_same_in_a_pool(monkeypatch):
+    # the forked workers inherit the patched _check_pair; the pairs fail
+    # from n = 3 on, in several chunks, so the pool must merge the failures
+    # and pick the smallest pair as the serial scan does
+    def failing_odd(n1, m1, n2, m2):
+        return n1 + n2 < 3 or not (m1 ^ m2) & 1
+
+    monkeypatch.setattr(theorems, "_check_pair", failing_odd)
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
+    serial = [r.to_dict() for r in verify_theorems(6, "dh", seed=1)]
+    h = serial[-1]
+    assert h["theorem"] == "h" and 0 < h["violations"] < h["checked"] == 100 * 5
+    assert h["counterexample"].count("|") == 1
+    assert [r.to_dict() for r in verify_theorems(6, "dh", seed=1, workers=2)] == serial
+
+
+def test_theorem_h_alone_sets_up_no_graph_population(monkeypatch):
+    def no_samples(*args):
+        raise AssertionError("theorem h drew sampled masks")
+
+    monkeypatch.setattr(theorems, "_sample_masks", no_samples)
+    lines = []
+    r = verify_theorems(7, "h", sample=100, progress=lines.append)[0]
+    assert (r.checked, r.violations) == (100 * 6, 0)
+    assert lines == ["theorem h: 281 distinct pairs of 600 draws"]
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         verify_theorems(0)
@@ -200,10 +227,11 @@ def test_pool_never_outnumbers_cores_or_chunks(monkeypatch):
     cores = 64
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: cores)
     serial = [r.to_dict() for r in verify_theorems(3, "adh", seed=3)]
-    # one chunk for each of n = 1, 2, 3
+    # one chunk of graphs for each of n = 1, 2, 3, and one of theorem h's
+    # pairs for each of n = 2, 3
     assert [r.to_dict() for r in verify_theorems(3, "adh", seed=3, workers=50)] == serial
     assert main(["verify-theorems", "--n-max", "3", "--workers", str(10 ** 9)]) == 0
-    assert pools == [(3, 3), (3, 3)]
+    assert pools == [(5, 5), (5, 5)]
     pools.clear()
     # n = 1..4 exhaustive, one chunk each, then 1000 samples at n = 5 in 16
     verify_theorems(5, "d", sample=1000, workers=10 ** 9)
