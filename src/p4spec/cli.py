@@ -50,10 +50,6 @@ def _emit(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
 
 
-def _flag(value: bool) -> str:
-    return "true" if value else "false"
-
-
 def _render_report(report: ClassificationReport, numeric: list | None) -> str:
     if report.spider is None:
         spider = "none"
@@ -65,19 +61,9 @@ def _render_report(report: ClassificationReport, numeric: list | None) -> str:
     spectrum = "{" + roots + "}"
     if report.spectrum.residual.degree > 0:
         spectrum += f" residual {report.spectrum.residual}"
-    lines = [
-        f"n: {report.n}",
-        f"m: {report.m}",
-        f"p4_count: {report.p4_count}",
-        f"is_cograph: {_flag(report.is_cograph)}",
-        f"is_p4_sparse: {_flag(report.is_p4_sparse)}",
-        f"is_p4_extendible: {_flag(report.is_p4_extendible)}",
-        f"is_p4_reducible: {_flag(report.is_p4_reducible)}",
-        f"is_p4_connected: {_flag(report.is_p4_connected)}",
-        f"spider: {spider}",
-        f"l_integral: {_flag(report.l_integral)}",
-        f"spectrum: {spectrum}",
-    ]
+    shown = report._replace(spider=spider, spectrum=spectrum)._asdict()
+    lines = [f"{name}: {str(value).lower() if isinstance(value, bool) else value}"
+             for name, value in shown.items()]
     if numeric is not None:
         lines.append("numeric_spectrum: " + ", ".join(repr(x) for x in numeric))
     return "\n".join(lines)

@@ -3,8 +3,8 @@ midpoint extensions and edge masks."""
 
 from __future__ import annotations
 
-from .graphs import Graph, check_vertex_count, complement, from_edge_list, \
-    mask_of, pair_order
+from .graphs import Graph, check_vertex_count, complement, from_edge_list, pair_order
+from .p4 import _midpoints, enumerate_p4
 from .spectral import IntPolynomial
 
 
@@ -127,27 +127,21 @@ def family(fid: str) -> Graph:
 
 CASE_IV_KINDS = ("P4", "F3", "F4", "F5", "F6")
 
-# Midpoints = vertices that sit in the middle of some induced P4 of the seed;
-# every other seed vertex is an endpoint of one.  For the complements F4/F6
-# the roles swap, which is why their sets are the complements of F5/F3's.
-_MIDPOINTS = {
-    "P4": (1, 2),
-    "F3": (0, 1),
-    "F5": (0, 1),
-    "F4": (2, 3, 4),
-    "F6": (2, 3, 4),
-}
-
 
 def case_iv_graph(kind: str, head: Graph | None = None) -> Graph:
     """A catalog seed with every head vertex attached to the seed's midpoints.
 
-    The head keeps its internal edges and is joined to exactly the midpoint
-    vertices of the seed, never to its endpoints.
+    The midpoints are the inner vertices of the seed's induced P4s; every
+    other seed vertex is an end of one.  The head keeps its internal edges and
+    is joined to exactly the midpoints, never to the ends.
     """
     if kind not in CASE_IV_KINDS:
         raise ValueError(f"unknown seed kind {kind!r}; expected one of {CASE_IV_KINDS}")
-    return _attach_head(list(family(kind).adj), mask_of(_MIDPOINTS[kind]), head)
+    seed = family(kind)
+    mids = 0
+    for wm in enumerate_p4(seed):
+        mids |= _midpoints(seed.adj, wm)
+    return _attach_head(list(seed.adj), mids, head)
 
 
 def case_iv_polynomials(j: int) -> tuple[IntPolynomial, IntPolynomial]:

@@ -258,43 +258,6 @@ class SpiderSpec(namedtuple("SpiderSpec", "kind legs body head")):
     def k(self) -> int:
         return len(self.legs)
 
-    def verify(self, g: Graph) -> bool:
-        """Check this partition actually witnesses a spider in g."""
-        legs_m = mask_of(self.legs)
-        body_m = mask_of(self.body)
-        head_m = mask_of(self.head)
-        if legs_m | body_m | head_m != g.full_mask:
-            return False
-        if legs_m & body_m or legs_m & head_m or body_m & head_m:
-            return False
-        k = len(self.legs)
-        if k < 2 or len(self.body) != k:
-            return False
-        for c in self.body:
-            if g.adj[c] & body_m != body_m ^ (1 << c):
-                return False  # body must be a clique
-        for r in self.head:
-            if g.adj[r] & body_m != body_m or g.adj[r] & legs_m:
-                return False  # head joins the body, avoids the legs
-        partners = 0
-        for s in self.legs:
-            row = g.adj[s]
-            if self.kind == "thin":
-                inside = row & body_m
-                if row != inside or inside.bit_count() != 1:
-                    return False
-            elif self.kind == "thick":
-                missing = body_m & ~row
-                if row & ~body_m or missing.bit_count() != 1:
-                    return False
-                inside = missing
-            else:
-                return False
-            if partners & inside:
-                return False  # the leg/body pairing must be a bijection
-            partners |= inside
-        return partners == body_m
-
     def to_dict(self) -> dict:
         return {"kind": self.kind, "legs": list(self.legs),
                 "body": list(self.body), "head": list(self.head)}
@@ -362,24 +325,14 @@ class ClassificationReport(namedtuple(
         "ClassificationReport", "n m p4_count is_cograph is_p4_sparse is_p4_extendible "
         "is_p4_reducible is_p4_connected spider l_integral spectrum")):
     """What classify finds: counts and flags, the SpiderSpec or None, and the
-    ExactSpectrum."""
+    ExactSpectrum.  The fields, in order, lay out to_dict and analyze's text
+    report."""
 
     __slots__ = ()
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "p4_count": self.p4_count,
-            "is_cograph": self.is_cograph,
-            "is_p4_sparse": self.is_p4_sparse,
-            "is_p4_extendible": self.is_p4_extendible,
-            "is_p4_reducible": self.is_p4_reducible,
-            "is_p4_connected": self.is_p4_connected,
-            "spider": self.spider.to_dict() if self.spider else None,
-            "l_integral": self.l_integral,
-            "spectrum": self.spectrum.to_dict(),
-        }
+        return {**self._asdict(), "spider": self.spider.to_dict() if self.spider else None,
+                "spectrum": self.spectrum.to_dict()}
 
 
 def classify(g: Graph) -> ClassificationReport:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 
 from . import MAX_N, THEOREMS
-from .constructions import CASE_IV_KINDS, family, mask_to_graph
+from .constructions import CASE_IV_KINDS, FAMILY_IDS, family, mask_to_graph
 from .formats import serialize_graph6
 from .graphs import Graph, _canonical_deletion, bits, canonical_form, complement, \
     connected_components, induced_subgraph, pair_order
@@ -67,23 +67,15 @@ def _check_d(g: Graph) -> bool:
     return not g.derived(is_l_integral)
 
 
-_CATALOG_FIVE = ("F0", "F1", "F2", "F3", "F4", "F5", "F6")
-_SEEDS_FIVE = tuple(k for k in CASE_IV_KINDS if k != "P4")
-
-
 @lru_cache(maxsize=None)
-def _catalog_codes(fids: tuple[str, ...]) -> frozenset[int]:
-    """Canonical codes of the named 5-vertex catalog graphs."""
-    return frozenset(canonical_form(family(fid))[0] for fid in fids)
+def _catalog_codes(fids: tuple[str, ...]) -> frozenset[tuple[int, int]]:
+    """(n, canonical code) of each named catalog graph."""
+    return frozenset((g.n, canonical_form(g)[0]) for g in map(family, fids))
 
 
 def _is_catalog_member(g: Graph) -> bool:
     """Isomorphic to P4 or one of the seven 5-vertex catalog graphs."""
-    if g.n == 4:
-        return bool(g.derived(enumerate_p4))  # the P4 would span all four vertices
-    if g.n != 5:
-        return False
-    return canonical_form(g)[0] in _catalog_codes(_CATALOG_FIVE)
+    return g.n in (4, 5) and (g.n, canonical_form(g)[0]) in _catalog_codes(FAMILY_IDS)
 
 
 def _has_midpoint_extension(g: Graph) -> bool:
@@ -101,7 +93,7 @@ def _has_midpoint_extension(g: Graph) -> bool:
                 return True
     # |D| = 5: D induces one of the four 5-vertex seeds
     if n > 5:
-        seeds = _catalog_codes(_SEEDS_FIVE)
+        seeds = _catalog_codes(CASE_IV_KINDS)
         for dm in _subset_masks(n, 5):
             mids = 0
             ends = 0
@@ -114,7 +106,7 @@ def _has_midpoint_extension(g: Graph) -> bool:
                 continue
             if not all(adj[x] & dm == mids for x in bits(full & ~dm)):
                 continue
-            if canonical_form(induced_subgraph(g, dm))[0] in seeds:
+            if (5, canonical_form(induced_subgraph(g, dm))[0]) in seeds:
                 return True
     return False
 
@@ -136,16 +128,12 @@ def _check_e(g: Graph) -> bool:
 
 
 def _check_f(g: Graph) -> bool:
-    if g.n < 7:
+    if g.n < 7 or not satisfies_q_t(g, 7, 3) or not is_p4_connected(g):
         return True
-    if len(g.derived(enumerate_p4)) <= 3 or satisfies_q_t(g, 7, 3):
-        if not is_p4_connected(g):
-            return True
-        spider = recognize_spider(g)
-        if spider is None or spider.head:
-            return False
-        return not g.derived(is_l_integral)
-    return True
+    spider = recognize_spider(g)
+    if spider is None or spider.head:
+        return False
+    return not g.derived(is_l_integral)
 
 
 def _check_g(g: Graph) -> bool:

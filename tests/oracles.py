@@ -65,7 +65,8 @@ def bareiss_det(matrix) -> int:
             for j in range(k + 1, n):
                 val = m[i][j] * m[k][k] - m[i][k] * m[k][j]
                 q, r = divmod(val, prev)
-                assert r == 0
+                if r:
+                    raise ArithmeticError("Bareiss step is not an exact division")
                 m[i][j] = q
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
@@ -95,11 +96,9 @@ def char_poly_coeffs(matrix) -> list[int]:
         scale = Fraction(ys[i]) / denom
         for k, b in enumerate(basis):
             coeffs[k] += scale * b
-    out = []
-    for c in coeffs:
-        assert c.denominator == 1
-        out.append(int(c))
-    return out
+    if any(c.denominator != 1 for c in coeffs):
+        raise ArithmeticError("characteristic polynomial has a non-integer coefficient")
+    return [int(c) for c in coeffs]
 
 
 def p4_paths(g: Graph) -> dict:
@@ -153,14 +152,15 @@ def is_p4_extendible(g: Graph) -> bool:
     return True
 
 
-def spider_kinds(g: Graph) -> set:
-    """All kinds under which g is a spider, by exhaustive leg set and
-    bijection search.  The legs are independent and have no neighbours
-    outside the body, and every body vertex is adjacent to a leg (thin: its
-    own, thick: every other, k >= 2), so the body is the union of the legs'
-    neighbourhoods: each leg set fixes the body and the head."""
+def spider_partitions(g: Graph) -> set:
+    """Every spider partition of g, as (kind, legs, body, head) with each
+    part an ascending tuple, by exhaustive leg set and bijection search.
+    The legs are independent and have no neighbours outside the body, and
+    every body vertex is adjacent to a leg (thin: its own, thick: every
+    other, k >= 2), so the body is the union of the legs' neighbourhoods:
+    each leg set fixes the body and the head."""
     n = g.n
-    kinds = set()
+    found = set()
     for k in range(2, n // 2 + 1):
         for s in itertools.combinations(range(n), k):
             legs = mask_of(s)
@@ -175,16 +175,22 @@ def spider_kinds(g: Graph) -> set:
             # the body is a clique joined to the head
             if any((g.adj[v] | 1 << v) & rest != rest for v in c):
                 continue
+            head = tuple(v for v in range(n) if (rest & ~body) >> v & 1)
             for perm in itertools.permutations(c):
                 thin = all(g.has_edge(s[i], perm[j]) == (i == j)
                            for i in range(k) for j in range(k))
                 thick = all(g.has_edge(s[i], perm[j]) == (i != j)
                             for i in range(k) for j in range(k))
                 if thin:
-                    kinds.add("thin")
+                    found.add(("thin", s, tuple(c), head))
                 if thick:
-                    kinds.add("thick")
-    return kinds
+                    found.add(("thick", s, tuple(c), head))
+    return found
+
+
+def spider_kinds(g: Graph) -> set:
+    """All kinds under which g is a spider."""
+    return {kind for kind, *_ in spider_partitions(g)}
 
 
 def is_p4_connected(g: Graph) -> bool:

@@ -12,6 +12,9 @@ import pytest
 
 from p4spec import cli, theorems
 from p4spec.cli import main
+from p4spec.constructions import standard, thin_spider
+from p4spec.formats import serialize_graph6
+from p4spec.p4 import ClassificationReport
 
 
 def run(capsys, *argv):
@@ -77,6 +80,21 @@ def test_analyze_text_residual_and_spider(capsys, tmp_path):
     assert "spider: thin k=2 legs=[0, 3] body=[1, 2] head=[]" in out
     assert "l_integral: false" in out
     assert "spectrum: {2:1, 0:1} residual x^2 - 4*x + 2" in out
+
+
+@pytest.mark.parametrize("g", [standard("cycle", 10), thin_spider(3), standard("complete", 1)],
+                         ids=["C10", "thin_spider(3)", "K1"])
+def test_analyze_text_and_json_keys_are_the_report_fields(capsys, tmp_path, g):
+    path = tmp_path / "g.g6"
+    path.write_text(serialize_graph6(g) + "\n")
+    fields = list(ClassificationReport._fields)
+    for flags, keys in (((), fields), (("--numeric",), fields + ["numeric_spectrum"])):
+        rc, text, _ = run(capsys, "analyze", str(path), *flags)
+        assert rc == 0
+        assert [line.split(":", 1)[0] for line in text.splitlines()] == keys
+        rc, doc, _ = run(capsys, "analyze", str(path), "--json", *flags)
+        assert rc == 0
+        assert list(json.loads(doc)) == keys
 
 
 def test_analyze_stdin(capsys, monkeypatch):

@@ -284,23 +284,25 @@ def test_p4_connected_against_oracle():
 
 # ------------------------------------------------------------------- spiders
 
+def _spider_layout(kind, k, n):
+    """The (kind, legs, body, head) that thin_spider or thick_spider lays
+    out on n vertices: thin puts the body first, thick the legs, and the
+    head follows from 2k.  The complement of one layout is the other."""
+    low, high = tuple(range(k)), tuple(range(k, 2 * k))
+    legs, body = (high, low) if kind == "thin" else (low, high)
+    return kind, legs, body, tuple(range(2 * k, n))
+
+
 def test_recognize_spider_thin():
-    g = thin_spider(4, standard("complete", 3))
-    spec = recognize_spider(g)
-    assert spec is not None
-    assert spec.kind == "thin"
+    spec = recognize_spider(thin_spider(4, standard("complete", 3)))
+    assert spec == _spider_layout("thin", 4, 11)
     assert spec.k == 4
-    assert len(spec.head) == 3
-    assert spec.verify(g)
 
 
 def test_recognize_spider_thick():
-    g = thick_spider(4, standard("complete", 3))
-    spec = recognize_spider(g)
-    assert spec is not None
-    assert spec.kind == "thick"
+    spec = recognize_spider(thick_spider(4, standard("complete", 3)))
+    assert spec == _spider_layout("thick", 4, 11)
     assert spec.k == 4
-    assert spec.verify(g)
 
 
 def test_p4_is_thin_headless_spider():
@@ -316,15 +318,14 @@ def test_c6_is_not_a_spider():
 
 
 def _assert_spider_matches_oracle(g):
-    kinds = oracles.spider_kinds(g)
+    partitions = oracles.spider_partitions(g)
     spec = recognize_spider(g)
     if spec is None:
-        assert not kinds, (g, kinds)
+        assert not partitions, (g, partitions)
     else:
-        assert spec.kind in kinds
-        assert spec.verify(g)
-        # k = 2 thin/thick coincide and thin wins
-        if kinds == {"thin", "thick"} and spec.k == 2:
+        assert spec in partitions, (g, spec, partitions)
+        # thin is preferred: at k = 2 every partition is both kinds
+        if any(kind == "thin" for kind, *_ in partitions):
             assert spec.kind == "thin"
 
 
@@ -345,18 +346,17 @@ def test_recognize_spider_against_oracle():
 
 def test_recognize_constructed_spiders():
     # spiders and their complements, k = 2..5 with every catalog head; at
-    # k = 2 thin and thick coincide and thin wins
+    # k = 2 thin and thick coincide on one partition and thin wins
     for k in range(2, 6):
         for name, head in head_catalog().items():
             for build, kind in ((thin_spider, "thin"), (thick_spider, "thick")):
                 g = build(k, head)
                 co_kind = {"thin": "thick", "thick": "thin"}[kind]
                 for h, want in ((g, kind), (complement(g), co_kind)):
+                    _, legs, body, rest = _spider_layout(want, k, h.n)
                     spec = recognize_spider(h)
-                    assert spec is not None, (k, name, kind)
-                    assert spec.kind == ("thin" if k == 2 else want), (k, name, kind)
-                    assert spec.k == k and len(spec.head) == head.n
-                    assert spec.verify(h)
+                    assert spec == ("thin" if k == 2 else want, legs, body, rest), \
+                        (k, name, kind)
 
 
 def test_recognize_spider_reads_degrees_before_the_complement(monkeypatch):
