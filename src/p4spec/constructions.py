@@ -3,6 +3,8 @@ midpoint extensions and edge masks."""
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .graphs import Graph, check_vertex_count, complement, from_edge_list, pair_order
 from .p4 import _midpoints, enumerate_p4
 from .spectral import IntPolynomial
@@ -164,20 +166,47 @@ def case_iv_polynomials(j: int) -> tuple[IntPolynomial, IntPolynomial]:
 # edge masks
 # =========================================================================
 
+# mask_to_graph decodes through tables up to this many vertices.  Their size
+# grows as n^4 (12 KB at n = 12, 27 KB at 16, 3 MB at 64), so a larger graph,
+# which only the graph6 reader builds, is decoded edge by edge.
+_TABLE_MAX_N = 16
+
+
+@lru_cache(maxsize=None)
+def _nibble_tables(n: int) -> tuple[tuple[int, ...], ...]:
+    """For each 4 bits of an n-vertex edge mask, from the lowest: the packed
+    rows, row u in bits u*n..u*n+n-1, of each of their 16 values."""
+    pairs = pair_order(n)
+    tables = []
+    for base in range(0, len(pairs), 4):
+        table = [0]
+        for u, v in pairs[base:base + 4]:
+            bit = 1 << (u * n + v) | 1 << (v * n + u)
+            table += [packed | bit for packed in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
 def mask_to_graph(n: int, mask: int) -> Graph:
     """Graph from an edge mask in pair_order bit positions."""
     pairs = pair_order(n)
     if mask < 0 or mask >> len(pairs):
         raise ValueError(f"edge mask out of range for n = {n}")
-    rows = [0] * n
-    m = mask
-    while m:
-        low = m & -m
-        u, v = pairs[low.bit_length() - 1]
-        m ^= low
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return Graph(n, rows, validate=False)
+    if n > _TABLE_MAX_N:
+        rows = [0] * n
+        while mask:
+            low = mask & -mask
+            u, v = pairs[low.bit_length() - 1]
+            mask ^= low
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        return Graph(n, rows, validate=False)
+    packed = 0
+    for table in _nibble_tables(n):
+        packed |= table[mask & 15]
+        mask >>= 4
+    full = (1 << n) - 1
+    return Graph(n, [packed >> u * n & full for u in range(n)], validate=False)
 
 
 def graph_to_mask(g: Graph) -> int:

@@ -9,8 +9,9 @@ only the vertex masks; the inner vertices of a P4 are the two with two
 neighbours inside its mask (`_midpoints`).  The class predicates all read
 that one pass, and the complement, through `Graph.derived`, so `classify`
 and the theorem scans enumerate once per graph however many predicates
-they ask.  `recognize_spider` reads g's degrees before it builds the
-complement, which it needs only for a thick spider.
+they ask.  `recognize_spider` reads g's degrees once, before it builds the
+complement, which it needs only for a thick spider; the complement's
+degrees are n - 1 - d.
 """
 
 from __future__ import annotations
@@ -263,8 +264,9 @@ class SpiderSpec(namedtuple("SpiderSpec", "kind legs body head")):
                 "body": list(self.body), "head": list(self.head)}
 
 
-def _thin_witness(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None:
-    """Partition of g as a thin spider, if one exists.
+def _thin_witness(g: Graph, degrees: list[int]) -> tuple[tuple[int, ...], tuple[int, ...],
+                                                         tuple[int, ...]] | None:
+    """Partition of g as a thin spider, if one exists; degrees are g's.
 
     In a thin spider the legs are exactly the degree-1 vertices, so the
     candidate partition is forced and the check is linear in edges.
@@ -273,8 +275,8 @@ def _thin_witness(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int
     if n < 4:
         return None
     legs_m = 0
-    for v in range(n):
-        if g.adj[v].bit_count() == 1:
+    for v, d in enumerate(degrees):
+        if d == 1:
             legs_m |= 1 << v
     k = legs_m.bit_count()
     if k < 2:
@@ -303,14 +305,15 @@ def recognize_spider(g: Graph) -> SpiderSpec | None:
     Thick recognition goes through the complement: the complement of a thin
     spider is a thick spider on the same partition with legs and body swapped.
     """
-    w = _thin_witness(g)
+    degrees = [row.bit_count() for row in g.adj]
+    w = _thin_witness(g, degrees)
     if w is not None:
         return SpiderSpec("thin", *w)
     # the complement's legs would be g's vertices of degree n - 2, and a
     # spider has at least two legs: _thin_witness's first test, read off g
-    if [row.bit_count() for row in g.adj].count(g.n - 2) < 2:
+    if degrees.count(g.n - 2) < 2:
         return None
-    w = _thin_witness(g.derived(complement))
+    w = _thin_witness(g.derived(complement), [g.n - 1 - d for d in degrees])
     if w is not None:
         legs, body, head = w
         return SpiderSpec("thick", legs=body, body=legs, head=head)

@@ -6,13 +6,14 @@ relabeling, so an exhaustive population is scanned once per isomorphism
 class: the n-vertex classes are grown from the (n-1)-vertex ones by
 canonical augmentation, which finds each class exactly once, and each class
 stands for its n!/|Aut| labeled graphs.  Sampled populations come from one
-seeded global sequence of labeled edge masks.  Theorem h draws seeded union
-pairs with replacement; each distinct pair is checked once and counts once
-per draw.  Every population, theorem h's pairs included, is a sequence of
-(key, weight) units that _scan_chunk checks chunk by chunk, in this
-process or in a pool.  Shards stripe the list of classes, of sampled masks
-or of drawn pairs, which keeps aggregate counts independent of the shard
-count.
+seeded global sequence of labeled edge masks, drawn with replacement and
+one chunk at a time, so a scan's memory does not grow with the sample.
+Theorem h draws seeded union pairs with replacement; each distinct pair is
+checked once and counts once per draw.  Every population, theorem h's pairs
+included, is a stream of (key, weight) units that _scan_chunk checks chunk
+by chunk, theorem by theorem, in this process or in a pool.  Shards stripe
+the list of classes, the stream of sampled masks or the list of drawn
+pairs, which keeps aggregate counts independent of the shard count.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from typing import Iterator
 
 from . import MAX_N, THEOREMS
 from .constructions import CASE_IV_KINDS, FAMILY_IDS, family, mask_to_graph
@@ -159,8 +161,9 @@ class TheoremResult:
     checked: int
     violations: int
     counterexample: str | None
-    # time in this theorem's checks, summed over workers; it includes the
-    # shared P4, complement and spectrum work the theorem is first to ask for
+    # time in this theorem's checks, timed once per chunk and summed over
+    # workers; it includes the shared P4, complement and spectrum work the
+    # theorem is first to ask for
     check_s: float
 
     @property
@@ -296,6 +299,14 @@ def _classes(n: int, prev: list[tuple]) -> tuple[list[tuple], int]:
     return found, searches
 
 
+def _class_units(n: int, classes: list[tuple], shard_id: int,
+                 shards: int) -> Iterator[tuple[int, int]]:
+    """(code, n!/|Aut|) of the classes in one shard's stripe of the list."""
+    fact = math.factorial(n)
+    for code, aut, _ in itertools.islice(classes, shard_id, None, shards):
+        yield code, fact // aut
+
+
 def _scan_chunk(args) -> dict[str, _Tally]:
     """Run the checks of theorem ids `enabled` over one chunk of units.
 
@@ -304,33 +315,39 @@ def _scan_chunk(args) -> dict[str, _Tally]:
     mask_to_graph(n, key), and the weight n!/|Aut| for a class in an
     exhaustive population, 1 for a sampled labeled mask.  For theorem h,
     which runs in chunks of its own, the key is a drawn union pair
-    (n1, m1, n2, m2) and the weight its number of draws.  Each failing unit
-    is recorded for _Tally.counterexample.
+    (n1, m1, n2, m2) and the weight its number of draws.  The chunk is
+    checked theorem by theorem, each over every unit, and timed once per
+    theorem; the units are walked again only for a theorem that failed on
+    some of them, to record each failing unit for _Tally.counterexample.
     """
     n, units, exhaustive, enabled = args
-    tallies = {tid: _Tally() for tid in enabled}
     if enabled == "h":
-        subjects = ((key, key, weight) for key, weight in units)
-        checks = [(tallies["h"], lambda pair: _check_pair(*pair))]
+        subjects = [key for key, _ in units]
+        checks = [("h", lambda pair: _check_pair(*pair))]
     else:
-        subjects = ((mask, mask_to_graph(n, mask), weight) for mask, weight in units)
-        checks = [(tallies[tid], DEFAULT_CHECKS[tid]) for tid in enabled]
+        subjects = [mask_to_graph(n, mask) for mask, _ in units]
+        checks = [(tid, DEFAULT_CHECKS[tid]) for tid in enabled]
+    weight = sum(w for _, w in units)
     perf = time.perf_counter
-    for key, subject, weight in subjects:
-        for tally, check in checks:
-            t0 = perf()
-            ok = check(subject)
-            tally.time += perf() - t0
-            tally.checked += weight
-            if not ok:
-                tally.violations += weight
-                tally.failed.append((n, key, exhaustive))
+    tallies = {}
+    for tid, check in checks:
+        tally = tallies[tid] = _Tally()
+        t0 = perf()
+        results = list(map(check, subjects))
+        tally.time = perf() - t0
+        tally.checked = weight
+        if not all(results):
+            for (key, w), ok in zip(units, results):
+                if not ok:
+                    tally.violations += w
+                    tally.failed.append((n, key, exhaustive))
     return tallies
 
 
-def _sample_masks(space: int, count: int, seed: int, n: int) -> list[int]:
+def _sample_masks(space: int, count: int, seed: int, n: int) -> Iterator[int]:
+    """count seeded draws from range(space), with replacement, one at a time."""
     rng = random.Random(f"{seed}:samples:{n}")
-    return [rng.randrange(space) for _ in range(count)]
+    return map(rng.randrange, itertools.repeat(space, count))
 
 
 def _pair_population(n: int, seed: int) -> list[tuple[int, int, int, int]]:
@@ -400,22 +417,22 @@ def verify_theorems(n_max: int, theorems: str | None = None, *,
             populations.append(f"n={n} exhaustive ({space})")
             t0 = time.perf_counter()
             classes, searches = _classes(n, classes)
-            fact = math.factorial(n)
-            units = [(code, fact // aut) for code, aut, _ in classes[shard_id::shards]]
-            count = len(units)
+            units = _class_units(n, classes, shard_id, shards)
+            count = len(range(shard_id, len(classes), shards))
             if progress:
                 progress(f"{populations[-1]}: {len(classes)} classes, "
                          f"generated in {time.perf_counter() - t0:.3f}s "
                          f"({searches} canonical searches)")
         else:
             populations.append(f"n={n} sampled ({sample})")
-            masks = _sample_masks(space, sample, seed, n)[shard_id::shards]
-            count = len(masks)
-            # made chunk by chunk, so that a large sample is held as plain masks
-            units = ((m, 1) for m in masks)
+            # drawn chunk by chunk, so a scan holds one chunk of the sample
+            masks = itertools.islice(_sample_masks(space, sample, seed, n),
+                                     shard_id, None, shards)
+            count = len(range(shard_id, sample, shards))
+            units = zip(masks, itertools.repeat(1))
             if progress:
                 progress(populations[-1])
-        sources.append((n, exhaustive, graph_ids, count, iter(units)))
+        sources.append((n, exhaustive, graph_ids, count, units))
     if "h" in enabled:
         distinct = draws = 0
         for n in range(2, n_max + 1):

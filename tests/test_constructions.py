@@ -17,7 +17,7 @@ from p4spec.constructions import (
     thick_spider,
     thin_spider,
 )
-from p4spec.graphs import complement, disjoint_union, join, mask_of
+from p4spec.graphs import complement, disjoint_union, from_edge_list, join, mask_of, pair_order
 from p4spec.p4 import enumerate_p4, is_cograph, recognize_spider
 from p4spec.spectral import IntPolynomial, char_poly, laplacian
 
@@ -253,6 +253,21 @@ def test_mask_round_trip():
         for mask in range(0, 1 << (n * (n - 1) // 2), 7):
             g = mask_to_graph(n, mask)
             assert graph_to_mask(g) == mask
+
+
+def test_mask_to_graph_matches_pair_order():
+    # bit i of the mask is the edge pair_order(n)[i], whether the mask is
+    # decoded through tables (n <= 16) or edge by edge
+    rng = random.Random(31)
+    for n in range(0, 21):
+        pairs = pair_order(n)
+        masks = [0, (1 << len(pairs)) - 1] + [rng.getrandbits(len(pairs)) for _ in range(20)]
+        for mask in masks:
+            edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+            assert mask_to_graph(n, mask) == from_edge_list(n, edges), (n, mask)
+        for bad in (-1, 1 << len(pairs)):
+            with pytest.raises(ValueError, match="out of range"):
+                mask_to_graph(n, bad)
 
 
 def test_head_catalog():

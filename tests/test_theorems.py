@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -78,6 +79,76 @@ def test_sampling_is_seed_deterministic():
     b = verify_theorems(5, "a", sample=50, seed=7)[0]
     assert a.checked == b.checked
     assert a.population == b.population
+
+
+# sha256 of repr(list(_sample_masks(1 << 21, 40000, 1, 7))): the n = 7
+# draws of scan-n7-p4 at seed 1, as they were drawn into one list
+SAMPLES_7_SEED_1_SHA256 = "fd81aa7c35cc8867671d15c5dac48122c6abea606c2c0bf2d51eb02e0c65a9d3"
+
+
+def test_sample_stream_is_pinned_and_striped_by_shards(monkeypatch):
+    draws = list(theorems._sample_masks(1 << 21, 40000, 1, 7))
+    assert hashlib.sha256(repr(draws).encode()).hexdigest() == SAMPLES_7_SEED_1_SHA256
+    # each shard checks its stripe of the unsharded stream, in order
+    seen = []
+
+    def record(g):
+        if g.n == 5:
+            seen.append(graph_to_mask(g))
+        return True
+
+    monkeypatch.setitem(theorems.DEFAULT_CHECKS, "a", record)
+    full = list(theorems._sample_masks(1 << 10, 300, 2, 5))
+    verify_theorems(5, "a", sample=300, seed=2)
+    assert seen == full
+    for shards in (2, 3, 7):
+        for sid in range(shards):
+            seen.clear()
+            verify_theorems(5, "a", sample=300, seed=2, shards=shards, shard_id=sid)
+            assert seen == full[sid::shards]
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampled_scan_memory_does_not_grow_with_the_sample():
+    verify_theorems(7, "d", sample=2000)  # fills the caches both runs share
+    small = _traced_peak(lambda: verify_theorems(7, "d", sample=2000))
+    large = _traced_peak(lambda: verify_theorems(7, "d", sample=20000))
+    assert large - small < 64 * 1024, (small, large)
+
+
+def _odd_at_five(g):
+    return not (g.n == 5 and g.edge_count % 2)
+
+
+def test_failing_units_match_a_per_unit_reference(monkeypatch):
+    # theorem a fails on the n = 5 draws with an odd edge count, which lie
+    # in both chunks of the sample; theorem d runs beside it and holds
+    monkeypatch.setitem(theorems.DEFAULT_CHECKS, "a", _odd_at_five)
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
+    checked = 0
+    failing = []
+    for n in range(1, 6):
+        space = 1 << n * (n - 1) // 2
+        masks = range(space) if space <= 100 else theorems._sample_masks(space, 100, 3, n)
+        for mask in masks:
+            checked += 1
+            if not _odd_at_five(mask_to_graph(n, mask)):
+                failing.append((n, mask))
+    assert 0 < len(failing) < 100
+    for workers in (1, 2):
+        a, d = verify_theorems(5, "ad", sample=100, seed=3, workers=workers)
+        assert (a.checked, a.violations) == (checked, len(failing))
+        assert a.counterexample == serialize_graph6(mask_to_graph(*min(failing)))
+        assert (d.checked, d.violations, d.counterexample) == (checked, 0, None)
+        assert a.check_s > 0 and d.check_s > 0
 
 
 def test_pair_population_shards_partition():
