@@ -60,8 +60,7 @@ def thin_spider(k: int, head: Graph | None = None) -> Graph:
     """Thin spider: body clique 0..k-1, legs k..2k-1, head from 2k on.
 
     Leg k+i is adjacent to body vertex i only; the head joins the whole body
-    and avoids the legs.  complement(thin_spider(k, H)) equals
-    thick_spider(k, complement(H)) vertex for vertex.
+    and avoids the legs.
     """
     if k < 2:
         raise ValueError("a spider needs k >= 2")
@@ -78,18 +77,10 @@ def thick_spider(k: int, head: Graph | None = None) -> Graph:
     """Thick spider: legs 0..k-1, body clique k..2k-1, head from 2k on.
 
     Leg i is adjacent to every body vertex except k+i; the head joins the
-    whole body and avoids the legs.
+    whole body and avoids the legs.  It is the complement of the thin spider
+    with the complemented head.
     """
-    if k < 2:
-        raise ValueError("a spider needs k >= 2")
-    check_vertex_count(2 * k)
-    body_m = ((1 << k) - 1) << k
-    rows = [0] * (2 * k)
-    for i in range(k):
-        rows[i] = body_m ^ (1 << (k + i))
-        rows[k + i] = (body_m ^ (1 << (k + i))) | \
-            (((1 << k) - 1) ^ (1 << i))
-    return _attach_head(rows, body_m, head)
+    return complement(thin_spider(k, None if head is None else complement(head)))
 
 
 # =========================================================================

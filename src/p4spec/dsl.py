@@ -8,23 +8,41 @@ Examples:
     join(K2, E3)
     complement(P4)
 
-Atoms: Kn complete, En edgeless, Pn path, Cn cycle.
+Atoms: Kn complete, En edgeless, Pn path, Cn cycle.  Each call's graph is
+built as soon as its `)` is read, so there is no syntax tree, and an error
+names the first fault found reading left to right.
 """
 
 from __future__ import annotations
 
 import re
+from functools import reduce
 
 from .constructions import CASE_IV_KINDS, FAMILY_IDS, case_iv_graph, family, \
     standard, thick_spider, thin_spider
 from .graphs import Graph, complement, disjoint_union, join
 
+# after any whitespace: a token, the end of the text, or a bad character
 _TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<int>\d+)"
-                    r"|(?P<punct>[(),=]))")
+                    r"|(?P<punct>[(),=])|(?P<end>\Z)|(?P<bad>.))", re.S)
 _ATOM = re.compile(r"^([KEPC])(\d+)$")
-# Deepest allowed nesting of constructor calls; parsing and evaluation both
-# recurse once per level, so this keeps them well inside the stack limit.
+_ATOM_KINDS = {"K": "complete", "E": "empty", "P": "path", "C": "cycle"}
+# Deepest allowed nesting of constructor calls; only parsing recurses, once
+# per level, so this keeps it well inside the stack limit.
 MAX_DEPTH = 100
+
+# constructor -> (the type and name of its one positional argument, its
+# keywords), the type being Graph, int or str (a bare name); None for union
+# and join, which take two or more graphs and no keyword
+_SIGNATURES = {
+    **{kind: ((int, f"{kind} size"), ()) for kind in ("path", "cycle", "complete", "empty")},
+    "union": None,
+    "join": None,
+    "complement": ((Graph, ""), ()),
+    "spider": ((str, "spider kind"), ("k", "head")),
+    "family": ((str, "family id"), ()),
+    "caseiv": ((str, "seed kind"), ("head",)),
+}
 
 
 class DslError(ValueError):
@@ -37,23 +55,92 @@ class DslError(ValueError):
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == m.start():
-            if text[pos:].strip():
-                bad = pos + len(text[pos:]) - len(text[pos:].lstrip())
-                raise DslError(f"unexpected character {text[bad]!r}", bad)
-            break
-        if m.lastgroup is not None:
-            tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise DslError(f"unexpected character {m.group(kind)!r}", m.start(kind))
+        tokens.append((kind, m.group(kind), m.start(kind)))
+        if kind == "end":
+            return tokens
 
 
-# AST nodes: ("call", name, args, pos) with args a list of (keyword|None, node),
-# ("name", text, pos), ("int", value, pos)
+def _as(v, pos: int, kind: type = Graph, what: str = ""):
+    """v, the value read at pos, as an argument of type kind."""
+    if kind is not Graph:
+        if not isinstance(v, kind):
+            raise DslError(f"{what} must be {'an integer' if kind is int else 'a bare name'}",
+                           pos)
+        return v
+    if isinstance(v, Graph):
+        return v
+    if isinstance(v, int):
+        raise DslError("expected a graph expression, got a number", pos)
+    m = _ATOM.match(v)
+    if m is None:
+        raise DslError(f"unknown graph atom {v!r}", pos)
+    try:
+        return standard(_ATOM_KINDS[m.group(1)], int(m.group(2)))
+    except ValueError as exc:
+        raise DslError(str(exc), pos) from None
+
+
+def _call(name: str, args: list, pos: int) -> Graph:
+    """The graph of the call at pos, given its (keyword or None, value,
+    position) arguments."""
+    if name not in _SIGNATURES:
+        raise DslError(f"unknown constructor {name!r}", pos)
+    try:
+        if _SIGNATURES[name] is None:
+            if len(args) < 2:
+                raise DslError(f"{name} needs at least two operands", pos)
+            graphs = [_as(v, p) for key, v, p in args if key is None]
+            if len(graphs) != len(args):
+                raise DslError(f"{name} takes no keywords", pos)
+            return reduce(disjoint_union if name == "union" else join, graphs)
+        param, keywords = _SIGNATURES[name]
+        given = []
+        kw = {}
+        for key, v, p in args:
+            if key is None:
+                if kw:
+                    raise DslError("positional argument after keyword argument", p)
+                given.append((v, p))
+            elif key not in keywords:
+                raise DslError(f"unknown keyword {key!r}", p)
+            elif key in kw:
+                raise DslError(f"duplicate keyword {key!r}", p)
+            else:
+                kw[key] = (v, p)
+        if len(given) != 1:
+            raise DslError(f"expected 1 positional argument(s), got {len(given)}", pos)
+        (v, p), = given
+        first = _as(v, p, *param)
+        # keywords are read after the positional passes; head is (v, p) or None
+        head = kw.get("head")
+        if name == "complement":
+            return complement(first)
+        if name == "spider":
+            if first not in ("thin", "thick"):
+                raise DslError(f"spider kind must be thin or thick, got {first!r}", p)
+            if "k" not in kw:
+                raise DslError("spider needs k=<int>", pos)
+            k = _as(*kw["k"], int, "k")
+            build = thin_spider if first == "thin" else thick_spider
+            return build(k, None if head is None else _as(*head))
+        if name == "family":
+            if first not in FAMILY_IDS:
+                raise DslError(f"unknown family id {first!r}", p)
+            return family(first)
+        if name == "caseiv":
+            if first not in CASE_IV_KINDS:
+                raise DslError(f"unknown seed kind {first!r}", p)
+            return case_iv_graph(first, None if head is None else _as(*head))
+        return standard(name, first)
+    except DslError:
+        raise
+    except ValueError as exc:
+        raise DslError(str(exc), pos) from None
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -65,152 +152,48 @@ class _Parser:
         return self.tokens[self.i]
 
     def take(self):
-        tok = self.tokens[self.i]
         self.i += 1
-        return tok
-
-    def expect(self, value: str):
-        kind, text, pos = self.take()
-        if text != value:
-            raise DslError(f"expected {value!r}, got {text or 'end of input'!r}", pos)
-
-    def parse(self):
-        node = self.value()
-        kind, text, pos = self.peek()
-        if kind != "end":
-            raise DslError(f"trailing input {text!r}", pos)
-        return node
+        return self.tokens[self.i - 1]
 
     def value(self):
+        """(v, pos): v is an int, a bare name, or the Graph a call builds."""
         kind, text, pos = self.take()
         if kind == "int":
-            return ("int", int(text), pos)
+            return int(text), pos
         if kind != "name":
             raise DslError(f"expected an expression, got {text or 'end of input'!r}", pos)
-        if self.peek()[1] == "(":
-            self.take()
-            if self.depth == MAX_DEPTH:
-                raise DslError(f"expression nested deeper than {MAX_DEPTH} calls", pos)
-            self.depth += 1
-            args = []
-            if self.peek()[1] != ")":
-                while True:
-                    args.append(self.argument())
-                    if self.peek()[1] == ",":
-                        self.take()
-                        continue
-                    break
-            self.expect(")")
-            self.depth -= 1
-            return ("call", text, args, pos)
-        return ("name", text, pos)
+        if self.peek()[1] != "(":
+            return text, pos
+        self.take()
+        if self.depth == MAX_DEPTH:
+            raise DslError(f"expression nested deeper than {MAX_DEPTH} calls", pos)
+        self.depth += 1
+        args = []
+        if self.peek()[1] != ")":
+            args.append(self.argument())
+            while self.peek()[1] == ",":
+                self.take()
+                args.append(self.argument())
+        kind, close, end = self.take()
+        if close != ")":
+            raise DslError(f"expected ')', got {close or 'end of input'!r}", end)
+        self.depth -= 1
+        return _call(text, args, pos), pos
 
     def argument(self):
-        kind, text, pos = self.peek()
-        if kind == "name" and self.tokens[self.i + 1][1] == "=":
+        """(keyword or None, v, pos) of one call argument."""
+        v, pos = self.value()
+        if isinstance(v, str) and self.peek()[1] == "=":
             self.take()
-            self.take()
-            return (text, self.value())
-        return (None, self.value())
-
-
-def _as_graph(node) -> Graph:
-    if node[0] == "int":
-        raise DslError("expected a graph expression, got a number", node[2])
-    if node[0] == "name":
-        m = _ATOM.match(node[1])
-        if m is None:
-            raise DslError(f"unknown graph atom {node[1]!r}", node[2])
-        kind = {"K": "complete", "E": "empty", "P": "path", "C": "cycle"}[m.group(1)]
-        try:
-            return standard(kind, int(m.group(2)))
-        except ValueError as exc:
-            raise DslError(str(exc), node[2]) from None
-    return _eval_call(node)
-
-
-def _as_int(node, what: str) -> int:
-    if node[0] != "int":
-        raise DslError(f"{what} must be an integer", node[-1])
-    return node[1]
-
-
-def _as_word(node, what: str) -> str:
-    if node[0] != "name":
-        raise DslError(f"{what} must be a bare name", node[-1])
-    return node[1]
-
-
-def _split_args(args, pos, *, positional: int, keywords: tuple[str, ...]):
-    pos_args = []
-    kw_args = {}
-    for key, node in args:
-        if key is None:
-            if kw_args:
-                raise DslError("positional argument after keyword argument", node[-1])
-            pos_args.append(node)
-        else:
-            if key not in keywords:
-                raise DslError(f"unknown keyword {key!r}", node[-1])
-            if key in kw_args:
-                raise DslError(f"duplicate keyword {key!r}", node[-1])
-            kw_args[key] = node
-    if len(pos_args) != positional:
-        raise DslError(f"expected {positional} positional argument(s), got {len(pos_args)}", pos)
-    return pos_args, kw_args
-
-
-def _eval_call(node) -> Graph:
-    _, name, args, pos = node
-    try:
-        if name in ("path", "cycle", "complete", "empty"):
-            pos_args, _ = _split_args(args, pos, positional=1, keywords=())
-            return standard(name, _as_int(pos_args[0], f"{name} size"))
-        if name in ("union", "join"):
-            if len(args) < 2:
-                raise DslError(f"{name} needs at least two operands", pos)
-            graphs = [_as_graph(n) for key, n in args if key is None]
-            if len(graphs) != len(args):
-                raise DslError(f"{name} takes no keywords", pos)
-            acc = graphs[0]
-            op = disjoint_union if name == "union" else join
-            for g in graphs[1:]:
-                acc = op(acc, g)
-            return acc
-        if name == "complement":
-            pos_args, _ = _split_args(args, pos, positional=1, keywords=())
-            return complement(_as_graph(pos_args[0]))
-        if name == "spider":
-            pos_args, kw = _split_args(args, pos, positional=1, keywords=("k", "head"))
-            kind = _as_word(pos_args[0], "spider kind")
-            if kind not in ("thin", "thick"):
-                raise DslError(f"spider kind must be thin or thick, got {kind!r}",
-                               pos_args[0][-1])
-            if "k" not in kw:
-                raise DslError("spider needs k=<int>", pos)
-            k = _as_int(kw["k"], "k")
-            head = _as_graph(kw["head"]) if "head" in kw else None
-            return thin_spider(k, head) if kind == "thin" else thick_spider(k, head)
-        if name == "family":
-            pos_args, _ = _split_args(args, pos, positional=1, keywords=())
-            fid = _as_word(pos_args[0], "family id")
-            if fid not in FAMILY_IDS:
-                raise DslError(f"unknown family id {fid!r}", pos_args[0][-1])
-            return family(fid)
-        if name == "caseiv":
-            pos_args, kw = _split_args(args, pos, positional=1, keywords=("head",))
-            kind = _as_word(pos_args[0], "seed kind")
-            if kind not in CASE_IV_KINDS:
-                raise DslError(f"unknown seed kind {kind!r}", pos_args[0][-1])
-            head = _as_graph(kw["head"]) if "head" in kw else None
-            return case_iv_graph(kind, head)
-        raise DslError(f"unknown constructor {name!r}", pos)
-    except DslError:
-        raise
-    except ValueError as exc:
-        raise DslError(str(exc), pos) from None
+            return (v, *self.value())
+        return (None, v, pos)
 
 
 def parse_dsl(text: str) -> Graph:
     """Parse and evaluate a construction expression."""
-    return _as_graph(_Parser(text).parse())
+    parser = _Parser(text)
+    v, pos = parser.value()
+    kind, rest, end = parser.peek()
+    if kind != "end":
+        raise DslError(f"trailing input {rest!r}", end)
+    return _as(v, pos)

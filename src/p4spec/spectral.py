@@ -321,13 +321,12 @@ def exact_spectrum(g: Graph) -> ExactSpectrum:
 
     Every Laplacian eigenvalue is at most n.  Rather than assuming that
     bound, the integer roots are searched up to the Gershgorin disc bound
-    max(n, 2*maxdeg), and a root above n raises ArithmeticError.  The search
-    tries only divisors of the constant term, so the range past n costs
-    little.
+    max(n, 2*maxdeg), which is max(n, IntMatrix.bound) of the Laplacian,
+    and a root above n raises ArithmeticError.  The search tries only
+    divisors of the constant term, so the range past n costs little.
     """
-    p = char_poly(laplacian(g))
-    maxdeg = max(map(int.bit_count, g.adj), default=0)
-    spec = extract_integer_roots(p, 0, max(g.n, 2 * maxdeg))
+    m = laplacian(g)
+    spec = extract_integer_roots(char_poly(m), 0, max(g.n, m.bound))
     if spec.integer_roots and spec.integer_roots[0][0] > g.n:
         raise ArithmeticError("Laplacian eigenvalue above n: bound violated")
     return spec

@@ -30,10 +30,10 @@ from functools import lru_cache
 from typing import Iterator
 
 from . import MAX_N, THEOREMS
-from .constructions import CASE_IV_KINDS, FAMILY_IDS, family, mask_to_graph
+from .constructions import FAMILY_IDS, family, mask_to_graph
 from .formats import serialize_graph6
 from .graphs import Graph, _canonical_deletion, bits, canonical_form, complement, \
-    connected_components, induced_subgraph, pair_order
+    connected_components, pair_order
 from .p4 import _midpoints, _subset_masks, enumerate_p4, is_p4_connected, is_p4_extendible, \
     recognize_spider, satisfies_q_t
 from .spectral import check_union_relation, is_l_integral
@@ -70,46 +70,38 @@ def _check_d(g: Graph) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _catalog_codes(fids: tuple[str, ...]) -> frozenset[tuple[int, int]]:
-    """(n, canonical code) of each named catalog graph."""
-    return frozenset((g.n, canonical_form(g)[0]) for g in map(family, fids))
+def _catalog_codes() -> frozenset[tuple[int, int]]:
+    """(n, canonical code) of each graph in the catalog."""
+    return frozenset((g.n, canonical_form(g)[0]) for g in map(family, FAMILY_IDS))
 
 
 def _is_catalog_member(g: Graph) -> bool:
     """Isomorphic to P4 or one of the seven 5-vertex catalog graphs."""
-    return g.n in (4, 5) and (g.n, canonical_form(g)[0]) in _catalog_codes(FAMILY_IDS)
+    return g.n in (4, 5) and (g.n, canonical_form(g)[0]) in _catalog_codes()
 
 
 def _has_midpoint_extension(g: Graph) -> bool:
-    """Some proper 4- or 5-subset D induces a catalog seed and every outside
-    vertex is adjacent to exactly the midpoints of D."""
+    """Some proper subset D, a P4 or 5 vertices, is split by the P4s inside
+    it into midpoints and ends, and every outside vertex is adjacent to
+    exactly the midpoints of D.
+
+    On 5 vertices that split holds exactly for the seeds F3..F6, and on a P4
+    it always holds, so D induces a catalog seed.
+    """
     n = g.n
     adj = g.adj
-    full = g.full_mask
     p4s = g.derived(enumerate_p4)
-    # |D| = 4: D must itself be an induced P4
-    if n > 4:
+    for dm in itertools.chain(p4s if n > 4 else (), _subset_masks(n, 5) if n > 5 else ()):
+        mids = 0
+        ends = 0
         for wm in p4s:
-            mids = _midpoints(adj, wm)
-            if all(adj[x] & wm == mids for x in bits(full & ~wm)):
-                return True
-    # |D| = 5: D induces one of the four 5-vertex seeds
-    if n > 5:
-        seeds = _catalog_codes(CASE_IV_KINDS)
-        for dm in _subset_masks(n, 5):
-            mids = 0
-            ends = 0
-            for wm in p4s:
-                if wm & ~dm == 0:
-                    inner = _midpoints(adj, wm)
-                    mids |= inner
-                    ends |= wm ^ inner
-            if mids & ends or (mids | ends) != dm:
-                continue
-            if not all(adj[x] & dm == mids for x in bits(full & ~dm)):
-                continue
-            if (5, canonical_form(induced_subgraph(g, dm))[0]) in seeds:
-                return True
+            if wm & ~dm == 0:
+                inner = _midpoints(adj, wm)
+                mids |= inner
+                ends |= wm ^ inner
+        if mids & ends == 0 and mids | ends == dm \
+                and all(adj[x] & dm == mids for x in bits(g.full_mask & ~dm)):
+            return True
     return False
 
 

@@ -8,9 +8,9 @@ Tests compare the package's fast paths against these.
 import itertools
 from fractions import Fraction
 
-from p4spec.constructions import mask_to_graph
+from p4spec.constructions import CASE_IV_KINDS, family, mask_to_graph
 from p4spec.formats import serialize_graph6
-from p4spec.graphs import Graph, complement, mask_of
+from p4spec.graphs import Graph, complement, induced_subgraph, mask_of
 from p4spec.spectral import numeric_spectrum
 from p4spec.theorems import DEFAULT_CHECKS, THEOREMS
 
@@ -295,6 +295,24 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     full = g.full_mask
     search(refine([full], [full]))
     return best, count
+
+
+def has_midpoint_extension(g: Graph) -> bool:
+    """Theorem e's case iv by its definition: some proper subset D of 4 or 5
+    vertices induces a seed (P4, F3, F4, F5 or F6, up to isomorphism), and
+    every vertex outside D is adjacent to exactly the midpoints of the P4s
+    inside D."""
+    seeds = [family(kind) for kind in CASE_IV_KINDS]
+    paths = p4_paths(g).values()
+    for size in range(4, min(g.n, 6)):
+        for d in itertools.combinations(range(g.n), size):
+            dm = mask_of(d)
+            mids = mask_of({v for a, b, c, e in paths if {a, b, c, e} <= set(d) for v in (b, c)})
+            if any(g.adj[x] & dm != mids for x in range(g.n) if x not in d):
+                continue
+            if any(are_isomorphic(induced_subgraph(g, dm), seed) for seed in seeds):
+                return True
+    return False
 
 
 def laplacian_eigenvalues(g: Graph) -> list[float]:

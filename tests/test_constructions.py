@@ -65,6 +65,17 @@ def test_thick_spider_structure():
     for i in range(3):
         for j in range(3):
             assert g.has_edge(i, 3 + j) == (i != j)
+    # legs 0..2 independent, body 3..5 a clique, head 6..7 joined to the
+    # whole body and to no leg, with its own edges kept
+    g = thick_spider(3, standard("complete", 2))
+    assert g.n == 8
+    for u, v in itertools.combinations(range(3), 2):
+        assert not g.has_edge(u, v)
+    for u, v in itertools.combinations(range(3, 6), 2):
+        assert g.has_edge(u, v)
+    for h in (6, 7):
+        assert [g.has_edge(h, v) for v in range(6)] == [False] * 3 + [True] * 3
+    assert g.has_edge(6, 7)
 
 
 def test_spider_head_edges_copied():

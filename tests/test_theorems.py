@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from p4spec import graphs, p4, spectral, theorems
-from p4spec.constructions import graph_to_mask, mask_to_graph, standard
+from p4spec.constructions import family, graph_to_mask, mask_to_graph, standard
 from p4spec.formats import parse_graph6, serialize_graph6
 from p4spec.graphs import Graph, canonical_form, complement, connected_components, \
     from_edge_list
@@ -466,6 +466,35 @@ def test_class_scan_matches_labeled_scan():
     # the oracle checks all 33,867 labeled graphs on n <= 6 one by one
     classes = [r.to_dict() for r in verify_theorems(6, "abcdefg")]
     assert classes == oracles.labeled_scan(6)
+
+
+def test_midpoint_split_on_five_vertices_holds_exactly_for_the_seeds():
+    # The P4s of a 5-vertex graph split its vertices into midpoints and ends
+    # exactly when it is F3, F4, F5 or F6, so theorem e names a 5-vertex seed
+    # by that split alone.
+    seeds = [family(kind) for kind in ("F3", "F4", "F5", "F6")]
+    split = 0
+    for g in oracles.labeled_graphs(5):
+        paths = oracles.p4_paths(g).values()
+        mids = {v for _, b, c, _ in paths for v in (b, c)}
+        ends = {v for a, _, _, d in paths for v in (a, d)}
+        holds = not mids & ends and mids | ends == set(range(5))
+        assert holds == any(oracles.are_isomorphic(g, s) for s in seeds), serialize_graph6(g)
+        split += holds
+    # 5!/|Aut| labeled copies of each seed
+    assert split == sum(120 // oracles.canonical_form(s)[1] for s in seeds) == 240
+
+
+def test_midpoint_extension_matches_seed_oracle():
+    found = 0
+    for n, classes in _class_lists(7).items():
+        for code, _, _ in classes:
+            g = mask_to_graph(n, code)
+            for h in (g, complement(g)):
+                want = oracles.has_midpoint_extension(h)
+                assert theorems._has_midpoint_extension(h) == want, serialize_graph6(h)
+                found += want
+    assert found == 38
 
 
 def _complement_connected(g):
