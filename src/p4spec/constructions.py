@@ -6,7 +6,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .graphs import Graph, check_vertex_count, complement, from_edge_list, pair_order
-from .p4 import _midpoints, enumerate_p4
+from .p4 import _midpoint_split
 from .spectral import IntPolynomial
 
 
@@ -131,9 +131,7 @@ def case_iv_graph(kind: str, head: Graph | None = None) -> Graph:
     if kind not in CASE_IV_KINDS:
         raise ValueError(f"unknown seed kind {kind!r}; expected one of {CASE_IV_KINDS}")
     seed = family(kind)
-    mids = 0
-    for wm in enumerate_p4(seed):
-        mids |= _midpoints(seed.adj, wm)
+    mids, _ = _midpoint_split(seed, seed.full_mask)
     return _attach_head(list(seed.adj), mids, head)
 
 

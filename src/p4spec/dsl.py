@@ -64,6 +64,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             return tokens
 
 
+def _integer(digits: str, pos: int) -> int:
+    """The value of the decimal digits read at pos."""
+    try:
+        return int(digits)
+    except ValueError:  # more digits than the interpreter converts
+        raise DslError(f"integer of {len(digits)} digits is too long", pos) from None
+
+
 def _as(v, pos: int, kind: type = Graph, what: str = ""):
     """v, the value read at pos, as an argument of type kind."""
     if kind is not Graph:
@@ -78,10 +86,7 @@ def _as(v, pos: int, kind: type = Graph, what: str = ""):
     m = _ATOM.match(v)
     if m is None:
         raise DslError(f"unknown graph atom {v!r}", pos)
-    try:
-        return standard(_ATOM_KINDS[m.group(1)], int(m.group(2)))
-    except ValueError as exc:
-        raise DslError(str(exc), pos) from None
+    return _call(_ATOM_KINDS[m.group(1)], [(None, _integer(m.group(2), pos), pos)], pos)
 
 
 def _call(name: str, args: list, pos: int) -> Graph:
@@ -159,7 +164,7 @@ class _Parser:
         """(v, pos): v is an int, a bare name, or the Graph a call builds."""
         kind, text, pos = self.take()
         if kind == "int":
-            return int(text), pos
+            return _integer(text, pos), pos
         if kind != "name":
             raise DslError(f"expected an expression, got {text or 'end of input'!r}", pos)
         if self.peek()[1] != "(":

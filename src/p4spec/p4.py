@@ -6,12 +6,13 @@ middle and pairs an end a in N(b) minus N[c] with an end d in N(c) minus
 N[b] that is not adjacent to a, so each induced P4 is found once and the
 cost grows with the edges and the P4s, not with the 4-sets.  It returns
 only the vertex masks; the inner vertices of a P4 are the two with two
-neighbours inside its mask (`_midpoints`).  The class predicates all read
-that one pass, and the complement, through `Graph.derived`, so `classify`
-and the theorem scans enumerate once per graph however many predicates
-they ask.  `recognize_spider` reads g's degrees once, before it builds the
-complement, which it needs only for a thick spider; the complement's
-degrees are n - 1 - d.
+neighbours inside its mask (`_midpoints`), and the p-components are the
+closures of the P4s under sharing a vertex (`_p4_components`).  The class
+predicates all read that one pass, and the complement, through
+`Graph.derived`, so `classify` and the theorem scans enumerate once per
+graph however many predicates they ask.  `recognize_spider` reads g's
+degrees once, before it builds the complement, which it needs only for a
+thick spider; the complement's degrees are n - 1 - d.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import itertools
 import math
 from collections import namedtuple
 from functools import lru_cache
+from typing import Iterator
 
 from .graphs import Graph, _components, bits, complement, mask_of
 from .spectral import exact_spectrum
@@ -71,6 +73,18 @@ def _midpoints(adj: list[int], wm: int) -> int:
         if (adj[vm.bit_length() - 1] & wm).bit_count() == 2:
             mids |= vm
     return mids
+
+
+def _midpoint_split(g: Graph, dm: int) -> tuple[int, int]:
+    """(mids, ends): the vertices inner to, and the vertices at an end of,
+    some induced P4 of g inside the vertex mask dm, as masks."""
+    mids = ends = 0
+    for wm in g.derived(enumerate_p4):
+        if wm & ~dm == 0:
+            inner = _midpoints(g.adj, wm)
+            mids |= inner
+            ends |= wm ^ inner
+    return mids, ends
 
 
 def p4_count(g: Graph) -> int:
@@ -223,26 +237,26 @@ def is_p4_reducible(g: Graph) -> bool:
     return is_p4_sparse(g) and is_p4_extendible(g)
 
 
-def is_p4_connected(g: Graph) -> bool:
-    """True iff every vertex bipartition is crossed by some induced P4.
+def _p4_components(p4masks: list[int]) -> Iterator[int]:
+    """The p-components as vertex masks, the one holding p4masks[0] first:
+    each is the closure of a P4 under adding every P4 that meets it, and
+    the P4s it leaves out are disjoint from it."""
+    while p4masks:
+        reach = p4masks[0]
+        last = 0
+        while last != reach:
+            last = reach
+            for m in p4masks:
+                if m & reach:
+                    reach |= m
+        yield reach
+        p4masks = [m for m in p4masks if not m & reach]
 
-    Equivalent closure form: starting from one induced P4's vertex set and
-    adding every P4 vertex set that meets it, repeatedly, reaches all of V.
-    Graphs on fewer than two vertices are not p4-connected.
-    """
-    n = g.n
-    p4masks = g.derived(enumerate_p4)
-    if n < 2 or not p4masks:
-        return False
-    reach = p4masks[0]
-    grown = True
-    while grown:
-        grown = False
-        for m in p4masks:
-            if m & reach and m & ~reach:
-                reach |= m
-                grown = True
-    return reach == (1 << n) - 1
+
+def is_p4_connected(g: Graph) -> bool:
+    """True iff every vertex bipartition is crossed by some induced P4, that
+    is, iff V is one p-component; no graph on fewer than 2 vertices is."""
+    return g.n >= 2 and next(_p4_components(g.derived(enumerate_p4)), 0) == g.full_mask
 
 
 # =========================================================================

@@ -26,16 +26,15 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, fields
-from functools import lru_cache
 from typing import Iterator
 
 from . import MAX_N, THEOREMS
-from .constructions import FAMILY_IDS, family, mask_to_graph
+from .constructions import mask_to_graph
 from .formats import serialize_graph6
-from .graphs import Graph, _canonical_deletion, bits, canonical_form, complement, \
-    connected_components, pair_order
-from .p4 import _midpoints, _subset_masks, enumerate_p4, is_p4_connected, is_p4_extendible, \
-    recognize_spider, satisfies_q_t
+from .graphs import Graph, _canonical_deletion, bits, complement, connected_components, \
+    pair_order
+from .p4 import _midpoint_split, _p4_components, enumerate_p4, is_p4_connected, \
+    is_p4_extendible, recognize_spider, satisfies_q_t
 from .spectral import check_union_relation, is_l_integral
 
 PAIRS_PER_N = 100
@@ -69,38 +68,18 @@ def _check_d(g: Graph) -> bool:
     return not g.derived(is_l_integral)
 
 
-@lru_cache(maxsize=None)
-def _catalog_codes() -> frozenset[tuple[int, int]]:
-    """(n, canonical code) of each graph in the catalog."""
-    return frozenset((g.n, canonical_form(g)[0]) for g in map(family, FAMILY_IDS))
-
-
-def _is_catalog_member(g: Graph) -> bool:
-    """Isomorphic to P4 or one of the seven 5-vertex catalog graphs."""
-    return g.n in (4, 5) and (g.n, canonical_form(g)[0]) in _catalog_codes()
-
-
 def _has_midpoint_extension(g: Graph) -> bool:
-    """Some proper subset D, a P4 or 5 vertices, is split by the P4s inside
-    it into midpoints and ends, and every outside vertex is adjacent to
-    exactly the midpoints of D.
+    """Some proper p-component D is split by its P4s into midpoints and
+    ends, and every vertex outside D is adjacent to exactly the midpoints.
 
-    On 5 vertices that split holds exactly for the seeds F3..F6, and on a P4
-    it always holds, so D induces a catalog seed.
+    In a P4-extendible graph, the only kind _check_e asks about, D is a P4
+    or has 5 vertices; on 5 vertices the split holds exactly for F3..F6, so
+    D induces a catalog seed.
     """
-    n = g.n
-    adj = g.adj
-    p4s = g.derived(enumerate_p4)
-    for dm in itertools.chain(p4s if n > 4 else (), _subset_masks(n, 5) if n > 5 else ()):
-        mids = 0
-        ends = 0
-        for wm in p4s:
-            if wm & ~dm == 0:
-                inner = _midpoints(adj, wm)
-                mids |= inner
-                ends |= wm ^ inner
-        if mids & ends == 0 and mids | ends == dm \
-                and all(adj[x] & dm == mids for x in bits(g.full_mask & ~dm)):
+    for dm in _p4_components(g.derived(enumerate_p4)):
+        mids, ends = _midpoint_split(g, dm)
+        if dm != g.full_mask and not mids & ends \
+                and all(g.adj[x] & dm == mids for x in bits(g.full_mask & ~dm)):
             return True
     return False
 
@@ -110,15 +89,9 @@ def _check_e(g: Graph) -> bool:
         return True
     disconnected = len(connected_components(g)) > 1
     co_disconnected = len(connected_components(g.derived(complement))) > 1
-    hits = int(disconnected) + int(co_disconnected)
-    if not g.derived(enumerate_p4):
-        # every catalog seed contains a P4, so cases iii/iv cannot apply
-        return hits == 1
-    if _is_catalog_member(g):
-        hits += 1
-    if _has_midpoint_extension(g):
-        hits += 1
-    return hits == 1
+    # a graph on 4 or 5 vertices is p4-connected iff it is P4 or one of F0..F6
+    catalog_member = g.n <= 5 and is_p4_connected(g)
+    return disconnected + co_disconnected + catalog_member + _has_midpoint_extension(g) == 1
 
 
 def _check_f(g: Graph) -> bool:

@@ -8,7 +8,7 @@ Tests compare the package's fast paths against these.
 import itertools
 from fractions import Fraction
 
-from p4spec.constructions import CASE_IV_KINDS, family, mask_to_graph
+from p4spec.constructions import CASE_IV_KINDS, FAMILY_IDS, family, mask_to_graph
 from p4spec.formats import serialize_graph6
 from p4spec.graphs import Graph, complement, induced_subgraph, mask_of
 from p4spec.spectral import numeric_spectrum
@@ -313,6 +313,28 @@ def has_midpoint_extension(g: Graph) -> bool:
             if any(are_isomorphic(induced_subgraph(g, dm), seed) for seed in seeds):
                 return True
     return False
+
+
+def is_connected(g: Graph) -> bool:
+    """A depth-first search from vertex 0 reaches every vertex."""
+    seen = {0}
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in range(g.n):
+            if g.has_edge(u, v) and v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == g.n
+
+
+def theorem_e_cases(g: Graph) -> tuple[bool, bool, bool, bool]:
+    """Which of theorem e's four cases hold for g, on 2 or more vertices, by
+    their definitions: disconnected, co-disconnected, isomorphic to P4 or
+    one of F0..F6, and a midpoint extension."""
+    return (not is_connected(g), not is_connected(complement(g)),
+            any(are_isomorphic(g, family(fid)) for fid in FAMILY_IDS),
+            has_midpoint_extension(g))
 
 
 def laplacian_eigenvalues(g: Graph) -> list[float]:

@@ -496,6 +496,7 @@ def test_verify_theorems_help(capsys, monkeypatch):
     (["generate", "spider(thin,k=1)"], ""),  # DslError
     (["analyze", "-", "--format", "g6"], "B\n"),  # ParseError
     (["analyze", "-", "--format", "edges"], "3 1\n0 9\n"),  # ParseError
+    (["generate", "path(" + "9" * 5000 + ")"], ""),  # DslError, not int()'s own ValueError
 ])
 def test_parse_and_dsl_errors_are_one_error_line(capsys, monkeypatch, argv, text):
     # both are ValueErrors, which the CLI reports as bad input

@@ -98,6 +98,9 @@ _MALFORMED = {
     "path(x)": "path size must be an integer (at position 5)",
     "4": "expected a graph expression, got a number (at position 0)",
     "K1 $": "unexpected character '$' (at position 3)",
+    # more digits than int() converts under the interpreter's default limit
+    "path(" + "9" * 5000 + ")": "integer of 5000 digits is too long (at position 5)",
+    "K" + "9" * 5000: "integer of 5000 digits is too long (at position 0)",
 }
 
 

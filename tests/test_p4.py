@@ -282,6 +282,60 @@ def test_p4_connected_against_oracle():
         assert is_p4_connected(g) == oracles.is_p4_connected(g)
 
 
+def _union_find_components(g):
+    """The vertex masks of the classes of the oracle's induced P4s under
+    sharing a vertex, by union-find, in ascending order."""
+    parent = list(range(g.n))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    on_p4 = set()
+    for quad in oracles.p4_paths(g):
+        on_p4 |= quad
+        first, *rest = quad
+        for v in rest:
+            parent[root(v)] = root(first)
+    comps = {}
+    for v in on_p4:
+        comps[root(v)] = comps.get(root(v), 0) | 1 << v
+    return sorted(comps.values())
+
+
+def _check_p4_components(g):
+    p4masks = enumerate_p4(g)
+    comps = list(p4._p4_components(p4masks))
+    assert sorted(comps) == _union_find_components(g), g.adj
+    # the first p-component holds the first P4
+    assert not p4masks or comps[0] & p4masks[0] == p4masks[0]
+    # theorem e's case iv relies on this: P4-extendible iff every
+    # p-component has at most 5 vertices
+    assert is_p4_extendible(g) == all(c.bit_count() <= 5 for c in comps), g.adj
+    return len(comps)
+
+
+def test_p4_components_match_union_find():
+    for n in range(1, 7):
+        for g in oracles.labeled_graphs(n):
+            _check_p4_components(g)
+    # two p-components need 8 vertices: two random sides with or without a
+    # P4, and a third side of 1 to 3 vertices, each joined or not
+    rng = random.Random(20)
+    ops = (disjoint_union, join)
+    split = 0
+    for a, b, c in zip(_sampled_graphs(21, 200, 4, 6), _sampled_graphs(22, 200, 4, 6),
+                       _sampled_graphs(23, 200, 1, 3)):
+        split += _check_p4_components(rng.choice(ops)(rng.choice(ops)(a, b), c)) == 2
+    assert split > 0
+    # a tree whose second P4, 0-2-6-8, meets the closure of the first,
+    # 3-1-5-4, only through P4s listed after it, so the closure needs a
+    # second pass over the list
+    tree = from_edge_list(9, [(0, 2), (1, 3), (1, 5), (2, 6), (3, 8), (4, 5), (5, 8), (6, 8)])
+    assert list(p4._p4_components(enumerate_p4(tree))) == [0b101111111]
+
+
 # ------------------------------------------------------------------- spiders
 
 def _spider_layout(kind, k, n):

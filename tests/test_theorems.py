@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from p4spec import graphs, p4, spectral, theorems
-from p4spec.constructions import family, graph_to_mask, mask_to_graph, standard
+from p4spec.constructions import FAMILY_IDS, family, graph_to_mask, mask_to_graph, standard
 from p4spec.formats import parse_graph6, serialize_graph6
 from p4spec.graphs import Graph, canonical_form, complement, connected_components, \
     from_edge_list
@@ -485,16 +485,53 @@ def test_midpoint_split_on_five_vertices_holds_exactly_for_the_seeds():
     assert split == sum(120 // oracles.canonical_form(s)[1] for s in seeds) == 240
 
 
+def test_p4_connected_on_four_or_five_vertices_is_the_catalog():
+    # theorem e's case iii: a graph on 4 or 5 vertices is p4-connected
+    # exactly when it is isomorphic to P4 or one of F0..F6
+    catalog = [family(fid) for fid in FAMILY_IDS]
+    found = 0
+    for n in (4, 5):
+        for g in oracles.labeled_graphs(n):
+            member = any(oracles.are_isomorphic(g, f) for f in catalog)
+            assert p4.is_p4_connected(g) == member, serialize_graph6(g)
+            found += member
+    assert found == 384
+
+
 def test_midpoint_extension_matches_seed_oracle():
+    # theorem e asks only about P4-extendible graphs; on the others a
+    # proper p-component is not always a P4 or a 5-set, and the predicate
+    # may differ from the definition
     found = 0
     for n, classes in _class_lists(7).items():
         for code, _, _ in classes:
             g = mask_to_graph(n, code)
             for h in (g, complement(g)):
+                if not p4.is_p4_extendible(h):
+                    continue
                 want = oracles.has_midpoint_extension(h)
                 assert theorems._has_midpoint_extension(h) == want, serialize_graph6(h)
                 found += want
     assert found == 38
+
+
+def test_check_e_matches_definition_oracle():
+    # every class and complement on n <= 7 vertices; a P4-extendible graph
+    # on 2 or more vertices must be in exactly one of the four cases
+    cases = Counter()
+    for n, classes in _class_lists(7).items():
+        for code, _, _ in classes:
+            g = mask_to_graph(n, code)
+            for h in (g, complement(g)):
+                want = True
+                if n >= 2 and oracles.is_p4_extendible(h):
+                    hits = oracles.theorem_e_cases(h)
+                    cases[hits] += 1
+                    want = sum(hits) == 1
+                assert theorems._check_e(h) == want, serialize_graph6(h)
+    # theorem e holds, and each case occurs
+    assert cases == {(True, False, False, False): 388, (False, True, False, False): 388,
+                     (False, False, True, False): 16, (False, False, False, True): 38}
 
 
 def _complement_connected(g):
