@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphs import Graph, check_vertex_count, complement, from_edge_list, pair_order
+from .graphs import Graph, _attach, check_vertex_count, complement, from_edge_list, pair_order
 from .p4 import _midpoint_split
 from .spectral import IntPolynomial
 
@@ -28,7 +28,7 @@ def standard(kind: str, n: int) -> Graph:
     if kind == "complete":
         if n < 1:
             raise ValueError("a complete graph needs at least 1 vertex")
-        return from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        return complement(from_edge_list(n, []))
     if kind == "empty":
         return from_edge_list(n, [])
     raise ValueError(f"unknown standard graph kind {kind!r}")
@@ -37,24 +37,6 @@ def standard(kind: str, n: int) -> Graph:
 # =========================================================================
 # spiders
 # =========================================================================
-
-def _attach_head(rows: list[int], attach_mask: int, head: Graph | None) -> Graph:
-    """The graph on rows plus an optional head joined to attach_mask.
-
-    Head vertex v becomes len(rows) + v and keeps its edges inside the head.
-    This is the one operation behind spiders and midpoint extensions.
-    """
-    base = len(rows)
-    n = base + (head.n if head is not None else 0)
-    check_vertex_count(n)
-    if n == base:
-        return Graph(n, rows, validate=False)
-    head_bits = ((1 << head.n) - 1) << base
-    rows = [row | head_bits if attach_mask >> v & 1 else row
-            for v, row in enumerate(rows)]
-    rows += [(row << base) | attach_mask for row in head.adj]
-    return Graph(n, rows, validate=False)
-
 
 def thin_spider(k: int, head: Graph | None = None) -> Graph:
     """Thin spider: body clique 0..k-1, legs k..2k-1, head from 2k on.
@@ -70,7 +52,8 @@ def thin_spider(k: int, head: Graph | None = None) -> Graph:
     for i in range(k):
         rows[i] = (body_m ^ (1 << i)) | (1 << (k + i))
         rows[k + i] = 1 << i
-    return _attach_head(rows, body_m, head)
+    spider = Graph(2 * k, rows, validate=False)
+    return spider if head is None else _attach(spider, body_m, head)
 
 
 def thick_spider(k: int, head: Graph | None = None) -> Graph:
@@ -131,8 +114,10 @@ def case_iv_graph(kind: str, head: Graph | None = None) -> Graph:
     if kind not in CASE_IV_KINDS:
         raise ValueError(f"unknown seed kind {kind!r}; expected one of {CASE_IV_KINDS}")
     seed = family(kind)
+    if head is None:
+        return seed
     mids, _ = _midpoint_split(seed, seed.full_mask)
-    return _attach_head(list(seed.adj), mids, head)
+    return _attach(seed, mids, head)
 
 
 def case_iv_polynomials(j: int) -> tuple[IntPolynomial, IntPolynomial]:
@@ -201,9 +186,8 @@ def mask_to_graph(n: int, mask: int) -> Graph:
 def graph_to_mask(g: Graph) -> int:
     """Edge mask of g in pair_order bit positions; inverse of mask_to_graph."""
     mask = 0
-    for i, (u, v) in enumerate(pair_order(g.n)):
-        if g.adj[u] >> v & 1:
-            mask |= 1 << i
+    for v, row in enumerate(g.adj):
+        mask |= (row & ((1 << v) - 1)) << v * (v - 1) // 2
     return mask
 
 

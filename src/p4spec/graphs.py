@@ -45,11 +45,13 @@ def pair_order(n: int) -> tuple[tuple[int, int], ...]:
     """Vertex pairs (u, v) with u < v in upper-triangle column-major order.
 
     This is the single source of truth for edge-mask bit positions:
-    (0,1), (0,2), (1,2), (0,3), (1,3), (2,3), ...  `constructions.mask_to_graph`,
-    `graph_to_mask` and `theorems._orbit_min` read it, and the graph6 codec
-    goes through the first two.  `canonical_form` relies on the layout without
-    reading it: it builds its leaf codes in this bit order, so the pairs
-    (u, n - 1) of the last vertex are the top n - 1 bits of a code.
+    (0,1), (0,2), (1,2), (0,3), (1,3), (2,3), ...  `constructions.mask_to_graph`
+    and `theorems._orbit_min` read it, and the graph6 codec goes through
+    `mask_to_graph` and `graph_to_mask`.  `graph_to_mask` and `_search` rely
+    on the layout without reading it: the pairs (u, v) of one v, u < v, are
+    the block of bits from v(v-1)/2 on, so `graph_to_mask` copies row v's
+    lower neighbours as one block and the pairs (u, n - 1) of the last
+    vertex are the top n - 1 bits of a leaf code.
     """
     return tuple((u, v) for v in range(n) for u in range(v))
 
@@ -167,23 +169,27 @@ def complement(g: Graph) -> Graph:
                  validate=False)
 
 
+def _attach(g: Graph, mask: int, h: Graph) -> Graph:
+    """g plus h, with h's vertex v renumbered g.n + v and joined to the
+    vertices of g in mask.  The one composition step: disjoint union, join,
+    spider heads and midpoint heads all go through it."""
+    base = g.n
+    n = base + h.n
+    check_vertex_count(n)
+    head = ((1 << h.n) - 1) << base
+    rows = [row | head if mask >> v & 1 else row for v, row in enumerate(g.adj)]
+    rows += [(row << base) | mask for row in h.adj]
+    return Graph(n, rows, validate=False)
+
+
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """G + H with H's vertices shifted up by g.n."""
-    n = g.n + h.n
-    check_vertex_count(n)
-    rows = list(g.adj) + [row << g.n for row in h.adj]
-    return Graph(n, rows, validate=False)
+    return _attach(g, 0, h)
 
 
 def join(g: Graph, h: Graph) -> Graph:
     """Disjoint union plus all edges between the two sides."""
-    n = g.n + h.n
-    check_vertex_count(n)
-    gmask = (1 << g.n) - 1
-    hmask = ((1 << h.n) - 1) << g.n
-    rows = [row | hmask for row in g.adj]
-    rows += [(row << g.n) | gmask for row in h.adj]
-    return Graph(n, rows, validate=False)
+    return _attach(g, g.full_mask, h)
 
 
 def induced_subgraph(g: Graph, selection: int | Iterable[int]) -> Graph:
@@ -385,23 +391,6 @@ def _search(adj, n: int, root: list[int]):
     return best, aut, gens, best_order
 
 
-def canonical_form(g: Graph) -> tuple[int, int]:
-    """(code, aut_order): a canonical edge mask of g's isomorphism class and
-    the order of its automorphism group.
-
-    Individualization-refinement (McKay 1981, "Practical graph isomorphism"):
-    the unit partition is refined to an equitable ordered partition and
-    searched as in _search.  The code is the largest leaf code, so
-    mask_to_graph(n, code) is the class representative.
-    """
-    n = g.n
-    if n < 2:
-        return 0, 1
-    full = g.full_mask
-    code, aut, _, _ = _search(g.adj, n, _refine(g.adj, n, [full], [full]))
-    return code, aut
-
-
 def _canonical_deletion(g: Graph) -> tuple[bool, tuple | None]:
     """Whether the vertex n - 1 is the canonical deletion of g (McKay 1998,
     "Isomorph-free exhaustive generation"): whether it is in the Aut(g)-orbit
@@ -411,9 +400,11 @@ def _canonical_deletion(g: Graph) -> tuple[bool, tuple | None]:
     Returns (searched, kept).  searched tells whether _search ran: that
     orbit lies in the last cell of the root refinement, whose vertices have
     the largest degree, so a vertex n - 1 outside it is rejected before the
-    search.  kept is None on a rejection, else (code, aut_order, gens) with
-    (code, aut_order) = canonical_form(g) and gens generators of the
-    automorphism group of the class representative mask_to_graph(n, code),
+    search.  kept is None on a rejection, else (code, aut_order, gens): code
+    is the largest leaf code of the search from the refined unit partition
+    (McKay 1981, "Practical graph isomorphism"), a canonical edge mask of
+    g's isomorphism class, aut_order is |Aut(g)|, and gens are generators
+    of the automorphism group of the class representative mask_to_graph(n, code),
     each a tuple perm mapping vertex i to perm[i].  The representative's
     vertex i is g's vertex order[i] in the best leaf's order, so an
     automorphism perm of g becomes pos[perm[order[i]]], pos inverting order.

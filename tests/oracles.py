@@ -240,8 +240,8 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     with no automorphism pruning: the largest leaf code, and the number of
     leaves that reach it, which is |Aut(g)| because Aut(g) acts freely on
     the leaves.  The leaves, their codes and the refinement are those of
-    graphs.canonical_form, so the two must agree exactly; the cost here
-    grows with |Aut(g)|."""
+    the pruned search graphs._search, which test_graphs.canonical_form
+    runs, so the two must agree exactly; the cost here grows with |Aut(g)|."""
     n = g.n
     if n < 2:
         return 0, 1

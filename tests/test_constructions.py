@@ -29,6 +29,8 @@ def test_standard_families():
     assert standard("cycle", 3) == standard("complete", 3)
     assert standard("empty", 4).edge_count == 0
     assert standard("complete", 5).edge_count == 10
+    for n in range(1, 9):
+        assert standard("complete", n) == from_edge_list(n, itertools.combinations(range(n), 2))
 
 
 def test_standard_validation():
@@ -93,16 +95,23 @@ def test_spider_validation():
 
 
 def test_head_attach_respects_vertex_cap(monkeypatch):
+    # union, join, spider heads and case-iv heads all attach through one
+    # routine, which checks the total vertex count
     monkeypatch.setenv("P4SPEC_MAX_N", "10")
     k3 = standard("complete", 3)
+    e5, e6 = standard("empty", 5), standard("empty", 6)
     assert thin_spider(3, k3).n == thick_spider(3, k3).n == 9
-    assert case_iv_graph("F3", standard("empty", 5)).n == 10
+    assert case_iv_graph("F3", e5).n == 10
+    assert disjoint_union(e5, e5).n == join(e5, e5).n == 10
+    for build in (disjoint_union, join):
+        with pytest.raises(ValueError, match="exceeds the cap of 10"):
+            build(e5, e6)
     with pytest.raises(ValueError, match="exceeds the cap of 10"):
         thin_spider(4, k3)
     with pytest.raises(ValueError, match="exceeds the cap of 10"):
         thick_spider(4, k3)
     with pytest.raises(ValueError, match="exceeds the cap of 10"):
-        case_iv_graph("F3", standard("empty", 6))
+        case_iv_graph("F3", e6)
     with pytest.raises(ValueError, match="exceeds the cap of 10"):
         thin_spider(6, None)
 
@@ -268,7 +277,8 @@ def test_mask_round_trip():
 
 def test_mask_to_graph_matches_pair_order():
     # bit i of the mask is the edge pair_order(n)[i], whether the mask is
-    # decoded through tables (n <= 16) or edge by edge
+    # decoded through tables (n <= 16) or edge by edge, and graph_to_mask
+    # encodes it back
     rng = random.Random(31)
     for n in range(0, 21):
         pairs = pair_order(n)
@@ -276,6 +286,7 @@ def test_mask_to_graph_matches_pair_order():
         for mask in masks:
             edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
             assert mask_to_graph(n, mask) == from_edge_list(n, edges), (n, mask)
+            assert graph_to_mask(mask_to_graph(n, mask)) == mask, (n, mask)
         for bad in (-1, 1 << len(pairs)):
             with pytest.raises(ValueError, match="out of range"):
                 mask_to_graph(n, bad)

@@ -210,3 +210,75 @@ def test_cross_format_round_trip():
         via_edges = load_document(serialize(g, "edges")).graph
         via_g6 = load_document(serialize(g, "g6")).graph
         assert via_edges == via_g6 == g
+
+
+# ------------------------------------------------- property-based front ends
+#
+# test_front_ends_fuzz (test_cli.py) runs a seeded corpus through the
+# command line; these strategies reach the same parsers in-process, and on a
+# failure Hypothesis shrinks the text to a minimal input.
+
+def _graphs(st):
+    """Graphs on 0..12 vertices, one coin per vertex pair: an integer
+    strategy would favour small masks, which leave the high vertices bare."""
+    return st.integers(0, 12).flatmap(
+        lambda n: st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
+        .map(lambda coins: mask_to_graph(n, sum(c << i for i, c in enumerate(coins)))))
+
+
+def _damaged(st, text, g):
+    """(text, g), or (damaged text, None): one character replaced, dropped
+    or inserted, a second copy on its own line, or a header or stray
+    whitespace added around it."""
+    char = st.characters(max_codepoint=200)
+    at = st.integers(0, len(text))
+    damaged = st.one_of(
+        st.tuples(at, char).map(lambda t: text[:t[0]] + t[1] + text[t[0] + 1:]),
+        at.map(lambda i: text[:i] + text[i + 1:]),
+        st.tuples(at, char).map(lambda t: text[:t[0]] + t[1] + text[t[0]:]),
+        st.sampled_from((f"{text}\n{text}", f">>graph6<<{text}", f" \n{text} \n\n")),
+    )
+    return st.just((text, g)) | damaged.map(lambda t: (t, None))
+
+
+def _graph6_texts(st):
+    valid = _graphs(st).flatmap(lambda g: _damaged(st, serialize_graph6(g), g))
+    raw = st.text(st.characters(min_codepoint=32, max_codepoint=130), max_size=16)
+    return st.one_of(valid, raw.map(lambda text: (text, None)))
+
+
+def _edge_list_texts(st):
+    valid = _graphs(st).flatmap(lambda g: _damaged(st, serialize_edge_list(g), g))
+    # a header and edge lines that need not agree: endpoints out of range,
+    # self-loops, duplicates and an edge count off by one
+    raw = st.tuples(st.integers(-2, 70) | st.integers(0, 10 ** 9),
+                    st.lists(st.tuples(st.integers(-1, 13), st.integers(-1, 13)), max_size=12),
+                    st.sampled_from((0, 0, -1, 1))).map(
+        lambda t: "".join([f"{t[0]} {len(t[1]) + t[2]}\n"] + [f"{u} {v}\n" for u, v in t[1]]))
+    return st.one_of(valid, raw.map(lambda text: (text, None)))
+
+
+@pytest.mark.parametrize("texts, fmt", [(_graph6_texts, "g6"), (_edge_list_texts, "edges")])
+def test_load_document_property(texts, fmt):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    # load_document raises ParseError or returns a graph that round-trips
+    # through serialize in both formats; an undamaged text loads its graph
+    @hypothesis.settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(texts(st), st.sampled_from(("auto", fmt)))
+    def check(case, fmt):
+        text, expected = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # duplicate edges
+            try:
+                g = load_document(text, fmt).graph
+            except ParseError:
+                assert expected is None, text
+                return
+        if expected is not None:
+            assert g == expected, text
+        for out in ("edges", "g6"):
+            assert load_document(serialize(g, out), out).graph == g, text
+
+    check()

@@ -14,8 +14,10 @@ import oracles
 from oracles import are_isomorphic
 from p4spec.graphs import (
     Graph,
+    _attach,
     _canonical_deletion,
-    canonical_form,
+    _refine,
+    _search,
     complement,
     connected_components,
     disjoint_union,
@@ -100,14 +102,40 @@ def test_join_adds_all_cross_edges():
     assert is_connected(g)
 
 
+def _random_graph(rng, n):
+    return mask_to_graph(n, rng.getrandbits(n * (n - 1) // 2))
+
+
 def test_join_is_complement_of_union_of_complements():
     rng = random.Random(11)
-    for _ in range(25):
-        a = mask_to_graph(4, rng.getrandbits(6))
-        b = mask_to_graph(3, rng.getrandbits(3))
+    for _ in range(100):
+        a = _random_graph(rng, rng.randint(0, 6))
+        b = _random_graph(rng, rng.randint(0, 5))
         lhs = join(a, b)
         rhs = complement(disjoint_union(complement(a), complement(b)))
         assert lhs == rhs
+
+
+def _attached_edge_by_edge(g, mask, h):
+    edges = list(g.edges()) + [(g.n + u, g.n + v) for u, v in h.edges()]
+    edges += [(u, g.n + v) for u in range(g.n) if mask >> u & 1 for v in range(h.n)]
+    return from_edge_list(g.n + h.n, edges)
+
+
+def test_attach_matches_edge_by_edge_build():
+    # h's vertex v becomes g.n + v and is joined to exactly the vertices of
+    # g in the mask; union and join are the masks 0 and g.full_mask
+    rng = random.Random(21)
+    none = Graph(0, [])
+    for _ in range(300):
+        g = _random_graph(rng, rng.randint(0, 6))
+        for h in (_random_graph(rng, rng.randint(1, 5)), none):
+            for mask in (0, g.full_mask, rng.getrandbits(g.n), rng.getrandbits(g.n)):
+                want = _attached_edge_by_edge(g, mask, h)
+                assert _attach(g, mask, h) == want, (g.adj, mask, h.adj)
+            assert disjoint_union(g, h) == _attached_edge_by_edge(g, 0, h)
+            assert join(g, h) == _attached_edge_by_edge(g, g.full_mask, h)
+        assert _attach(g, g.full_mask, none) == disjoint_union(none, g) == join(none, g) == g
 
 
 def test_induced_subgraph_relabels():
@@ -179,6 +207,16 @@ def _paley9():
 
 def _automorphisms(g):
     return sum(_relabel(g, perm) == g for perm in itertools.permutations(range(g.n)))
+
+
+def canonical_form(g):
+    """(code, aut_order): the largest leaf code of the pruned search from
+    the refined unit partition, a canonical edge mask of g's class, and
+    |Aut(g)|.  test_theorems.py reads it too."""
+    if g.n < 2:
+        return 0, 1
+    code, aut, _, _ = _search(g.adj, g.n, _refine(g.adj, g.n, [g.full_mask], [g.full_mask]))
+    return code, aut
 
 
 def test_canonical_form_regular_graphs():

@@ -10,8 +10,7 @@ import oracles
 from p4spec import graphs, p4, spectral, theorems
 from p4spec.constructions import FAMILY_IDS, family, graph_to_mask, mask_to_graph, standard
 from p4spec.formats import parse_graph6, serialize_graph6
-from p4spec.graphs import Graph, canonical_form, complement, connected_components, \
-    from_edge_list
+from p4spec.graphs import Graph, complement, connected_components, from_edge_list
 from p4spec.theorems import (
     THEOREMS,
     TheoremResult,
@@ -19,6 +18,7 @@ from p4spec.theorems import (
     _pair_population,
     verify_theorems,
 )
+from test_graphs import canonical_form
 
 # isomorphism classes of graphs on n = 1..7 vertices (OEIS A000088)
 CLASS_COUNTS = [1, 2, 4, 11, 34, 156, 1044]
