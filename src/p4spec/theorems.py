@@ -11,9 +11,10 @@ one chunk at a time, so a scan's memory does not grow with the sample.
 Theorem h draws seeded union pairs with replacement; each distinct pair is
 checked once and counts once per draw.  Every population, theorem h's pairs
 included, is a stream of (key, weight) units that _scan_chunk checks chunk
-by chunk, theorem by theorem, in this process or in a pool.  Shards stripe
-the list of classes, the stream of sampled masks or the list of drawn
-pairs, which keeps aggregate counts independent of the shard count.
+by chunk, theorem by theorem, in this process or in a pool.  Shard k of K
+checks chunks k, k+K, k+2K, ... of the one chunk stream, which keeps
+aggregate counts independent of the shard count.  Only the failures at the
+smallest failing n are kept, so a failing scan's memory is bounded too.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from typing import Iterator
 from . import MAX_N, THEOREMS
 from .constructions import mask_to_graph
 from .formats import serialize_graph6
-from .graphs import Graph, _canonical_deletion, bits, complement, connected_components, \
-    pair_order
+from .graphs import Graph, _canonical_deletion, bits, check_vertex_count, complement, \
+    connected_components, pair_order
 from .p4 import _midpoint_split, _p4_components, enumerate_p4, is_p4_connected, \
     is_p4_extendible, recognize_spider, satisfies_q_t
 from .spectral import check_union_relation, is_l_integral
@@ -145,27 +146,25 @@ class _Tally:
     def __init__(self):
         self.checked = 0
         self.violations = 0
-        # (n, key, exhaustive) of each failing unit: a class representative's
-        # mask in an exhaustive population, a labeled mask in a sampled one,
-        # a drawn pair (n1, m1, n2, m2) for theorem h
-        self.failed = []
+        # (n, keys): the smallest n where a unit failed, and the failing
+        # class representatives' masks there, or the smallest failing
+        # sampled mask or drawn pair (n1, m1, n2, m2)
+        self.failed = None
         self.time = 0.0
 
-    def merge(self, other: "_Tally"):
+    def merge(self, other: "_Tally", exhaustive):
+        """Add other's counts, and keep the failures at the smallest n only:
+        every failing class if n is in exhaustive, else the smallest key."""
         self.checked += other.checked
         self.violations += other.violations
         self.time += other.time
-        self.failed += other.failed
-
-    def counterexample(self) -> tuple[int, int | tuple] | None:
-        """(n, key) of the smallest failing unit: at the smallest n where one
-        fails, the orbit minimum of each failing class, or the smallest
-        failing sampled mask or drawn pair as it is."""
-        if not self.failed:
-            return None
-        n = min(fn for fn, _, _ in self.failed)
-        return n, min(_orbit_min(n, key) if exhaustive else key
-                      for fn, key, exhaustive in self.failed if fn == n)
+        if other.failed is None or self.failed and self.failed[0] < other.failed[0]:
+            return
+        n, keys = other.failed
+        if self.failed and self.failed[0] == n:
+            self.failed[1].extend(keys)
+            keys = self.failed[1]
+        self.failed = n, keys if n in exhaustive else [min(keys)]
 
 
 def _orbit_min(n: int, mask: int) -> int:
@@ -264,11 +263,10 @@ def _classes(n: int, prev: list[tuple]) -> tuple[list[tuple], int]:
     return found, searches
 
 
-def _class_units(n: int, classes: list[tuple], shard_id: int,
-                 shards: int) -> Iterator[tuple[int, int]]:
-    """(code, n!/|Aut|) of the classes in one shard's stripe of the list."""
+def _class_units(n: int, classes: list[tuple]) -> Iterator[tuple[int, int]]:
+    """(code, n!/|Aut|) of each class on n vertices."""
     fact = math.factorial(n)
-    for code, aut, _ in itertools.islice(classes, shard_id, None, shards):
+    for code, aut, _ in classes:
         yield code, fact // aut
 
 
@@ -283,9 +281,9 @@ def _scan_chunk(args) -> dict[str, _Tally]:
     (n1, m1, n2, m2) and the weight its number of draws.  The chunk is
     checked theorem by theorem, each over every unit, and timed once per
     theorem; the units are walked again only for a theorem that failed on
-    some of them, to record each failing unit for _Tally.counterexample.
+    some of them, to record the failing units.
     """
-    n, units, exhaustive, enabled = args
+    n, units, enabled = args
     if enabled == "h":
         subjects = [key for key, _ in units]
         checks = [("h", lambda pair: _check_pair(*pair))]
@@ -302,10 +300,9 @@ def _scan_chunk(args) -> dict[str, _Tally]:
         tally.time = perf() - t0
         tally.checked = weight
         if not all(results):
-            for (key, w), ok in zip(units, results):
-                if not ok:
-                    tally.violations += w
-                    tally.failed.append((n, key, exhaustive))
+            failed = [unit for unit, ok in zip(units, results) if not ok]
+            tally.violations = sum(w for _, w in failed)
+            tally.failed = n, [key for key, _ in failed]
     return tallies
 
 
@@ -345,10 +342,12 @@ def verify_theorems(n_max: int, theorems: str | None = None, *,
     per isomorphism class, and `checked` and `violations` add up the class
     weights n!/|Aut|, so they still count labeled graphs; the counterexample
     is the smallest labeled edge mask of a failing graph, as a labeled scan
-    would report it.  shards/shard_id restrict this call to one slice of
-    every population; summing slices reproduces the full counts exactly.
-    workers > 1 checks the chunks in a pool of at most that many processes,
-    and of no more than the cores or the chunks; the report is the same.
+    would report it.  The populations form one stream of chunks, and shard
+    shard_id of shards checks chunks shard_id, shard_id + shards, ... of it;
+    summing the shards reproduces the full counts exactly.  workers > 1
+    checks the chunks in a pool of one process per chunk among the shard's
+    first min(workers, cores), so never more than the cores or the chunks;
+    the report is the same.
     The checks in DEFAULT_CHECKS must be invariant under relabeling, since
     each sees one graph per class.  progress, if given, receives one line
     per population as it is set up, and one counting theorem h's distinct
@@ -356,6 +355,7 @@ def verify_theorems(n_max: int, theorems: str | None = None, *,
     """
     if not (1 <= n_max <= MAX_N):
         raise ValueError(f"n_max must be in 1..{MAX_N}")
+    check_vertex_count(n_max)
     if shards < 1 or not (0 <= shard_id < shards):
         raise ValueError("need shards >= 1 and 0 <= shard_id < shards")
     if sample is not None and sample < 1:
@@ -372,18 +372,18 @@ def verify_theorems(n_max: int, theorems: str | None = None, *,
 
     tallies = {tid: _Tally() for tid in enabled}
     populations = []
-    sources = []  # (n, exhaustive, theorem ids, unit count, iterator over the units)
+    sources = []  # (n, theorem ids, iterator over the units)
+    exhaustive = set()  # the n whose graph population is checked per class
     classes = [(0, 1, ())]  # the graph on no vertices
     # a graph population is set up only when a graph theorem runs
     for n in range(1, n_max + 1) if graph_ids else ():
         space = 1 << (n * (n - 1) // 2)
-        exhaustive = sample is None or space <= sample
-        if exhaustive:
+        if sample is None or space <= sample:
+            exhaustive.add(n)
             populations.append(f"n={n} exhaustive ({space})")
             t0 = time.perf_counter()
             classes, searches = _classes(n, classes)
-            units = _class_units(n, classes, shard_id, shards)
-            count = len(range(shard_id, len(classes), shards))
+            units = _class_units(n, classes)
             if progress:
                 progress(f"{populations[-1]}: {len(classes)} classes, "
                          f"generated in {time.perf_counter() - t0:.3f}s "
@@ -391,55 +391,53 @@ def verify_theorems(n_max: int, theorems: str | None = None, *,
         else:
             populations.append(f"n={n} sampled ({sample})")
             # drawn chunk by chunk, so a scan holds one chunk of the sample
-            masks = itertools.islice(_sample_masks(space, sample, seed, n),
-                                     shard_id, None, shards)
-            count = len(range(shard_id, sample, shards))
-            units = zip(masks, itertools.repeat(1))
+            units = zip(_sample_masks(space, sample, seed, n), itertools.repeat(1))
             if progress:
                 progress(populations[-1])
-        sources.append((n, exhaustive, graph_ids, count, units))
+        sources.append((n, graph_ids, units))
     if "h" in enabled:
         distinct = draws = 0
         for n in range(2, n_max + 1):
             # pairs are drawn with replacement: check each distinct pair once
             # and count it once per draw
-            pairs = Counter(_pair_population(n, seed)[shard_id::shards])
+            pairs = Counter(_pair_population(n, seed))
             distinct += len(pairs)
             draws += pairs.total()
-            sources.append((n, False, "h", len(pairs), iter(pairs.items())))
+            sources.append((n, "h", iter(pairs.items())))
         if progress:
             progress(f"theorem h: {distinct} distinct pairs of {draws} draws")
 
     def chunks():
-        for n, exhaustive, ids, _, units in sources:
+        for n, ids, units in sources:
             while chunk := list(itertools.islice(units, _CHUNK)):
-                yield n, chunk, exhaustive, ids
+                yield n, chunk, ids
 
+    work = itertools.islice(chunks(), shard_id, None, shards)
     # more processes than cores or chunks would only wait
-    procs = min(workers, os.cpu_count() or 1,
-                sum(-(-count // _CHUNK) for _, _, _, count, _ in sources))
+    head = list(itertools.islice(work, min(workers, os.cpu_count() or 1)))
     with contextlib.ExitStack() as stack:
         scan = map
-        if procs > 1:
+        if len(head) > 1:
             import multiprocessing  # about 1 MB of modules a serial scan never needs
             mp = multiprocessing.get_context("fork")
-            scan = stack.enter_context(mp.Pool(procs)).imap_unordered
-        for result in scan(_scan_chunk, chunks()):
+            scan = stack.enter_context(mp.Pool(len(head))).imap_unordered
+        for result in scan(_scan_chunk, itertools.chain(head, work)):
             for tid, tally in result.items():
-                tallies[tid].merge(tally)
+                tallies[tid].merge(tally, () if tid == "h" else exhaustive)
 
     results = []
     for tid in enabled:
         tally = tallies[tid]
-        best = tally.counterexample()
-        if best is None:
-            counterexample = None
-        elif tid == "h":
-            n1, m1, n2, m2 = best[1]
+        counterexample = None
+        if tally.failed and tid == "h":
+            n1, m1, n2, m2 = tally.failed[1][0]
             counterexample = (serialize_graph6(mask_to_graph(n1, m1)) + "|"
                               + serialize_graph6(mask_to_graph(n2, m2)))
-        else:
-            counterexample = serialize_graph6(mask_to_graph(*best))
+        elif tally.failed:
+            # a failing class reports the smallest mask in its orbit
+            n, keys = tally.failed
+            best = min(_orbit_min(n, key) for key in keys) if n in exhaustive else keys[0]
+            counterexample = serialize_graph6(mask_to_graph(n, best))
         population = (f"seeded graph pairs, {PAIRS_PER_N} per n in 2..{n_max}"
                       if tid == "h" else "; ".join(populations))
         results.append(TheoremResult(

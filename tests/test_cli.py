@@ -454,6 +454,18 @@ def test_verify_theorems_bad_args(capsys):
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("selection", ["a", "h"])
+def test_verify_theorems_over_vertex_cap_is_bad_input(capsys, monkeypatch, selection):
+    # the cap applies to every theorem, not only to h, whose pairs are
+    # built by the capped union
+    monkeypatch.setenv("P4SPEC_MAX_N", "5")
+    rc, out, err = run(capsys, "verify-theorems", "--n-max", "6", "--theorems", selection)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: 6 vertices exceeds the cap of 5")
+    assert run(capsys, "verify-theorems", "--n-max", "5", "--theorems", selection)[0] == 0
+
+
 def test_verify_theorems_reports_distinct_pairs_on_stderr(capsys):
     # theorem h draws its pairs with replacement: at seed 0 the 500 draws for
     # n = 2..6 hold 181 distinct pairs, yet all 500 count as checked

@@ -89,23 +89,33 @@ SAMPLES_7_SEED_1_SHA256 = "fd81aa7c35cc8867671d15c5dac48122c6abea606c2c0bf2d51eb
 def test_sample_stream_is_pinned_and_striped_by_shards(monkeypatch):
     draws = list(theorems._sample_masks(1 << 21, 40000, 1, 7))
     assert hashlib.sha256(repr(draws).encode()).hexdigest() == SAMPLES_7_SEED_1_SHA256
-    # each shard checks its stripe of the unsharded stream, in order
+    # the chunks a scan checks, in order, as (n, keys)
     seen = []
+    scan_chunk = theorems._scan_chunk
 
-    def record(g):
-        if g.n == 5:
-            seen.append(graph_to_mask(g))
-        return True
+    def record(args):
+        n, units, _ = args
+        seen.append((n, [key for key, _ in units]))
+        return scan_chunk(args)
 
-    monkeypatch.setitem(theorems.DEFAULT_CHECKS, "a", record)
-    full = list(theorems._sample_masks(1 << 10, 300, 2, 5))
+    monkeypatch.setattr(theorems, "_scan_chunk", record)
     verify_theorems(5, "a", sample=300, seed=2)
-    assert seen == full
+    full = seen[:]
+    # one chunk of classes for each of n = 1..4, then the n = 5 draws in
+    # order, cut into chunks of 64
+    assert [n for n, _ in full] == [1, 2, 3, 4, 5, 5, 5, 5, 5]
+    assert [len(keys) for _, keys in full[4:]] == [64, 64, 64, 64, 44]
+    assert [key for n, keys in full if n == 5 for key in keys] == \
+        list(theorems._sample_masks(1 << 10, 300, 2, 5))
     for shards in (2, 3, 7):
+        together = []
         for sid in range(shards):
             seen.clear()
             verify_theorems(5, "a", sample=300, seed=2, shards=shards, shard_id=sid)
+            # whole chunks sid, sid + shards, ... of the unsharded stream
             assert seen == full[sid::shards]
+            together += seen
+        assert sorted(together) == sorted(full)
 
 
 def _traced_peak(fn) -> int:
@@ -117,11 +127,16 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def test_sampled_scan_memory_does_not_grow_with_the_sample():
-    verify_theorems(7, "d", sample=2000)  # fills the caches both runs share
-    small = _traced_peak(lambda: verify_theorems(7, "d", sample=2000))
-    large = _traced_peak(lambda: verify_theorems(7, "d", sample=20000))
-    assert large - small < 64 * 1024, (small, large)
+def test_sampled_scan_memory_does_not_grow_with_the_sample(monkeypatch):
+    for failing in (False, True):
+        if failing:
+            # about half of every population fails, so the scan keeps a
+            # failure record, which must not grow with the sample either
+            monkeypatch.setitem(theorems.DEFAULT_CHECKS, "d", lambda g: not g.edge_count % 2)
+        verify_theorems(7, "d", sample=2000)  # fills the caches both runs share
+        small = _traced_peak(lambda: verify_theorems(7, "d", sample=2000))
+        large = _traced_peak(lambda: verify_theorems(7, "d", sample=20000))
+        assert large - small < 64 * 1024, (failing, small, large)
 
 
 def _odd_at_five(g):
@@ -151,14 +166,10 @@ def test_failing_units_match_a_per_unit_reference(monkeypatch):
         assert a.check_s > 0 and d.check_s > 0
 
 
-def test_pair_population_shards_partition():
+def test_pair_population_is_deterministic():
     full = _pair_population(5, seed=0)
     assert len(full) == 100
-    striped = []
-    for sid in range(4):
-        striped.extend(full[sid::4])
-    assert sorted(striped) == sorted(full)
-    assert _pair_population(5, seed=0) == full  # deterministic
+    assert _pair_population(5, seed=0) == full
 
 
 def test_union_pairs_are_checked_once_and_counted_per_draw(monkeypatch):
@@ -306,11 +317,11 @@ def test_pool_never_outnumbers_cores_or_chunks(monkeypatch):
     pools.clear()
     # n = 1..4 exhaustive, one chunk each, then 1000 samples at n = 5 in 16
     verify_theorems(5, "d", sample=1000, workers=10 ** 9)
-    # shard 1 of 3: 0, 1, 1 and 1 chunks of classes, then 333 samples in 6
+    # shard 1 of 3: chunks 1, 4, ..., 19 of those 20
     verify_theorems(5, "d", sample=1000, shards=3, shard_id=1, workers=10 ** 9)
     cores = 8
     verify_theorems(5, "d", sample=1000, workers=10 ** 9)
-    assert pools == [(20, 20), (9, 9), (8, 20)]
+    assert pools == [(20, 20), (7, 7), (8, 20)]
     # one core, or a count the platform cannot tell, scans in this process
     for cores in (1, None):
         verify_theorems(5, "d", sample=1000, workers=10 ** 9)
