@@ -2,7 +2,8 @@
 
 Four subcommands: analyze (classification report), spectrum (exact, numeric
 or closed-form eigenvalues), generate (construction expressions to edge list
-or graph6), verify-theorems (exhaustive checks over all small graphs).
+or graph6), verify-theorems (checks over every small graph; under --sample,
+over a seeded sample at each n with more labeled graphs than the sample).
 
 Exit codes: 0 success, 1 a theorem violation or a failed certificate, 2 bad
 input.

@@ -162,7 +162,12 @@ def _nibble_tables(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def mask_to_graph(n: int, mask: int) -> Graph:
-    """Graph from an edge mask in pair_order bit positions."""
+    """Graph from an edge mask in pair_order bit positions.
+
+    n is trusted: every scanned graph comes through here, so the vertex cap
+    is not read again.  The callers, formats.parse_graph6 and
+    theorems.verify_theorems, check n against it first.
+    """
     pairs = pair_order(n)
     if mask < 0 or mask >> len(pairs):
         raise ValueError(f"edge mask out of range for n = {n}")

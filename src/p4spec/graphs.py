@@ -31,7 +31,8 @@ def max_vertices() -> int:
 
 def check_vertex_count(n: int) -> None:
     """Raise ValueError unless 0 <= n <= max_vertices().  Every graph builder
-    calls this before it allocates anything for n vertices."""
+    calls this before it allocates anything for n vertices, except
+    constructions.mask_to_graph, whose callers check n first."""
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     cap = max_vertices()

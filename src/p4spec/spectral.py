@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .graphs import Graph, bits, disjoint_union
 
@@ -39,10 +39,6 @@ class IntPolynomial:
     def degree(self) -> int:
         # the zero polynomial reports degree 0
         return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeffs == (0,)
 
     def __call__(self, x):
         acc = 0
@@ -282,30 +278,25 @@ class ExactSpectrum(namedtuple("ExactSpectrum", "integer_roots residual")):
                 "residual": list(self.residual.coeffs)}
 
 
-def extract_integer_roots(p: IntPolynomial, lo: int, hi: int) -> ExactSpectrum:
-    """Split off every integer root of p in [lo, hi], with multiplicity.
+def extract_integer_roots(p: IntPolynomial, hi: int) -> ExactSpectrum:
+    """Split off every integer root of the monic p in [0, hi], with multiplicity.
 
     The root 0 has the multiplicity of the zero low coefficients.  Any other
     integer root r divides the constant term, so r is tried only when it
     does; a Horner evaluation then decides, and only a root is deflated.
     Once the residual has degree 0 it has no roots left.
     """
-    if p.is_zero:
-        raise ValueError("cannot extract roots of the zero polynomial")
     roots = []
-    if lo <= 0 <= hi:
-        c = p.coeffs
-        z = 0
-        while not c[z]:
-            z += 1
-        if z:
-            roots.append((0, z))
-            p = IntPolynomial(c[z:])
-    for r in range(lo, hi + 1):
+    c = p.coeffs
+    z = 0
+    while not c[z]:
+        z += 1
+    if z:
+        roots.append((0, z))
+        p = IntPolynomial(c[z:])
+    for r in range(1, hi + 1):
         if p.degree == 0:
             break
-        if not r:
-            continue
         mult = 0
         while p.coeffs[0] % r == 0 and p(r) == 0:
             p, _ = p.deflate(r)
@@ -326,7 +317,7 @@ def exact_spectrum(g: Graph) -> ExactSpectrum:
     divisors of the constant term, so the range past n costs little.
     """
     m = laplacian(g)
-    spec = extract_integer_roots(char_poly(m), 0, max(g.n, m.bound))
+    spec = extract_integer_roots(char_poly(m), max(g.n, m.bound))
     if spec.integer_roots and spec.integer_roots[0][0] > g.n:
         raise ArithmeticError("Laplacian eigenvalue above n: bound violated")
     return spec
@@ -354,20 +345,15 @@ def _offdiag_norm(a: list[list[float]], n: int) -> float:
     return math.sqrt(2.0 * s)
 
 
-def jacobi_eigenvalues(sym: Sequence[Sequence[float]]) -> list[float]:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations, ascending.
+def numeric_spectrum(g: Graph) -> list[float]:
+    """All Laplacian eigenvalues, ascending, by cyclic Jacobi rotations.
 
-    Sweeps until the off-diagonal Frobenius norm drops below 1e-12, with a cap
-    of 100 sweeps; raises ArithmeticError if the cap is hit.
+    Sweeps until the off-diagonal Frobenius norm drops below _JACOBI_TOL,
+    with a cap of _JACOBI_MAX_SWEEPS sweeps; raises ArithmeticError if the
+    cap is hit.
     """
-    n = len(sym)
-    a = [[float(x) for x in row] for row in sym]
-    for i, row in enumerate(a):
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-        for j in range(i):
-            if abs(a[i][j] - a[j][i]) > 1e-9 * max(1.0, abs(a[i][j])):
-                raise ValueError("matrix is not symmetric")
+    n = g.n
+    a = [[float(x) for x in row] for row in laplacian(g).rows]
     if n <= 1:
         return [a[0][0]] if n else []
     for _ in range(_JACOBI_MAX_SWEEPS):
@@ -397,13 +383,6 @@ def jacobi_eigenvalues(sym: Sequence[Sequence[float]]) -> list[float]:
     else:
         raise ArithmeticError("Jacobi sweep cap reached without convergence")
     return sorted(a[i][i] for i in range(n))
-
-
-def numeric_spectrum(g: Graph) -> list[float]:
-    """All Laplacian eigenvalues, ascending, from Jacobi sweeps run until
-    the off-diagonal norm is below _JACOBI_TOL."""
-    return jacobi_eigenvalues([[float(x) for x in row]
-                               for row in laplacian(g).rows])
 
 
 # =========================================================================
@@ -477,13 +456,6 @@ class ClosedFormSpectrum(namedtuple("ClosedFormSpectrum", "entries")):
             quad = SurdEigenvalue(pp, qq, 1).pair_quadratic()
             p = p * (quad ** by_sign[1])
         return p
-
-    def __str__(self) -> str:
-        parts = []
-        for val, mult in self.entries:
-            s = str(val)
-            parts.append(s if mult == 1 else f"{s} x{mult}")
-        return "{" + ", ".join(parts) + "}"
 
 
 def thin_spider_closed_form(k: int, head_size: int) -> ClosedFormSpectrum:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from p4spec import cli, theorems
+from p4spec import cli, spectral, theorems
 from p4spec.cli import main
 from p4spec.constructions import standard, thin_spider
 from p4spec.formats import serialize_graph6
@@ -171,6 +171,16 @@ def test_spectrum_closed_form_is_checked_before_printing(capsys, monkeypatch, tm
     assert err.splitlines() == ["error: closed-form spectrum does not match the "
                                 "characteristic polynomial"]
     assert "Traceback" not in err
+
+
+def test_analyze_numeric_sweep_cap_is_a_failed_certificate(capsys, monkeypatch):
+    # Jacobi gets no sweeps, so P4's eigenvalues never converge
+    monkeypatch.setattr(spectral, "_JACOBI_MAX_SWEEPS", 0)
+    monkeypatch.setattr("sys.stdin", stdin_of(serialize_graph6(standard("path", 4))))
+    rc, out, err = run(capsys, "analyze", "-", "--format", "g6", "--numeric")
+    assert rc == 1
+    assert out == ""
+    assert err.splitlines() == ["error: Jacobi sweep cap reached without convergence"]
 
 
 def test_spectrum_closed_form_rejects_non_spider(capsys, c6_file):

@@ -384,7 +384,8 @@ def test_class_counts_match_oeis():
 def test_class_generation_search_count(monkeypatch):
     # n = 6 has 1,088 candidates (34 classes, 32 neighbourhoods each); the
     # degree test, one neighbourhood per parent orbit and the root-cell test
-    # leave 156 of them for a full search, one per class
+    # leave 156 of them for a full search, one per class.  At n = 7 they
+    # leave 1,046 for the 1,044 classes
     searches = []
     real_search = graphs._search
 
@@ -395,11 +396,11 @@ def test_class_generation_search_count(monkeypatch):
     monkeypatch.setattr(graphs, "_search", counted)
     classes = [(0, 1, ())]
     reported = []
-    for n in range(1, 7):
+    for n in range(1, 8):
         classes, count = _classes(n, classes)
         reported.append(count)
-    assert [searches.count(n) for n in range(1, 7)] == [0, 2, 4, 11, 34, 156]
-    assert reported == [0, 2, 4, 11, 34, 156]
+    assert [searches.count(n) for n in range(1, 8)] == [0, 2, 4, 11, 34, 156, 1046]
+    assert reported == [0, 2, 4, 11, 34, 156, 1046]
 
 
 # sha256 of repr([(code, aut_order), ...]) for the 1,044 classes on 7 vertices
