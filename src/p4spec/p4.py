@@ -285,16 +285,13 @@ def _thin_witness(g: Graph, degrees: list[int]) -> tuple[tuple[int, ...], tuple[
     In a thin spider the legs are exactly the degree-1 vertices, so the
     candidate partition is forced and the check is linear in edges.
     """
-    n = g.n
-    if n < 4:
+    # a spider has at least two legs
+    if g.n < 4 or degrees.count(1) < 2:
         return None
     legs_m = 0
     for v, d in enumerate(degrees):
         if d == 1:
             legs_m |= 1 << v
-    k = legs_m.bit_count()
-    if k < 2:
-        return None
     body_m = 0
     for s in bits(legs_m):
         c = g.adj[s]  # single bit: the leg's unique neighbor

@@ -1,20 +1,28 @@
 """Exact and numeric Laplacian spectra.
 
-The exact path stays in arbitrary-precision integer arithmetic end to end:
-characteristic polynomials come from the Faddeev-LeVerrier recurrence on
-packed integer rows (every division it performs is exact for integer
-matrices and is checked so), and integer eigenvalues are split off by
-synthetic division.  The numeric path is a self-contained cyclic Jacobi
-eigensolver; no external linear algebra.
+The exact path stays in arbitrary-precision integer arithmetic end to end.
+One generator runs the Faddeev-LeVerrier recurrence on packed integer rows
+and yields the characteristic polynomial's coefficients one step at a time
+(every division it performs is exact for integer matrices and is checked
+so).  char_poly drains it, and exact_spectrum splits the integer
+eigenvalues off by synthetic division.  is_l_integral, up to MAX_N
+vertices, runs it against a table of every polynomial an L-integral graph
+can have: it rejects at the first coefficient prefix no entry shares, and
+accepts only on equality with an entry, an exact integer factorization.
+The numeric path is a self-contained cyclic Jacobi eigensolver; no
+external linear algebra.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
+from . import MAX_N
 from .graphs import Graph, bits, disjoint_union
 
 
@@ -198,8 +206,9 @@ def _packing(n: int, w: int) -> tuple[tuple[int, ...], int]:
     return shifts, sum(1 << (s + w - 1) for s in shifts)
 
 
-def char_poly(m: IntMatrix) -> IntPolynomial:
-    """det(xI - M) by the Faddeev-LeVerrier recurrence, exactly.
+def _fl_steps(m: IntMatrix) -> Iterator[int]:
+    """Yield c_{n-1}, c_{n-2}, ..., c_0 of det(xI - M), one Faddeev-LeVerrier
+    step at a time, exactly.
 
     Each row of B_k is packed into one Python int, w bits per entry (see
     _field_width for why w is wide enough).  Packing is linear, so with
@@ -219,7 +228,7 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     """
     n = m.n
     if n == 0:
-        return IntPolynomial([1])
+        return
     w = _field_width(m.bound, n)
     shifts, bias = _packing(n, w)
     field = (1 << w) - 1
@@ -233,11 +242,9 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
             packed += a << shifts[l]
         a_rows.append(packed)
     b = a_rows
-    c = [0] * (n + 1)
-    c[n] = 1
-    c[n - 1] = -m.trace()
+    ck = -m.trace()
+    yield ck
     for k in range(2, n + 1):
-        ck = c[n - k + 1]
         t = -(n << (w - 1))
         bk = []
         for d, mi, oi, bi, ai, s in zip(diag, minus, other, b, a_rows, shifts):
@@ -251,7 +258,15 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
         b = bk
         if t % k:
             raise ArithmeticError("Faddeev-LeVerrier trace division is not exact")
-        c[n - k] = -t // k
+        ck = -t // k
+        yield ck
+
+
+def char_poly(m: IntMatrix) -> IntPolynomial:
+    """det(xI - M), every coefficient from one run of _fl_steps."""
+    c = [*_fl_steps(m)]
+    c.reverse()
+    c.append(1)
     return IntPolynomial(c)
 
 
@@ -323,9 +338,65 @@ def exact_spectrum(g: Graph) -> ExactSpectrum:
     return spec
 
 
+@lru_cache(maxsize=None)
+def _integral_table(n: int) -> tuple[tuple[int, ...], int]:
+    """Every characteristic polynomial an L-integral graph on n vertices can
+    have, packed and sorted, and the field width w of the packing.
+
+    Its Laplacian eigenvalues are 0 and a multiset R of n - 1 integers in
+    [0, n] (Merris 1994), so its polynomial is x * prod_{r in R} (x - r):
+    c_{n-k} is (-1)^k e_k(R) for 0 < k < n, and c_0 is 0.  Each R is packed
+    as e_1(R), ..., e_{n-1}(R) in w-bit fields, e_1 the most significant,
+    so the entries that share e_1, ..., e_k are one run of the sorted list.
+    No e_k falls as a root grows, so R = (n, ..., n) has the largest
+    fields, and w is the bit length of the largest of them.
+    """
+    w = max(math.comb(n - 1, k) * n ** k for k in range(n)).bit_length()
+    table = []
+    for roots in itertools.combinations_with_replacement(range(n + 1), n - 1):
+        e = [1] + [0] * (n - 1)  # e[k] = e_k of the roots so far
+        for j, r in enumerate(roots, 1):
+            for k in range(j, 0, -1):
+                e[k] += r * e[k - 1]
+        packed = 0
+        for x in e[1:]:
+            packed = packed << w | x
+        table.append(packed)
+    table.sort()
+    return tuple(table), w
+
+
 def is_l_integral(g: Graph) -> bool:
-    """True iff every Laplacian eigenvalue of g is an integer."""
-    return exact_spectrum(g).is_integral
+    """True iff every Laplacian eigenvalue of g is an integer.
+
+    Up to MAX_N vertices this runs _fl_steps against _integral_table(n):
+    it returns False at the first step k whose e_k = (-1)^k c_{n-k} leaves
+    e_1, ..., e_k the prefix of no entry, and True only after all n steps,
+    when e_1, ..., e_{n-1} equal one entry's and c_0 is 0.  That equality
+    is the exact identity p(x) = x * prod (x - r), with no root search and
+    no float.  Above MAX_N it is exact_spectrum(g).is_integral.
+    """
+    n = g.n
+    if not 0 < n <= MAX_N:
+        return exact_spectrum(g).is_integral
+    table, w = _integral_table(n)
+    steps = _fl_steps(laplacian(g))
+    limit = 1 << w
+    prefix = lo = 0
+    shift = w * (n - 1)
+    for k in range(1, n):
+        e = next(steps)
+        if k & 1:
+            e = -e
+        if not 0 <= e < limit:
+            return False  # no entry's field, and it would spill into the next
+        prefix = prefix << w | e
+        shift -= w
+        # the first entry at or above the prefix shares it, if any does
+        lo = bisect_left(table, prefix << shift, lo)
+        if lo == len(table) or table[lo] >> shift != prefix:
+            return False
+    return next(steps) == 0
 
 
 # =========================================================================

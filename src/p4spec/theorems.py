@@ -42,8 +42,9 @@ PAIRS_PER_N = 100
 _CHUNK = 64  # units per chunk
 
 
-# The checks share a graph's P4s, complement and L-integrality through
-# Graph.derived, so each is computed once per graph whichever checks run.
+# The checks share a graph's P4s, complement, spider and L-integrality
+# through Graph.derived, so each is computed once per graph whichever checks
+# run.
 
 def _check_a(g: Graph) -> bool:
     if g.derived(enumerate_p4):
@@ -64,7 +65,7 @@ def _check_c(g: Graph) -> bool:
 
 
 def _check_d(g: Graph) -> bool:
-    if recognize_spider(g) is None:
+    if g.derived(recognize_spider) is None:
         return True
     return not g.derived(is_l_integral)
 
@@ -98,7 +99,7 @@ def _check_e(g: Graph) -> bool:
 def _check_f(g: Graph) -> bool:
     if g.n < 7 or not satisfies_q_t(g, 7, 3) or not is_p4_connected(g):
         return True
-    spider = recognize_spider(g)
+    spider = g.derived(recognize_spider)
     if spider is None or spider.head:
         return False
     return not g.derived(is_l_integral)

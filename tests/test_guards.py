@@ -29,11 +29,13 @@ def outcome(fn):
 
 
 # a packed field too narrow for the entries: the trace division goes inexact,
-# for a Laplacian (K4) and for off-diagonal entries other than -1 (-2, -3)
+# for a Laplacian (K4) and for off-diagonal entries other than -1 (-2, -3),
+# and is_l_integral (K5) raises it from the same step
 real_width = spectral._field_width
 spectral._field_width = lambda r, n: 2
 print(outcome(lambda: spectral.char_poly(laplacian(standard("complete", 4)))))
 print(outcome(lambda: spectral.char_poly(spectral.quotient_matrix(3, 2))))
+print(outcome(lambda: spectral.is_l_integral(standard("complete", 5))))
 spectral._field_width = real_width
 
 # a characteristic polynomial with the root 5 > n = 4 for the star K_{1,3}
@@ -86,6 +88,7 @@ def test_decision_guards_survive_optimize_flag():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
+        "raised: Faddeev-LeVerrier trace division is not exact",
         "raised: Faddeev-LeVerrier trace division is not exact",
         "raised: Faddeev-LeVerrier trace division is not exact",
         "raised: Laplacian eigenvalue above n: bound violated",

@@ -1,11 +1,19 @@
+import inspect
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
 import oracles
+from p4spec import spectral
 from p4spec.constructions import mask_to_graph, standard, thin_spider
-from p4spec.graphs import complement, disjoint_union, from_edge_list
+from p4spec.graphs import Graph, complement, disjoint_union, from_edge_list, join
 from p4spec.spectral import (
     ClosedFormSpectrum,
     ExactSpectrum,
@@ -22,6 +30,9 @@ from p4spec.spectral import (
     quotient_matrix,
     thin_spider_closed_form,
 )
+from p4spec.theorems import _classes
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _random_graph(rng, n):
@@ -147,6 +158,111 @@ def test_is_l_integral_examples():
     assert is_l_integral(standard("complete", 7))
     assert not is_l_integral(standard("path", 4))
     assert not is_l_integral(standard("cycle", 5))
+
+
+# ------------------------------------- L-integrality by the coefficient table
+
+@lru_cache(maxsize=None)
+def _classes_and_complements(n_max):
+    """A graph of every isomorphism class with 1..n_max vertices, and its
+    complement."""
+    out = []
+    classes = [(0, 1, ())]
+    for n in range(1, n_max + 1):
+        classes, _ = _classes(n, classes)
+        for code, _, _ in classes:
+            g = mask_to_graph(n, code)
+            out += [g, complement(g)]
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _cographs(n_max):
+    """Cographs with 1..n_max vertices: K1, then every disjoint union and
+    join of two smaller ones, so every cograph up to relabeling, some more
+    than once."""
+    by_n = {1: [standard("complete", 1)]}
+    for n in range(2, n_max + 1):
+        by_n[n] = [op(g, h) for i in range(1, n // 2 + 1)
+                   for g in by_n[i] for h in by_n[n - i] for op in (disjoint_union, join)]
+    return tuple(g for graphs in by_n.values() for g in graphs)
+
+
+def _disagreements(graphs):
+    return [g for g in graphs if is_l_integral(g) != exact_spectrum(g).is_integral]
+
+
+def test_is_l_integral_agrees_with_exact_spectrum_to_n7():
+    graphs = _classes_and_complements(7)
+    assert len(graphs) == 2 * (1 + 2 + 4 + 11 + 34 + 156 + 1044)
+    assert not _disagreements(graphs)
+
+
+def test_is_l_integral_accepts_every_cograph_to_n8():
+    # every cograph is L-integral (Merris 1998)
+    graphs = _cographs(8)
+    assert {g.n for g in graphs} == set(range(1, 9))
+    assert not _disagreements(graphs)
+    assert all(map(is_l_integral, graphs))
+
+
+def test_integral_table_holds_every_root_multiset():
+    for n in range(1, 9):
+        table, w = spectral._integral_table(n)
+        assert len(table) == len(set(table)) == math.comb(2 * n - 1, n - 1)
+        assert list(table) == sorted(table)
+        # the last entry is R = (n, ..., n), whose e_k are the largest fields
+        fields = [table[-1] >> w * (n - 1 - k) & (1 << w) - 1 for k in range(1, n)]
+        assert fields == [math.comb(n - 1, k) * n ** k for k in range(1, n)]
+
+
+def test_is_l_integral_above_max_n_takes_the_exact_path(monkeypatch):
+    def no_table(n):
+        raise AssertionError(f"table built for n = {n}")
+
+    monkeypatch.setattr(spectral, "_integral_table", no_table)
+    n = spectral.MAX_N + 1
+    assert is_l_integral(standard("complete", n))
+    assert not is_l_integral(standard("path", n))
+    assert is_l_integral(Graph(0, []))
+
+
+def test_no_integral_table_is_built_at_import():
+    code = ("from p4spec import spectral, theorems, cli\n"
+            "print(spectral._integral_table.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "0\n"
+
+
+# each fault is a source change to the table builder: a flipped sign on e_k
+# (the table of prod (x + r)), roots drawn from [1, n] instead of [0, n]
+# (no entry has 0 twice, as a disconnected graph's spectrum does), and
+# entries one step too long (c_0 packed as a last field)
+_TABLE_FAULTS = {
+    "sign": ("e[k] += r * e[k - 1]", "e[k] -= r * e[k - 1]"),
+    "no-zero-root": ("range(n + 1)", "range(1, n + 1)"),
+    "one-step-long": ("for x in e[1:]:", "for x in e[1:] + [0]:"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_TABLE_FAULTS))
+def test_each_table_fault_fails_an_agreement_test(monkeypatch, fault):
+    old, new = _TABLE_FAULTS[fault]
+    source = textwrap.dedent(inspect.getsource(spectral._integral_table))
+    assert source.count(old) == 1
+    namespace = dict(vars(spectral))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(spectral, "_integral_table", namespace["_integral_table"])
+    failed = []
+    for test in (test_is_l_integral_agrees_with_exact_spectrum_to_n7,
+                 test_is_l_integral_accepts_every_cograph_to_n8):
+        try:
+            test()
+        except AssertionError:
+            failed.append(test.__name__)
+    assert failed
 
 
 # ----------------------------------------------------------------- numerics

@@ -576,14 +576,16 @@ def test_custom_invariant_checks_match_labeled_scan(monkeypatch):
 
 
 def test_exhaustive_scan_computes_each_spectrum_once(monkeypatch):
+    # one Faddeev-LeVerrier run per spectrum, whether is_l_integral reads
+    # it or char_poly drains it
     calls = []
-    real = spectral.char_poly
+    real = spectral._fl_steps
 
     def counting(m):
         calls.append(m.n)
         return real(m)
 
-    monkeypatch.setattr(spectral, "char_poly", counting)
+    monkeypatch.setattr(spectral, "_fl_steps", counting)
     results = verify_theorems(5)
     classes = 1 + 2 + 4 + 11 + 34
     assert _by_id(results)["h"].checked == 100 * 4
