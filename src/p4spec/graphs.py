@@ -47,22 +47,45 @@ def pair_order(n: int) -> tuple[tuple[int, int], ...]:
 
     This is the single source of truth for edge-mask bit positions:
     (0,1), (0,2), (1,2), (0,3), (1,3), (2,3), ...  `constructions.mask_to_graph`
-    and `theorems._orbit_min` read it, and the graph6 codec goes through
-    `mask_to_graph` and `graph_to_mask`.  `graph_to_mask` and `_search` rely
-    on the layout without reading it: the pairs (u, v) of one v, u < v, are
-    the block of bits from v(v-1)/2 on, so `graph_to_mask` copies row v's
-    lower neighbours as one block and the pairs (u, n - 1) of the last
-    vertex are the top n - 1 bits of a leaf code.
+    reads it, and the graph6 codec goes through `mask_to_graph` and
+    `graph_to_mask`.  `graph_to_mask`, `_search` and `theorems._orbit_min`
+    rely on the layout without reading it: the pairs (u, v) of one v, u < v,
+    are the block of bits from v(v-1)/2 on, so `graph_to_mask` copies row
+    v's lower neighbours as one block, the pairs (u, n - 1) of the last
+    vertex are the top n - 1 bits of a leaf code, and the orbit minimum is
+    placed one label's block at a time from the top.
     """
     return tuple((u, v) for v in range(n) for u in range(v))
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Indices of set bits, ascending."""
+def _byte_table(offset: int) -> list[tuple[int, ...]]:
+    """The set-bit tuple of every byte m, each index plus offset, at index m:
+    the bytes with top bit b are those below 2^b, each with b appended."""
+    table = [()]
+    for b in range(offset, offset + 8):
+        table += [t + (b,) for t in table]
+    return table
+
+
+_LOW, _HIGH = _byte_table(0), _byte_table(8)
+
+
+def bits(mask: int) -> tuple[int, ...]:
+    """Indices of set bits of a nonnegative mask, ascending.
+
+    Below 2^16 the tuple is read from the byte tables; above, it is built
+    from a list, never from a generator (see spectral.IntMatrix.__init__).
+    """
+    if mask < 256:
+        return _LOW[mask]
+    if mask < 65536:
+        return _LOW[mask & 255] + _HIGH[mask >> 8]
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return tuple(out)
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -198,7 +221,7 @@ def induced_subgraph(g: Graph, selection: int | Iterable[int]) -> Graph:
     mask = selection if isinstance(selection, int) else mask_of(selection)
     if mask & ~g.full_mask:
         raise ValueError("selection includes vertices outside the graph")
-    kept = list(bits(mask))
+    kept = bits(mask)
     index = {v: i for i, v in enumerate(kept)}
     rows = []
     for v in kept:

@@ -305,8 +305,7 @@ def _thin_witness(g: Graph, degrees: list[int]) -> tuple[tuple[int, ...], tuple[
     for r in bits(head_m):
         if g.adj[r] & body_m != body_m:
             return None
-    # tuples of lists, not of generators: see IntMatrix.__init__
-    return (tuple([*bits(legs_m)]), tuple([*bits(body_m)]), tuple([*bits(head_m)]))
+    return bits(legs_m), bits(body_m), bits(head_m)
 
 
 def recognize_spider(g: Graph) -> SpiderSpec | None:

@@ -172,13 +172,14 @@ class IntMatrix:
 def laplacian(g: Graph) -> IntMatrix:
     """Degree matrix minus adjacency matrix, read off the adjacency bitsets.
 
-    Every off-diagonal nonzero is a -1, so other stays empty, and the
-    largest absolute row sum is twice the largest degree.
+    Every off-diagonal nonzero is a -1, so minus[i] is bits(adj[i]), the
+    set-bit tuple of row i, other stays empty, and the largest absolute row
+    sum is twice the largest degree.
     """
     m = object.__new__(IntMatrix)
     m.n = g.n
     m.diag = tuple([row.bit_count() for row in g.adj])
-    m.minus = tuple([tuple([*bits(row)]) for row in g.adj])
+    m.minus = tuple([bits(row) for row in g.adj])
     m.other = ((),) * g.n
     m.bound = 2 * max(m.diag, default=0)
     return m

@@ -33,7 +33,7 @@ from . import MAX_N, THEOREMS
 from .constructions import mask_to_graph
 from .formats import serialize_graph6
 from .graphs import Graph, _canonical_deletion, bits, check_vertex_count, complement, \
-    connected_components, pair_order
+    connected_components
 from .p4 import _midpoint_split, _p4_components, enumerate_p4, is_p4_connected, \
     is_p4_extendible, recognize_spider, satisfies_q_t
 from .spectral import check_union_relation, is_l_integral
@@ -168,20 +168,70 @@ class _Tally:
         self.failed = n, keys if n in exhaustive else [min(keys)]
 
 
+def _orbit_branches(adj, cells: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]]]:
+    """One step of _orbit_min: the smallest block the highest free label can
+    have, and the cells left by each vertex of the top cell that gives it.
+
+    cells are the still-unlabeled vertices as masks, lowest labels first.
+    A vertex y given the highest label has its neighbours on the lowest
+    labels of each cell, so its block has bit-count(adj[y] & cell) ones
+    from each cell's first label; the top cell's ones are the most
+    significant.  Labeling y splits each cell into its neighbours (lower)
+    and the rest.
+    """
+    sizes = [c.bit_count() for c in cells]
+    best, ties = None, []
+    for y in bits(cells[-1]):
+        row = adj[y]
+        block = lo = 0
+        for c, size in zip(cells, sizes):
+            block |= ((1 << (row & c).bit_count()) - 1) << lo
+            lo += size
+        if best is None or block < best:
+            best, ties = block, [y]
+        elif block == best:
+            ties.append(y)
+    children = []
+    for y in ties:
+        row = adj[y]
+        parts = []
+        for c in cells:
+            c &= ~(1 << y)
+            parts += [p for p in (c & row, c & ~row) if p]
+        children.append(tuple(parts))
+    return best, children
+
+
 def _orbit_min(n: int, mask: int) -> int:
-    """Smallest edge mask among the n! relabelings of mask_to_graph(n, mask)."""
-    pairs = pair_order(n)
-    edges = [pairs[i] for i in bits(mask)]
-    bit = [[0] * n for _ in range(n)]
-    for i, (u, v) in enumerate(pairs):
-        bit[u][v] = bit[v][u] = 1 << i
+    """Smallest edge mask among the n! relabelings of mask_to_graph(n, mask).
+
+    Labels are placed from n - 1 down.  The pairs (i, j), i < j, of label j
+    are the block of bits from j(j - 1)/2 up, above every lower label's
+    block, so the vertex labeled j must give the smallest block that the
+    labels placed so far allow (_orbit_branches).  The search branches only
+    on ties, and drops a branch once its placed blocks exceed the same bits
+    of the best mask found.  The bits below the placed blocks depend only on
+    the cells left, so a branch that reaches cells already searched from
+    placed blocks no larger is dropped too; depth first, that search has
+    finished.
+    """
+    adj = mask_to_graph(n, mask).adj
     best = mask
-    for perm in itertools.permutations(range(n)):
-        m = 0
-        for u, v in edges:
-            m |= bit[perm[u]][perm[v]]
-        if m < best:
-            best = m
+    # (unlabeled vertices as cells, their count f, the placed blocks)
+    stack = [(((1 << n) - 1,) if n else (), n, 0)]
+    seen = {}  # cells -> the smallest placed blocks they were searched from
+    while stack:
+        cells, f, placed = stack.pop()
+        low = f * (f - 1) // 2  # the first bit of label f's block
+        if placed >> low > best >> low or cells in seen and seen[cells] <= placed:
+            continue
+        seen[cells] = placed
+        if not f:
+            best = placed
+            continue
+        block, children = _orbit_branches(adj, cells)
+        placed |= block << (f - 1) * (f - 2) // 2
+        stack += [(c, f - 1, placed) for c in children]
     return best
 
 

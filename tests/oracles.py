@@ -8,9 +8,9 @@ Tests compare the package's fast paths against these.
 import itertools
 from fractions import Fraction
 
-from p4spec.constructions import CASE_IV_KINDS, FAMILY_IDS, family, mask_to_graph
+from p4spec.constructions import CASE_IV_KINDS, FAMILY_IDS, family, graph_to_mask, mask_to_graph
 from p4spec.formats import serialize_graph6
-from p4spec.graphs import Graph, complement, induced_subgraph, mask_of
+from p4spec.graphs import Graph, complement, from_edge_list, induced_subgraph, mask_of
 from p4spec.spectral import numeric_spectrum
 from p4spec.theorems import DEFAULT_CHECKS, THEOREMS
 
@@ -233,6 +233,13 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
         return False
 
     return extend(0, 0)
+
+
+def orbit(n: int, mask: int) -> set:
+    """Edge masks of all n! relabelings of mask_to_graph(n, mask)."""
+    edges = list(mask_to_graph(n, mask).edges())
+    return {graph_to_mask(from_edge_list(n, [(p[u], p[v]) for u, v in edges]))
+            for p in itertools.permutations(range(n))}
 
 
 def canonical_form(g: Graph) -> tuple[int, int]:

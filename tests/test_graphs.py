@@ -18,6 +18,7 @@ from p4spec.graphs import (
     _canonical_deletion,
     _refine,
     _search,
+    bits,
     complement,
     connected_components,
     disjoint_union,
@@ -34,6 +35,15 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 def test_pair_order_is_column_major():
     assert pair_order(4) == ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3))
+
+
+def test_bits_lists_set_bits_ascending():
+    rng = random.Random(25)
+    masks = [*range(1 << 16)] + [rng.getrandbits(rng.randint(17, 64)) for _ in range(2000)]
+    for mask in masks:
+        got = bits(mask)
+        assert type(got) is tuple
+        assert got == tuple([i for i in range(mask.bit_length()) if mask >> i & 1]), mask
 
 
 def test_from_edge_list_basics():

@@ -1,6 +1,6 @@
 import hashlib
-import itertools
 import math
+import random
 import tracemalloc
 from collections import Counter
 
@@ -8,9 +8,9 @@ import pytest
 
 import oracles
 from p4spec import graphs, p4, spectral, theorems
-from p4spec.constructions import FAMILY_IDS, family, graph_to_mask, mask_to_graph, standard
+from p4spec.constructions import FAMILY_IDS, family, mask_to_graph, standard
 from p4spec.formats import parse_graph6, serialize_graph6
-from p4spec.graphs import Graph, complement, connected_components, from_edge_list
+from p4spec.graphs import Graph, complement, connected_components
 from p4spec.theorems import (
     THEOREMS,
     TheoremResult,
@@ -349,17 +349,10 @@ def _failing_on_class_of(n, mask):
     return check
 
 
-def _orbit(n, mask):
-    """Edge masks of every relabeling of mask_to_graph(n, mask)."""
-    edges = list(mask_to_graph(n, mask).edges())
-    return {graph_to_mask(from_edge_list(n, [(p[u], p[v]) for u, v in edges]))
-            for p in itertools.permutations(range(n))}
-
-
 @pytest.mark.parametrize("mask", [50, 3, 60])  # P4, P3 plus a vertex, K_{1,3}
 def test_class_scan_reports_orbit_violations(mask, monkeypatch):
     # a check failing on one class fails on every labeled graph of its orbit
-    orbit = _orbit(4, mask)
+    orbit = oracles.orbit(4, mask)
     monkeypatch.setitem(theorems.DEFAULT_CHECKS, "a", _failing_on_class_of(4, mask))
     r = verify_theorems(5, "a")[0]
     assert r.checked == 1 + 2 + 8 + 64 + 1024
@@ -371,6 +364,42 @@ def test_class_scan_reports_orbit_violations(mask, monkeypatch):
     assert sum(s.violations for s in sharded) == r.violations
     # the shard holding the failing class reports the smallest witness
     assert r.counterexample in {s.counterexample for s in sharded}
+
+
+def test_orbit_min_matches_brute_force():
+    for n in range(6):
+        for mask in range(1 << n * (n - 1) // 2):
+            assert theorems._orbit_min(n, mask) == min(oracles.orbit(n, mask)), (n, mask)
+    rng = random.Random(25)
+    for n, count in ((6, 60), (7, 12), (8, 3)):
+        pairs = n * (n - 1) // 2
+        masks = [rng.getrandbits(pairs) for _ in range(count)]
+        if n < 8:
+            masks += [0, (1 << pairs) - 1]  # every vertex ties at every label
+        for mask in masks:
+            assert theorems._orbit_min(n, mask) == min(oracles.orbit(n, mask)), (n, mask)
+
+
+def test_failing_scan_finds_counterexamples_without_relabeling_every_class(monkeypatch):
+    # every class on 8 vertices with an odd edge count fails: 6,168 classes,
+    # whose n! relabelings would be about 2.5e8 masks; the search expands
+    # 92,382 nodes
+    steps = 0
+    branches = theorems._orbit_branches
+
+    def counted(adj, cells):
+        nonlocal steps
+        steps += 1
+        return branches(adj, cells)
+
+    monkeypatch.setattr(theorems, "_orbit_branches", counted)
+    monkeypatch.setitem(theorems.DEFAULT_CHECKS, "b",
+                        lambda g: g.n < 8 or g.edge_count % 2 == 0)
+    r = verify_theorems(8, "b")[0]
+    assert r.violations == 2 ** 27
+    # the one-edge graph, edge (0, 1)
+    assert r.counterexample == serialize_graph6(mask_to_graph(8, 1))
+    assert 0 < steps <= 120_000
 
 
 def test_class_counts_match_oeis():
