@@ -9,6 +9,9 @@ eigenvalues off by synthetic division.  is_l_integral, up to MAX_N
 vertices, runs it against a table of every polynomial an L-integral graph
 can have: it rejects at the first coefficient prefix no entry shares, and
 accepts only on equality with an entry, an exact integer factorization.
+check_union_relation reads the polynomials of the 76 labeled graphs on at
+most 4 vertices from a table it fills once per process (past 4 a table
+costs more runs than theorem h makes).
 The numeric path is a self-contained cyclic Jacobi eigensolver; no
 external linear algebra.
 """
@@ -583,8 +586,26 @@ def quotient_matrix(k: int, j: int) -> IntMatrix:
 # spectral relations
 # =========================================================================
 
+@lru_cache(maxsize=None)
+def _small_polys(n: int) -> dict[tuple[int, ...], IntPolynomial]:
+    """char_poly(laplacian(g)) of every labeled graph g on n vertices, by g.adj."""
+    rows = [()]
+    for v in range(n):
+        rows = [tuple([a | (nb >> u & 1) << v for u, a in enumerate(adj)]) + (nb,)
+                for adj in rows for nb in range(1 << v)]
+    return {adj: char_poly(laplacian(Graph(n, adj, validate=False))) for adj in rows}
+
+
+def _laplacian_poly(g: Graph) -> IntPolynomial:
+    if g.n <= 4:  # 75 FL runs fill the tables; n = 5 alone would take 1,024
+        return _small_polys(g.n)[g.adj]
+    return char_poly(laplacian(g))
+
+
 def check_union_relation(g: Graph, h: Graph) -> bool:
-    """Exact check: char poly of a disjoint union is the product of the parts'."""
-    lhs = char_poly(laplacian(disjoint_union(g, h)))
-    rhs = char_poly(laplacian(g)) * char_poly(laplacian(h))
-    return lhs == rhs
+    """Exact check: char poly of a disjoint union is the product of the parts'.
+
+    A graph on at most 4 vertices reads the table of all 76 such labeled
+    graphs, filled by FL once per process; a larger one is its own FL run.
+    """
+    return _laplacian_poly(disjoint_union(g, h)) == _laplacian_poly(g) * _laplacian_poly(h)

@@ -17,7 +17,7 @@ from p4spec.constructions import (
     thick_spider,
     thin_spider,
 )
-from p4spec.graphs import complement, disjoint_union, from_edge_list, join, mask_of, pair_order
+from p4spec.graphs import complement, disjoint_union, from_edge_list, join, pair_order
 from p4spec.p4 import enumerate_p4, is_cograph, recognize_spider
 from p4spec.spectral import IntPolynomial, char_poly, laplacian
 

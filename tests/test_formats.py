@@ -15,7 +15,7 @@ from p4spec.formats import (
     serialize_edge_list,
     serialize_graph6,
 )
-from p4spec.graphs import from_edge_list, max_vertices
+from p4spec.graphs import max_vertices
 
 
 # ---------------------------------------------------------------- edge lists

@@ -1,6 +1,5 @@
 """The package's lazy exports and the records the analyze path returns."""
 
-import json
 import os
 import subprocess
 import sys

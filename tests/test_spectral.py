@@ -13,9 +13,8 @@ import pytest
 import oracles
 from p4spec import spectral
 from p4spec.constructions import mask_to_graph, standard, thin_spider
-from p4spec.graphs import Graph, complement, disjoint_union, from_edge_list, join
+from p4spec.graphs import Graph, complement, disjoint_union, join
 from p4spec.spectral import (
-    ClosedFormSpectrum,
     ExactSpectrum,
     IntMatrix,
     IntPolynomial,
@@ -389,6 +388,16 @@ def test_union_relation_is_exact_product():
     h = standard("complete", 4)
     u = disjoint_union(g, h)
     assert char_poly(laplacian(u)) == char_poly(laplacian(g)) * char_poly(laplacian(h))
+
+
+def test_small_poly_tables_hold_every_labeled_graph_on_at_most_4_vertices():
+    for n in range(5):
+        table = spectral._small_polys(n)
+        assert len(table) == 2 ** math.comb(n, 2)
+        assert set(table) == {g.adj for g in oracles.labeled_graphs(n)}
+        for adj, p in table.items():
+            rows = oracles.laplacian_rows(Graph(n, adj))
+            assert list(p.coeffs) == oracles.char_poly_coeffs(rows), adj
 
 
 # ------------------------------------------------ packed-row char_poly kernel

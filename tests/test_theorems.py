@@ -13,7 +13,6 @@ from p4spec.formats import parse_graph6, serialize_graph6
 from p4spec.graphs import Graph, complement, connected_components
 from p4spec.theorems import (
     THEOREMS,
-    TheoremResult,
     _classes,
     _pair_population,
     verify_theorems,
@@ -615,17 +614,34 @@ def test_exhaustive_scan_computes_each_spectrum_once(monkeypatch):
         return real(m)
 
     monkeypatch.setattr(spectral, "_fl_steps", counting)
+    spectral._small_polys.cache_clear()  # so the table builds count here
     results = verify_theorems(5)
     classes = 1 + 2 + 4 + 11 + 34
     assert _by_id(results)["h"].checked == 100 * 4
-    distinct_pairs = sum(len(set(_pair_population(n, 0))) for n in range(2, 6))
-    assert distinct_pairs < 100 * 4
+    pairs = {pair for n in range(2, 6) for pair in _pair_population(n, 0)}
+    assert len(pairs) < 100 * 4
     # theorem g asks for the spectra of each class and of its complement,
-    # and every other check reuses them; three spectra per distinct union pair
-    assert len(calls) == 2 * classes + 3 * distinct_pairs
+    # and every other check reuses them.  Theorem h's parts (1..4 vertices)
+    # and unions of 2..4 vertices read the tables for n = 1..4, one run per
+    # labeled graph: 1 + 2 + 8 + 64.  Only a graph on 5 vertices, here
+    # always the union, is an FL run of its own, once per distinct pair.
+    tables = sum(2 ** math.comb(n, 2) for n in range(1, 5))
+    large = sum((n1 + n2 > 4) + (n1 > 4) + (n2 > 4) for n1, _, n2, _ in pairs)
+    assert len(calls) == 2 * classes + tables + large
     calls.clear()
     verify_theorems(5, "abcdef")
     assert 0 < len(calls) <= classes  # no complement spectra without g
+
+
+def test_wrong_small_poly_entry_fails_theorem_h(monkeypatch):
+    # the labeled P4 0-1-2-3 is a part of two drawn pairs at n = 5
+    path, k1 = standard("path", 4), standard("complete", 1)
+    wrong = spectral._small_polys(4)[standard("complete", 4).adj]
+    monkeypatch.setitem(spectral._small_polys(4), path.adj, wrong)
+    result = _by_id(verify_theorems(5, "h"))["h"]
+    assert result.violations > 0 and result.counterexample is not None
+    assert not spectral.check_union_relation(path, k1)
+    assert not spectral.check_union_relation(k1, path)
 
 
 def test_exhaustive_scan_enumerates_p4s_once_per_graph(monkeypatch):
