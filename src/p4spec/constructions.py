@@ -5,7 +5,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphs import Graph, _attach, check_vertex_count, complement, from_edge_list, pair_order
+from . import MAX_N
+from .graphs import Graph, _attach, _trusted, bits, check_vertex_count, complement, \
+    from_edge_list, pair_order
 from .p4 import _midpoint_split
 from .spectral import IntPolynomial
 
@@ -52,7 +54,7 @@ def thin_spider(k: int, head: Graph | None = None) -> Graph:
     for i in range(k):
         rows[i] = (body_m ^ (1 << i)) | (1 << (k + i))
         rows[k + i] = 1 << i
-    spider = Graph(2 * k, rows, validate=False)
+    spider = _trusted(2 * k, rows)
     return spider if head is None else _attach(spider, body_m, head)
 
 
@@ -140,52 +142,48 @@ def case_iv_polynomials(j: int) -> tuple[IntPolynomial, IntPolynomial]:
 # edge masks
 # =========================================================================
 
-# mask_to_graph decodes through tables up to this many vertices.  Their size
-# grows as n^4 (12 KB at n = 12, 27 KB at 16, 3 MB at 64), so a larger graph,
+# mask_to_graph decodes through tables up to this many vertices, 8 mask bits
+# a lookup up to MAX_N and 4 above.  Per n they grow as n^4 (by tracemalloc
+# 21 KB at n = 7, 31 KB at 8, 27 KB at 16; 3 MB at 64), so a larger graph,
 # which only the graph6 reader builds, is decoded edge by edge.
 _TABLE_MAX_N = 16
 
 
 @lru_cache(maxsize=None)
-def _nibble_tables(n: int) -> tuple[tuple[int, ...], ...]:
-    """For each 4 bits of an n-vertex edge mask, from the lowest: the packed
-    rows, row u in bits u*n..u*n+n-1, of each of their 16 values."""
+def _decode_tables(n: int) -> tuple[int, int, tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """(width, its mask, tables, row offsets u*n) for n-vertex edge masks: for
+    each width bits from the lowest, the packed rows of each of their values."""
     pairs = pair_order(n)
+    width = 8 if n <= MAX_N else 4
     tables = []
-    for base in range(0, len(pairs), 4):
+    for base in range(0, len(pairs), width):
         table = [0]
-        for u, v in pairs[base:base + 4]:
+        for u, v in pairs[base:base + width]:
             bit = 1 << (u * n + v) | 1 << (v * n + u)
             table += [packed | bit for packed in table]
         tables.append(tuple(table))
-    return tuple(tables)
+    return width, (1 << width) - 1, tuple(tables), tuple([u * n for u in range(n)])
 
 
 def mask_to_graph(n: int, mask: int) -> Graph:
     """Graph from an edge mask in pair_order bit positions.
 
-    n is trusted: every scanned graph comes through here, so the vertex cap
-    is not read again.  The callers, formats.parse_graph6 and
+    n is trusted: every scanned graph comes through the tables, which do not
+    read the vertex cap again.  The callers, formats.parse_graph6 and
     theorems.verify_theorems, check n against it first.
     """
-    pairs = pair_order(n)
-    if mask < 0 or mask >> len(pairs):
+    if mask < 0 or mask >> n * (n - 1) // 2:
         raise ValueError(f"edge mask out of range for n = {n}")
     if n > _TABLE_MAX_N:
-        rows = [0] * n
-        while mask:
-            low = mask & -mask
-            u, v = pairs[low.bit_length() - 1]
-            mask ^= low
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        return Graph(n, rows, validate=False)
+        pairs = pair_order(n)
+        return from_edge_list(n, [pairs[i] for i in bits(mask)])
+    width, low, tables, offsets = _decode_tables(n)
     packed = 0
-    for table in _nibble_tables(n):
-        packed |= table[mask & 15]
-        mask >>= 4
+    for table in tables:
+        packed |= table[mask & low]
+        mask >>= width
     full = (1 << n) - 1
-    return Graph(n, [packed >> u * n & full for u in range(n)], validate=False)
+    return _trusted(n, [packed >> offset & full for offset in offsets])
 
 
 def graph_to_mask(g: Graph) -> int:

@@ -30,9 +30,9 @@ def max_vertices() -> int:
 
 
 def check_vertex_count(n: int) -> None:
-    """Raise ValueError unless 0 <= n <= max_vertices().  Every graph builder
-    calls this before it allocates anything for n vertices, except
-    constructions.mask_to_graph, whose callers check n first."""
+    """Raise ValueError unless 0 <= n <= max_vertices().  Graph(...),
+    from_edge_list, _attach, standard and thin_spider call it before they
+    allocate; mask_to_graph's callers and theorems._classes check n first."""
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     cap = max_vertices()
@@ -105,24 +105,23 @@ class Graph:
 
     __slots__ = ("n", "adj", "_memo")
 
-    def __init__(self, n: int, adj: Iterable[int], validate: bool = True):
+    def __init__(self, n: int, adj: Iterable[int]):
+        check_vertex_count(n)
         self.n = n
         self.adj = tuple(adj)
         self._memo = None  # made on the first derived() call
-        if validate:
-            check_vertex_count(n)
-            if len(self.adj) != n:
-                raise ValueError("adjacency row count does not match n")
-            full = (1 << n) - 1
-            for v, row in enumerate(self.adj):
-                if row & ~full:
-                    raise ValueError(f"adjacency row {v} has bits outside 0..{n - 1}")
-                if row >> v & 1:
-                    raise ValueError(f"self-loop at vertex {v}")
-            for u in range(n):
-                for v in range(u + 1, n):
-                    if (self.adj[u] >> v & 1) != (self.adj[v] >> u & 1):
-                        raise ValueError(f"adjacency not symmetric at ({u}, {v})")
+        if len(self.adj) != n:
+            raise ValueError("adjacency row count does not match n")
+        full = (1 << n) - 1
+        for v, row in enumerate(self.adj):
+            if row & ~full:
+                raise ValueError(f"adjacency row {v} has bits outside 0..{n - 1}")
+            if row >> v & 1:
+                raise ValueError(f"self-loop at vertex {v}")
+        for u in range(n):
+            for v in range(u + 1, n):
+                if (self.adj[u] >> v & 1) != (self.adj[v] >> u & 1):
+                    raise ValueError(f"adjacency not symmetric at ({u}, {v})")
 
     def derived(self, fn):
         """fn(self), computed on first use and kept; every caller gets the
@@ -168,6 +167,16 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
+def _trusted(n: int, rows) -> Graph:
+    """A Graph on rows built valid for n vertices, unchecked: the package's
+    builders come through here, and Graph(...) validates outside input."""
+    g = object.__new__(Graph)
+    g.n = n
+    g.adj = tuple(rows)
+    g._memo = None
+    return g
+
+
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from vertex count and an iterable of edges.
 
@@ -183,14 +192,13 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise ValueError(f"self-loop at vertex {u}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(n, rows, validate=False)
+    return _trusted(n, rows)
 
 
 def complement(g: Graph) -> Graph:
     full = g.full_mask
     # a list, not a generator: see spectral.IntMatrix.__init__
-    return Graph(g.n, [~row & full & ~(1 << v) for v, row in enumerate(g.adj)],
-                 validate=False)
+    return _trusted(g.n, [~row & full & ~(1 << v) for v, row in enumerate(g.adj)])
 
 
 def _attach(g: Graph, mask: int, h: Graph) -> Graph:
@@ -203,7 +211,7 @@ def _attach(g: Graph, mask: int, h: Graph) -> Graph:
     head = ((1 << h.n) - 1) << base
     rows = [row | head if mask >> v & 1 else row for v, row in enumerate(g.adj)]
     rows += [(row << base) | mask for row in h.adj]
-    return Graph(n, rows, validate=False)
+    return _trusted(n, rows)
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
@@ -227,7 +235,7 @@ def induced_subgraph(g: Graph, selection: int | Iterable[int]) -> Graph:
     for v in kept:
         row = g.adj[v] & mask
         rows.append(mask_of(index[w] for w in bits(row)))
-    return Graph(len(kept), rows, validate=False)
+    return _trusted(len(kept), rows)
 
 
 def _components(rows, mask: int) -> list[int]:

@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from . import MAX_N
-from .graphs import Graph, bits, disjoint_union
+from .graphs import Graph, _trusted, bits, disjoint_union
 
 
 # =========================================================================
@@ -593,7 +593,7 @@ def _small_polys(n: int) -> dict[tuple[int, ...], IntPolynomial]:
     for v in range(n):
         rows = [tuple([a | (nb >> u & 1) << v for u, a in enumerate(adj)]) + (nb,)
                 for adj in rows for nb in range(1 << v)]
-    return {adj: char_poly(laplacian(Graph(n, adj, validate=False))) for adj in rows}
+    return {adj: char_poly(laplacian(_trusted(n, adj))) for adj in rows}
 
 
 def _laplacian_poly(g: Graph) -> IntPolynomial:

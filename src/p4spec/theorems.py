@@ -32,8 +32,8 @@ from typing import Iterator
 from . import MAX_N, THEOREMS
 from .constructions import mask_to_graph
 from .formats import serialize_graph6
-from .graphs import Graph, _canonical_deletion, bits, check_vertex_count, complement, \
-    connected_components
+from .graphs import Graph, _canonical_deletion, _trusted, bits, check_vertex_count, \
+    complement, connected_components
 from .p4 import _midpoint_split, _p4_components, enumerate_p4, is_p4_connected, \
     is_p4_extendible, recognize_spider, satisfies_q_t
 from .spectral import check_union_relation, is_l_integral
@@ -293,7 +293,7 @@ def _classes(n: int, prev: list[tuple]) -> tuple[list[tuple], int]:
                             orbit.append(t)
             adj = [row | new if nbrs >> u & 1 else row for u, row in enumerate(rows)]
             adj.append(nbrs)
-            searched, kept = _canonical_deletion(Graph(n, adj, validate=False))
+            searched, kept = _canonical_deletion(_trusted(n, adj))
             searches += searched
             if kept is not None:
                 child, aut, child_gens = kept

@@ -17,7 +17,7 @@ from p4spec.constructions import (
     thick_spider,
     thin_spider,
 )
-from p4spec.graphs import complement, disjoint_union, from_edge_list, join, pair_order
+from p4spec.graphs import Graph, complement, disjoint_union, from_edge_list, join, pair_order
 from p4spec.p4 import enumerate_p4, is_cograph, recognize_spider
 from p4spec.spectral import IntPolynomial, char_poly, laplacian
 
@@ -275,19 +275,32 @@ def test_mask_round_trip():
             assert graph_to_mask(g) == mask
 
 
+def _decode_by_pairs(n, mask):
+    """The rows of mask_to_graph(n, mask), edge by edge through pair_order."""
+    rows = [0] * n
+    for i, (u, v) in enumerate(pair_order(n)):
+        if mask >> i & 1:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return rows
+
+
 def test_mask_to_graph_matches_pair_order():
-    # bit i of the mask is the edge pair_order(n)[i], whether the mask is
-    # decoded through tables (n <= 16) or edge by edge, and graph_to_mask
-    # encodes it back
+    # bit i of the mask is the edge pair_order(n)[i] in each regime of the
+    # decoder: 8-bit tables up to 8 vertices, 4-bit tables from 9 to 16 and
+    # edge by edge above; the rows form a valid Graph, and graph_to_mask
+    # encodes them back
     rng = random.Random(31)
-    for n in range(0, 21):
-        pairs = pair_order(n)
-        masks = [0, (1 << len(pairs)) - 1] + [rng.getrandbits(len(pairs)) for _ in range(20)]
+    for n in range(0, 19):
+        width = n * (n - 1) // 2
+        masks = range(1 << width) if n <= 5 else [0, (1 << width) - 1] + [
+            rng.getrandbits(width) for _ in range(2000)]
         for mask in masks:
-            edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-            assert mask_to_graph(n, mask) == from_edge_list(n, edges), (n, mask)
-            assert graph_to_mask(mask_to_graph(n, mask)) == mask, (n, mask)
-        for bad in (-1, 1 << len(pairs)):
+            g = mask_to_graph(n, mask)
+            assert g == Graph(n, _decode_by_pairs(n, mask)), (n, mask)
+            assert graph_to_mask(g) == mask, (n, mask)
+    for n in (0, 1, 8, 9, 16, 17):
+        for bad in (-1, 1 << n * (n - 1) // 2):
             with pytest.raises(ValueError, match="out of range"):
                 mask_to_graph(n, bad)
 

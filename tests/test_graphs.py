@@ -78,6 +78,8 @@ def test_graph_validation():
         Graph(2, (0b01, 0b10))  # self loop
     with pytest.raises(ValueError):
         Graph(2, (0b100, 0b000))  # out of range bit
+    with pytest.raises(TypeError):
+        Graph(2, (0b10, 0b00), validate=False)  # no way around the checks
 
 
 def test_equality_and_hash():
@@ -164,6 +166,20 @@ def test_connected_components_ordering():
     assert is_connected(standard("path", 6))
     assert is_connected(standard("empty", 1))
     assert not is_connected(standard("empty", 0))
+
+
+def test_is_connected_against_oracle():
+    rng = random.Random(17)
+    graphs = [g for n in range(0, 6) for g in oracles.labeled_graphs(n)]
+    for _ in range(300):
+        n = rng.randint(6, 12)
+        width = n * (n - 1) // 2
+        # density 1/8 and 1/2, so both answers are common
+        sparse = rng.getrandbits(width) & rng.getrandbits(width) & rng.getrandbits(width)
+        graphs += [mask_to_graph(n, sparse), _random_graph(rng, n)]
+    assert {0, 1} <= {g.n for g in graphs}
+    for g in graphs:
+        assert is_connected(g) == oracles.is_connected(g), g.adj
 
 
 def test_are_isomorphic_small_cases():

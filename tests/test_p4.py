@@ -207,6 +207,12 @@ def test_p4_extendible_examples():
     for kind in ("P4", "F3", "F4", "F5", "F6"):
         for head in head_catalog().values():
             assert is_p4_extendible(case_iv_graph(kind, head)), kind
+    # 2.C5 and 3.C5: p-components of 5 vertices, and 5 * (n // 4) P4s, the
+    # most a P4-extendible graph on n vertices has
+    c5 = standard("cycle", 5)
+    for g in (disjoint_union(c5, c5), disjoint_union(disjoint_union(c5, c5), c5)):
+        assert is_p4_extendible(g)
+        assert p4_count(g) == 5 * (g.n // 4)
 
 
 def test_net_is_not_extendible():
@@ -216,11 +222,18 @@ def test_net_is_not_extendible():
 
 
 def test_p4_extendible_against_oracle():
-    for n in range(0, 6):
+    for n in range(0, 7):
         for g in oracles.labeled_graphs(n):
-            assert is_p4_extendible(g) == oracles.is_p4_extendible(g)
-    for g in _sampled_graphs(105, 200, 6, 7):
-        assert is_p4_extendible(g) == oracles.is_p4_extendible(g)
+            assert is_p4_extendible(g) == oracles.is_p4_extendible(g), g.adj
+    # densities 1/8, 1/2 and 7/8, so that extendible graphs are common
+    rng = random.Random(105)
+    for _ in range(300):
+        n = rng.randint(7, 13)
+        width = n * (n - 1) // 2
+        sparse = rng.getrandbits(width) & rng.getrandbits(width) & rng.getrandbits(width)
+        for mask in (sparse, rng.getrandbits(width), sparse ^ (1 << width) - 1):
+            g = mask_to_graph(n, mask)
+            assert is_p4_extendible(g) == oracles.is_p4_extendible(g), g.adj
 
 
 def test_p4_extendible_complement_closed():
