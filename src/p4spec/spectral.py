@@ -6,9 +6,14 @@ and yields the characteristic polynomial's coefficients one step at a time
 (every division it performs is exact for integer matrices and is checked
 so).  char_poly drains it, and exact_spectrum splits the integer
 eigenvalues off by synthetic division.  is_l_integral, up to MAX_N
-vertices, runs it against a table of every polynomial an L-integral graph
-can have: it rejects at the first coefficient prefix no entry shares, and
-accepts only on equality with an entry, an exact integer factorization.
+vertices, runs no Faddeev-LeVerrier step: it reads e_1, e_2, e_3 of the
+spectrum from closed forms in the degrees and the triangle count, rejects
+a prefix that no integral spectrum on n vertices shares (every Laplacian
+eigenvalue lies in [0, n]), and otherwise accepts iff prod (L - sI) over
+the roots S of the integral spectra with that prefix is the zero matrix.
+L is diagonalizable, so that zero puts every eigenvalue in S, a set of
+integers, and an integral spectrum with that prefix lies in S, so it makes
+that zero.
 check_union_relation reads the polynomials of the 76 labeled graphs on at
 most 4 vertices from a table it fills once per process (past 4 a table
 costs more runs than theorem h makes).
@@ -342,65 +347,138 @@ def exact_spectrum(g: Graph) -> ExactSpectrum:
     return spec
 
 
+def _prefix(g: Graph) -> tuple[int, int, int]:
+    """e_1, e_2, e_3 of g's Laplacian eigenvalues, from closed forms.
+
+    det(xI - L) = x^n - e_1 x^(n-1) + e_2 x^(n-2) - e_3 x^(n-3) + ..., and
+    the power sums p_k = tr(L^k) have closed forms in the degrees d and the
+    triangle count t: p_1 = 2m, p_2 = sum d^2 + 2m, and, as tr(D^2 A) = 0,
+    (A^2)_ii = d_i and tr(A^3) = 6t, p_3 = sum d^3 + 3 sum d^2 - 6t.  Here
+    6t is summed as the common neighbours of each ordered adjacent pair.
+    Newton's identities give e_1 = p_1, e_2 = (e_1 p_1 - p_2)/2 and
+    e_3 = (e_2 p_1 - e_1 p_2 + p_3)/3.  Both divisions are exact for a
+    graph, and a remainder raises ArithmeticError rather than being dropped.
+    """
+    adj = g.adj
+    e1 = s2 = s3 = walks = 0
+    for row in adj:
+        d = row.bit_count()
+        e1 += d
+        s2 += d * d
+        s3 += d * d * d
+        for j in bits(row):
+            walks += (row & adj[j]).bit_count()
+    p2 = s2 + e1
+    p3 = s3 + 3 * s2 - walks
+    twice_e2 = e1 * e1 - p2
+    if twice_e2 & 1:
+        raise ArithmeticError("closed-form e_2 is not an integer")
+    e2 = twice_e2 >> 1
+    thrice_e3 = e2 * e1 - e1 * p2 + p3
+    if thrice_e3 % 3:
+        raise ArithmeticError("closed-form e_3 is not an integer")
+    return e1, e2, thrice_e3 // 3
+
+
 @lru_cache(maxsize=None)
-def _integral_table(n: int) -> tuple[tuple[int, ...], int]:
-    """Every characteristic polynomial an L-integral graph on n vertices can
-    have, packed and sorted, and the field width w of the packing.
+def _integral_prefixes(n: int) -> tuple[tuple[int, ...], int]:
+    """The prefix (e_1, e_2, e_3) of every spectrum an L-integral graph on n
+    vertices can have, each with the roots of all such spectra sharing it,
+    packed and sorted, and the field width w of the packing.
 
     Its Laplacian eigenvalues are 0 and a multiset R of n - 1 integers in
-    [0, n] (Merris 1994), so its polynomial is x * prod_{r in R} (x - r):
-    c_{n-k} is (-1)^k e_k(R) for 0 < k < n, and c_0 is 0.  Each R is packed
-    as e_1(R), ..., e_{n-1}(R) in w-bit fields, e_1 the most significant,
-    so the entries that share e_1, ..., e_k are one run of the sorted list.
-    No e_k falls as a root grows, so R = (n, ..., n) has the largest
-    fields, and w is the bit length of the largest of them.
+    [0, n] (Merris 1994), so its e_k are those of R.  An entry packs e_1,
+    e_2, e_3 in w-bit fields, e_1 the most significant, above an
+    (n + 1)-bit root mask: bit s is set iff s is an eigenvalue of some such
+    spectrum with that prefix, so bit 0 always is.  The entries of one
+    prefix are merged into one, so each prefix occurs once.  No e_k falls as
+    a root grows, so R = (n, ..., n) has the largest fields and sets w.
     """
-    w = max(math.comb(n - 1, k) * n ** k for k in range(n)).bit_length()
+    w = max(math.comb(n - 1, k) * n ** k for k in range(4)).bit_length()
+    low = n + 1
     table = []
     for roots in itertools.combinations_with_replacement(range(n + 1), n - 1):
-        e = [1] + [0] * (n - 1)  # e[k] = e_k of the roots so far
-        for j, r in enumerate(roots, 1):
-            for k in range(j, 0, -1):
-                e[k] += r * e[k - 1]
-        packed = 0
-        for x in e[1:]:
-            packed = packed << w | x
-        table.append(packed)
+        e1 = e2 = e3 = 0
+        mask = 1
+        for r in roots:
+            e3 += r * e2
+            e2 += r * e1
+            e1 += r
+            mask |= 1 << r
+        table.append(((e1 << w | e2) << w | e3) << low | mask)
     table.sort()
+    # merge the masks of each prefix in place, so no second list is built
+    k = 0
+    for x in table:
+        if k and table[k - 1] >> low == x >> low:
+            table[k - 1] |= x
+        else:
+            table[k] = x
+            k += 1
+    del table[k:]
     return tuple(table), w
+
+
+def _root_product(m: IntMatrix, roots: tuple[int, ...]) -> list[int]:
+    """prod_{s in roots} (M - sI) for a Laplacian M and roots in [0, n], as
+    packed rows.
+
+    Each row is one Python int, w bits per entry, and M = I first: a factor
+    maps row i to (d_i - s) times itself minus the rows of i's neighbours.
+    A factor's absolute row sum is |d_i - s| + d_i <= max(s, 2 d_i) <= r,
+    with r = max(n, 2 * maxdeg) = max(n, IntMatrix.bound), the Gershgorin
+    bound of exact_spectrum, so a product of k factors has entries of
+    absolute value at most r^k, and a signed field of w = bit_length(r^k) + 1
+    bits holds each.  Packing is linear, so a packed row is exactly
+    sum_j x_j 2^(wj), and as every |x_j| < 2^(w-1) it is 0 only if every
+    x_j is: x_0 = 0 mod 2^w forces x_0 = 0, then x_1, and so on.
+    """
+    n = m.n
+    w = (max(n, m.bound) ** len(roots)).bit_length() + 1
+    rows = [1 << shift for shift in range(0, w * n, w)]
+    for s in roots:
+        out = []
+        for d, nb, x in zip(m.diag, m.minus, rows):
+            x *= d - s
+            for j in nb:
+                x -= rows[j]
+            out.append(x)
+        rows = out
+    return rows
 
 
 def is_l_integral(g: Graph) -> bool:
     """True iff every Laplacian eigenvalue of g is an integer.
 
-    Up to MAX_N vertices this runs _fl_steps against _integral_table(n):
-    it returns False at the first step k whose e_k = (-1)^k c_{n-k} leaves
-    e_1, ..., e_k the prefix of no entry, and True only after all n steps,
-    when e_1, ..., e_{n-1} equal one entry's and c_0 is 0.  That equality
-    is the exact identity p(x) = x * prod (x - r), with no root search and
-    no float.  Above MAX_N it is exact_spectrum(g).is_integral.
+    Up to MAX_N vertices the answer is an exact two-stage certificate, with
+    no Faddeev-LeVerrier run, no root search and no float.  First
+    _prefix(g) is looked up in _integral_prefixes(n): if no entry shares
+    it, no integral spectrum does, and the answer is False.  Otherwise, with
+    S the entry's roots, the answer is whether prod_{s in S} (L - sI) = 0,
+    read off _root_product's packed rows.
+
+    Proof.  L is symmetric, so it is diagonalizable, and the product
+    vanishes iff every eigenvalue of L is a root of prod (x - s), that is,
+    lies in S.  If g is L-integral, its spectrum is an entry's with g's
+    prefix, so it lies in S and the product vanishes.  If the product
+    vanishes, every eigenvalue lies in S, a set of integers.  So only an
+    exact integer zero accepts a graph.  A prefix whose fields spill past
+    the table's w bits may alias another entry's, but only for a graph that
+    is not L-integral, and the product rejects it.  Above MAX_N the answer
+    is exact_spectrum(g).is_integral.
     """
     n = g.n
     if not 0 < n <= MAX_N:
         return exact_spectrum(g).is_integral
-    table, w = _integral_table(n)
-    steps = _fl_steps(laplacian(g))
-    limit = 1 << w
-    prefix = lo = 0
-    shift = w * (n - 1)
-    for k in range(1, n):
-        e = next(steps)
-        if k & 1:
-            e = -e
-        if not 0 <= e < limit:
-            return False  # no entry's field, and it would spill into the next
-        prefix = prefix << w | e
-        shift -= w
-        # the first entry at or above the prefix shares it, if any does
-        lo = bisect_left(table, prefix << shift, lo)
-        if lo == len(table) or table[lo] >> shift != prefix:
-            return False
-    return next(steps) == 0
+    table, w = _integral_prefixes(n)
+    e1, e2, e3 = _prefix(g)
+    low = n + 1
+    key = (e1 << w | e2) << w | e3
+    # the first entry at or above the prefix is the prefix's entry, if any
+    i = bisect_left(table, key << low)
+    if i == len(table) or table[i] >> low != key:
+        return False
+    return not any(_root_product(laplacian(g), bits(table[i] & (1 << low) - 1)))
 
 
 # =========================================================================

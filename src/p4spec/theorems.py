@@ -42,9 +42,9 @@ PAIRS_PER_N = 100
 _CHUNK = 64  # units per chunk
 
 
-# The checks share a graph's P4s, complement, spider and L-integrality
-# through Graph.derived, so each is computed once per graph whichever checks
-# run.
+# The checks share a graph's P4s, complement, spider, P4-extendibility and
+# L-integrality through Graph.derived, so each is computed once per graph
+# whichever checks run.
 
 def _check_a(g: Graph) -> bool:
     if g.derived(enumerate_p4):
@@ -59,7 +59,7 @@ def _check_b(g: Graph) -> bool:
 
 
 def _check_c(g: Graph) -> bool:
-    if not g.derived(enumerate_p4) or not is_p4_extendible(g):
+    if not g.derived(enumerate_p4) or not g.derived(is_p4_extendible):
         return True
     return not g.derived(is_l_integral)
 
@@ -87,7 +87,7 @@ def _has_midpoint_extension(g: Graph) -> bool:
 
 
 def _check_e(g: Graph) -> bool:
-    if g.n < 2 or not is_p4_extendible(g):
+    if g.n < 2 or not g.derived(is_p4_extendible):
         return True
     disconnected = len(connected_components(g)) > 1
     co_disconnected = len(connected_components(g.derived(complement))) > 1

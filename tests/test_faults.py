@@ -3,10 +3,9 @@
 Each entry rewrites one exact substring of a kernel's source and names the
 fast tests that must fail on the rewrite.  The rewritten function is built
 from the edited source in a copy of its module's namespace and patched over
-the original in every module that binds it, the way
-test_spectral.test_each_table_fault_fails_an_agreement_test does for the
-L-integral table.  The substring must occur exactly once, so a refactor that
-moves the code fails here instead of leaving a mutant that tests nothing.
+the original in every module that binds it, tests included.  The substring
+must occur exactly once, so a refactor that moves the code fails here instead
+of leaving a mutant that tests nothing.
 """
 
 import inspect
@@ -17,7 +16,8 @@ import pytest
 
 import test_constructions
 import test_p4
-from p4spec import constructions, graphs, p4
+import test_spectral
+from p4spec import constructions, graphs, p4, spectral
 
 # name -> (module, kernel, source substring, its replacement, catching tests)
 FAULTS = {
@@ -38,6 +38,43 @@ FAULTS = {
     "closure-mask": (
         graphs, "_components", "frontier = nxt & mask & ~comp", "frontier = nxt & ~comp",
         [test_p4.test_cograph_recursive_equals_definitional]),
+    # tr(L^3) adds the triangle term instead of subtracting it
+    "prefix-triangle-sign": (
+        spectral, "_prefix", "p3 = s3 + 3 * s2 - walks", "p3 = s3 + 3 * s2 + walks",
+        [test_spectral.test_prefix_closed_forms_match_faddeev_leverrier,
+         test_spectral.test_is_l_integral_agrees_with_exact_spectrum_to_n7]),
+    # the table of prod (x + r) instead of prod (x - r)
+    "table-sign": (
+        spectral, "_integral_prefixes", "e2 += r * e1", "e2 -= r * e1",
+        [test_spectral.test_integral_table_holds_every_root_multiset,
+         test_spectral.test_is_l_integral_agrees_with_exact_spectrum_to_n7,
+         test_spectral.test_is_l_integral_accepts_every_cograph_to_n8]),
+    # roots drawn from [1, n]: no entry repeats 0, as a disconnected
+    # graph's spectrum does
+    "table-no-repeated-zero": (
+        spectral, "_integral_prefixes", "range(n + 1), n - 1)", "range(1, n + 1), n - 1)",
+        [test_spectral.test_integral_table_holds_every_root_multiset,
+         test_spectral.test_is_l_integral_agrees_with_exact_spectrum_to_n7,
+         test_spectral.test_is_l_integral_accepts_every_cograph_to_n8]),
+    # the root mask without the 0 that every Laplacian has
+    "table-zero-bit": (
+        spectral, "_integral_prefixes", "mask = 1\n", "mask = 0\n",
+        [test_spectral.test_integral_table_holds_every_root_multiset,
+         test_spectral.test_is_l_integral_agrees_with_exact_spectrum_to_n7,
+         test_spectral.test_is_l_integral_accepts_every_cograph_to_n8]),
+    # the product stops before its last (largest) root
+    "product-last-factor": (
+        spectral, "_root_product", "for s in roots:", "for s in roots[:-1]:",
+        [test_spectral.test_root_product_matches_dense_product,
+         test_spectral.test_is_l_integral_agrees_with_exact_spectrum_to_n7,
+         test_spectral.test_is_l_integral_accepts_every_cograph_to_n8]),
+    # a field as wide as one factor's entries, not the product's.  No L-integral
+    # decision on the graphs of the agreement tests changes: a zero test on
+    # packed rows is P v = 0 for v = (2^(wj))_j, and that v falls in the kernel
+    # of no product there, even at w = 1.  The entries read back wrong.
+    "product-width": (
+        spectral, "_root_product", " ** len(roots)).bit_length() + 1", ").bit_length() + 1",
+        [test_spectral.test_root_product_matches_dense_product]),
 }
 
 

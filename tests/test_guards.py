@@ -14,7 +14,7 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 SCRIPT = r"""
 from p4spec import p4, spectral, theorems
 from p4spec.constructions import standard
-from p4spec.graphs import Graph
+from p4spec.graphs import Graph, _trusted
 from p4spec.spectral import IntPolynomial, laplacian
 
 assert False, "asserts must be stripped in this process"
@@ -29,14 +29,18 @@ def outcome(fn):
 
 
 # a packed field too narrow for the entries: the trace division goes inexact,
-# for a Laplacian (K4) and for off-diagonal entries other than -1 (-2, -3),
-# and is_l_integral (K5) raises it from the same step
+# for a Laplacian (K4) and for off-diagonal entries other than -1 (-2, -3)
 real_width = spectral._field_width
 spectral._field_width = lambda r, n: 2
 print(outcome(lambda: spectral.char_poly(laplacian(standard("complete", 4)))))
 print(outcome(lambda: spectral.char_poly(spectral.quotient_matrix(3, 2))))
-print(outcome(lambda: spectral.is_l_integral(standard("complete", 5))))
 spectral._field_width = real_width
+
+# one-way adjacency, which no Graph has: is_l_integral's closed-form
+# divisions go inexact, for e_2 on the arc 0 -> 1 and for e_3 on a triangle
+# whose vertex 2 lists no neighbour
+print(outcome(lambda: spectral.is_l_integral(_trusted(2, (0b10, 0)))))
+print(outcome(lambda: spectral.is_l_integral(_trusted(3, (0b110, 0b101, 0)))))
 
 # a characteristic polynomial with the root 5 > n = 4 for the star K_{1,3}
 real_char_poly = spectral.char_poly
@@ -90,7 +94,8 @@ def test_decision_guards_survive_optimize_flag():
     assert proc.stdout.splitlines() == [
         "raised: Faddeev-LeVerrier trace division is not exact",
         "raised: Faddeev-LeVerrier trace division is not exact",
-        "raised: Faddeev-LeVerrier trace division is not exact",
+        "raised: closed-form e_2 is not an integer",
+        "raised: closed-form e_3 is not an integer",
         "raised: Laplacian eigenvalue above n: bound violated",
         "raised: recursive and P4-free cograph checks disagree",
         "raised: class weights on 2 vertices sum to 4, not 2^1",

@@ -1,10 +1,9 @@
-import inspect
+import itertools
 import math
 import os
 import random
 import subprocess
 import sys
-import textwrap
 from functools import lru_cache
 from pathlib import Path
 
@@ -159,7 +158,7 @@ def test_is_l_integral_examples():
     assert not is_l_integral(standard("cycle", 5))
 
 
-# ------------------------------------- L-integrality by the coefficient table
+# ------------------------- L-integrality by the minimal-polynomial certificate
 
 @lru_cache(maxsize=None)
 def _classes_and_complements(n_max):
@@ -205,21 +204,107 @@ def test_is_l_integral_accepts_every_cograph_to_n8():
     assert all(map(is_l_integral, graphs))
 
 
+def _fl_prefix(g):
+    # e_k = (-1)^k c_{n-k} from the first three Faddeev-LeVerrier steps, and
+    # 0 past the degree
+    c = [*itertools.islice(spectral._fl_steps(laplacian(g)), 3), 0, 0, 0]
+    return -c[0], c[1], -c[2]
+
+
+def test_prefix_closed_forms_match_faddeev_leverrier():
+    graphs = [g for n in range(6) for g in oracles.labeled_graphs(n)]
+    graphs += _classes_and_complements(7)
+    rng = random.Random(28)
+    for n in range(8, 13):
+        for _ in range(100):
+            a, b = rng.getrandbits(n * (n - 1) // 2), rng.getrandbits(n * (n - 1) // 2)
+            # densities 1/4, 1/2 and 3/4, so from few triangles to many
+            graphs += [mask_to_graph(n, mask) for mask in (a & b, a, a | b)]
+    assert [spectral._prefix(g) for g in graphs] == [_fl_prefix(g) for g in graphs]
+
+
 def test_integral_table_holds_every_root_multiset():
+    # rebuilt from each spectrum's polynomial x * prod (x - r): every multiset
+    # R of n - 1 integers in [0, n] has its prefix in the table, its mask
+    # holds 0 and every root of every R with that prefix, and nothing else
     for n in range(1, 9):
-        table, w = spectral._integral_table(n)
-        assert len(table) == len(set(table)) == math.comb(2 * n - 1, n - 1)
-        assert list(table) == sorted(table)
-        # the last entry is R = (n, ..., n), whose e_k are the largest fields
-        fields = [table[-1] >> w * (n - 1 - k) & (1 << w) - 1 for k in range(1, n)]
-        assert fields == [math.comb(n - 1, k) * n ** k for k in range(1, n)]
+        table, w = spectral._integral_prefixes(n)
+        low = n + 1
+        want = {}
+        for roots in itertools.combinations_with_replacement(range(n + 1), n - 1):
+            p = IntPolynomial([0, 1])
+            for r in roots:
+                p = p * IntPolynomial([-r, 1])
+            c = [*reversed(p.coeffs), 0, 0, 0]
+            prefix = (-c[1], c[2], -c[3])
+            assert all(0 <= e < 1 << w for e in prefix)
+            want[prefix] = want.get(prefix, 1) | sum(1 << r for r in set(roots))
+        field = (1 << w) - 1
+        got = {(x >> low + 2 * w, x >> low + w & field, x >> low & field): x & (1 << low) - 1
+               for x in table}
+        assert list(table) == sorted(set(table))
+        assert len(got) == len(table)
+        assert got == want
+
+
+def _dense_root_product(g, roots):
+    lap = oracles.laplacian_rows(g)
+    n = g.n
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for s in roots:
+        p = [[sum((lap[i][l] - s * (i == l)) * p[l][j] for l in range(n)) for j in range(n)]
+             for i in range(n)]
+    return p
+
+
+def _unpack(packed, w, n):
+    # signed w-bit fields, lowest first; the row must hold nothing past n
+    half = 1 << w - 1
+    row = []
+    for _ in range(n):
+        x = (packed + half & (1 << w) - 1) - half
+        row.append(x)
+        packed = packed - x >> w
+    assert packed == 0
+    return row
+
+
+def test_root_product_matches_dense_product():
+    # every root set of up to n + 1 roots, the full [0, n] included, whose
+    # product has the largest entries
+    rng = random.Random(9)
+    for n in range(1, spectral.MAX_N + 1):
+        for _ in range(30):
+            g = _random_graph(rng, n)
+            for roots in (tuple(range(n + 1)),
+                          tuple(sorted(rng.sample(range(n + 1), rng.randint(0, n + 1))))):
+                # the width _root_product proves: r^k < 2^(w - 1) for k roots
+                w = (max(n, 2 * max(map(int.bit_count, g.adj))) ** len(roots)).bit_length() + 1
+                rows = spectral._root_product(laplacian(g), roots)
+                assert [_unpack(x, w, n) for x in rows] == _dense_root_product(g, roots)
+
+
+def test_is_l_integral_up_to_max_n_runs_no_faddeev_leverrier(monkeypatch):
+    rng = random.Random(8)
+    graphs = _classes_and_complements(6) + tuple(
+        _random_graph(rng, n) for n in (7, spectral.MAX_N) for _ in range(100))
+    graphs += (standard("complete", spectral.MAX_N), standard("path", spectral.MAX_N))
+    want = [exact_spectrum(g).is_integral for g in graphs]
+    assert True in want and False in want
+
+    def no_fl(m):
+        raise AssertionError(f"Faddeev-LeVerrier run at n = {m.n}")
+
+    monkeypatch.setattr(spectral, "_fl_steps", no_fl)
+    assert [is_l_integral(g) for g in graphs] == want
 
 
 def test_is_l_integral_above_max_n_takes_the_exact_path(monkeypatch):
-    def no_table(n):
-        raise AssertionError(f"table built for n = {n}")
+    def no_certificate(x):
+        raise AssertionError(f"certificate used for {x}")
 
-    monkeypatch.setattr(spectral, "_integral_table", no_table)
+    monkeypatch.setattr(spectral, "_integral_prefixes", no_certificate)
+    monkeypatch.setattr(spectral, "_prefix", no_certificate)
     n = spectral.MAX_N + 1
     assert is_l_integral(standard("complete", n))
     assert not is_l_integral(standard("path", n))
@@ -228,40 +313,11 @@ def test_is_l_integral_above_max_n_takes_the_exact_path(monkeypatch):
 
 def test_no_integral_table_is_built_at_import():
     code = ("from p4spec import spectral, theorems, cli\n"
-            "print(spectral._integral_table.cache_info().currsize)")
+            "print(spectral._integral_prefixes.cache_info().currsize)")
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "0\n"
-
-
-# each fault is a source change to the table builder: a flipped sign on e_k
-# (the table of prod (x + r)), roots drawn from [1, n] instead of [0, n]
-# (no entry has 0 twice, as a disconnected graph's spectrum does), and
-# entries one step too long (c_0 packed as a last field)
-_TABLE_FAULTS = {
-    "sign": ("e[k] += r * e[k - 1]", "e[k] -= r * e[k - 1]"),
-    "no-zero-root": ("range(n + 1)", "range(1, n + 1)"),
-    "one-step-long": ("for x in e[1:]:", "for x in e[1:] + [0]:"),
-}
-
-
-@pytest.mark.parametrize("fault", sorted(_TABLE_FAULTS))
-def test_each_table_fault_fails_an_agreement_test(monkeypatch, fault):
-    old, new = _TABLE_FAULTS[fault]
-    source = textwrap.dedent(inspect.getsource(spectral._integral_table))
-    assert source.count(old) == 1
-    namespace = dict(vars(spectral))
-    exec(source.replace(old, new), namespace)
-    monkeypatch.setattr(spectral, "_integral_table", namespace["_integral_table"])
-    failed = []
-    for test in (test_is_l_integral_agrees_with_exact_spectrum_to_n7,
-                 test_is_l_integral_accepts_every_cograph_to_n8):
-        try:
-            test()
-        except AssertionError:
-            failed.append(test.__name__)
-    assert failed
 
 
 # ----------------------------------------------------------------- numerics

@@ -604,33 +604,59 @@ def test_custom_invariant_checks_match_labeled_scan(monkeypatch):
 
 
 def test_exhaustive_scan_computes_each_spectrum_once(monkeypatch):
-    # one Faddeev-LeVerrier run per spectrum, whether is_l_integral reads
-    # it or char_poly drains it
-    calls = []
-    real = spectral._fl_steps
+    # one Faddeev-LeVerrier run per polynomial theorem h reads, and one
+    # L-integrality certificate per graph, which every other check reuses
+    runs, certificates = [], []
+    real_fl, real_prefix = spectral._fl_steps, spectral._prefix
 
-    def counting(m):
-        calls.append(m.n)
-        return real(m)
+    def counting_fl(m):
+        runs.append(m.n)
+        return real_fl(m)
 
-    monkeypatch.setattr(spectral, "_fl_steps", counting)
+    def counting_prefix(g):
+        certificates.append(g.n)
+        return real_prefix(g)
+
+    monkeypatch.setattr(spectral, "_fl_steps", counting_fl)
+    monkeypatch.setattr(spectral, "_prefix", counting_prefix)
     spectral._small_polys.cache_clear()  # so the table builds count here
     results = verify_theorems(5)
     classes = 1 + 2 + 4 + 11 + 34
     assert _by_id(results)["h"].checked == 100 * 4
     pairs = {pair for n in range(2, 6) for pair in _pair_population(n, 0)}
     assert len(pairs) < 100 * 4
-    # theorem g asks for the spectra of each class and of its complement,
-    # and every other check reuses them.  Theorem h's parts (1..4 vertices)
-    # and unions of 2..4 vertices read the tables for n = 1..4, one run per
-    # labeled graph: 1 + 2 + 8 + 64.  Only a graph on 5 vertices, here
-    # always the union, is an FL run of its own, once per distinct pair.
+    # theorem g asks for the L-integrality of each class and of its
+    # complement, with no Faddeev-LeVerrier run.  Theorem h's parts (1..4
+    # vertices) and unions of 2..4 vertices read the tables for n = 1..4, one
+    # run per labeled graph: 1 + 2 + 8 + 64.  Only a graph on 5 vertices,
+    # here always the union, is an FL run of its own, once per distinct pair.
     tables = sum(2 ** math.comb(n, 2) for n in range(1, 5))
     large = sum((n1 + n2 > 4) + (n1 > 4) + (n2 > 4) for n1, _, n2, _ in pairs)
-    assert len(calls) == 2 * classes + tables + large
-    calls.clear()
+    assert len(runs) == tables + large
+    assert len(certificates) == 2 * classes
+    runs.clear()
+    certificates.clear()
     verify_theorems(5, "abcdef")
-    assert 0 < len(calls) <= classes  # no complement spectra without g
+    assert not runs
+    assert 0 < len(certificates) <= classes  # no complements without g
+
+
+def test_ce_scan_decides_p4_extendibility_once_per_graph(monkeypatch):
+    # theorems c and e share it through Graph.derived; the list keeps every
+    # graph alive, so no two of them share an id
+    asked = []
+    real = theorems.is_p4_extendible
+
+    def counting(g):
+        asked.append(g)
+        return real(g)
+
+    monkeypatch.setattr(theorems, "is_p4_extendible", counting)
+    results = verify_theorems(6, "ce")
+    assert not any(r.violations for r in results)
+    # theorem e asks on every class with at least 2 vertices, c only on
+    # classes with a P4, all of which have 4 or more
+    assert len(asked) == len({id(g) for g in asked}) == sum(CLASS_COUNTS[1:6])
 
 
 def test_wrong_small_poly_entry_fails_theorem_h(monkeypatch):
