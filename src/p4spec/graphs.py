@@ -131,7 +131,7 @@ class Graph:
         memo = self._memo
         if memo is None:
             memo = self._memo = {}
-        if fn in memo:
+        elif fn in memo:
             return memo[fn]
         value = memo[fn] = fn(self)
         return value

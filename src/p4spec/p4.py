@@ -105,18 +105,19 @@ def is_cograph(g: Graph) -> bool:
     """
     adj = g.adj
     co = g.derived(complement).adj
-
-    def check(mask: int) -> bool:
+    # an explicit stack, as a cotree can be as deep as g has vertices
+    stack = [g.full_mask]
+    while stack:
+        mask = stack.pop()
         if mask.bit_count() <= 3:
-            return True  # a P4 needs 4 vertices
+            continue  # a P4 needs 4 vertices
         comps = _components(adj, mask)
         if len(comps) == 1:
             comps = _components(co, mask)
             if len(comps) == 1:
                 return False
-        return all(check(c) for c in comps)
-
-    return check(g.full_mask)
+        stack.extend(comps)
+    return True
 
 
 # =========================================================================

@@ -1,19 +1,18 @@
 """Exact and numeric Laplacian spectra.
 
 The exact path stays in arbitrary-precision integer arithmetic end to end.
-One generator runs the Faddeev-LeVerrier recurrence on packed integer rows
-and yields the characteristic polynomial's coefficients one step at a time
+One char_poly runs the Faddeev-LeVerrier recurrence on packed integer rows
 (every division it performs is exact for integer matrices and is checked
-so).  char_poly drains it, and exact_spectrum splits the integer
-eigenvalues off by synthetic division.  is_l_integral, up to MAX_N
-vertices, runs no Faddeev-LeVerrier step: it reads e_1, e_2, e_3 of the
-spectrum from closed forms in the degrees and the triangle count, rejects
-a prefix that no integral spectrum on n vertices shares (every Laplacian
-eigenvalue lies in [0, n]), and otherwise accepts iff prod (L - sI) over
-the roots S of the integral spectra with that prefix is the zero matrix.
-L is diagonalizable, so that zero puts every eigenvalue in S, a set of
-integers, and an integral spectrum with that prefix lies in S, so it makes
-that zero.
+so), and exact_spectrum splits the integer eigenvalues off by synthetic
+division.  is_l_integral, up to MAX_N vertices, runs no Faddeev-LeVerrier
+step: it reads e_1, e_2, e_3 of the spectrum from closed forms in the
+degrees and the triangle count and looks them up in a dict table of the
+prefixes of every integral spectrum on n vertices (every Laplacian
+eigenvalue lies in [0, n]).  A missing prefix is a reject; otherwise it
+accepts iff prod (L - sI) over the roots S of the integral spectra with
+that prefix is the zero matrix.  L is diagonalizable, so that zero puts
+every eigenvalue in S, a set of integers, and an integral spectrum with
+that prefix lies in S, so it makes that zero.
 check_union_relation reads the polynomials of the 76 labeled graphs on at
 most 4 vertices from a table it fills once per process (past 4 a table
 costs more runs than theorem h makes).
@@ -25,10 +24,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import MAX_N
 from .graphs import Graph, _trusted, bits, disjoint_union
@@ -215,9 +213,8 @@ def _packing(n: int, w: int) -> tuple[tuple[int, ...], int]:
     return shifts, sum(1 << (s + w - 1) for s in shifts)
 
 
-def _fl_steps(m: IntMatrix) -> Iterator[int]:
-    """Yield c_{n-1}, c_{n-2}, ..., c_0 of det(xI - M), one Faddeev-LeVerrier
-    step at a time, exactly.
+def char_poly(m: IntMatrix) -> IntPolynomial:
+    """det(xI - M), exactly, by the Faddeev-LeVerrier recurrence.
 
     Each row of B_k is packed into one Python int, w bits per entry (see
     _field_width for why w is wide enough).  Packing is linear, so with
@@ -231,13 +228,13 @@ def _fl_steps(m: IntMatrix) -> Iterator[int]:
     a field to every field first, so that a negative entry below it borrows
     nothing.
 
-    Step k divides the trace of B_k by k.  For an integer matrix that is
-    always exact, and a remainder raises ArithmeticError rather than being
-    dropped.
+    Step k divides the trace of B_k by k to give c_{n-k}.  For an integer
+    matrix that is always exact, and a remainder raises ArithmeticError
+    rather than being dropped.
     """
     n = m.n
     if n == 0:
-        return
+        return IntPolynomial([1])
     w = _field_width(m.bound, n)
     shifts, bias = _packing(n, w)
     field = (1 << w) - 1
@@ -252,7 +249,7 @@ def _fl_steps(m: IntMatrix) -> Iterator[int]:
         a_rows.append(packed)
     b = a_rows
     ck = -m.trace()
-    yield ck
+    c = [1, ck]  # descending: c_n = 1, c_{n-1}, ..., c_0
     for k in range(2, n + 1):
         t = -(n << (w - 1))
         bk = []
@@ -268,14 +265,8 @@ def _fl_steps(m: IntMatrix) -> Iterator[int]:
         if t % k:
             raise ArithmeticError("Faddeev-LeVerrier trace division is not exact")
         ck = -t // k
-        yield ck
-
-
-def char_poly(m: IntMatrix) -> IntPolynomial:
-    """det(xI - M), every coefficient from one run of _fl_steps."""
-    c = [*_fl_steps(m)]
+        c.append(ck)
     c.reverse()
-    c.append(1)
     return IntPolynomial(c)
 
 
@@ -381,22 +372,17 @@ def _prefix(g: Graph) -> tuple[int, int, int]:
 
 
 @lru_cache(maxsize=None)
-def _integral_prefixes(n: int) -> tuple[tuple[int, ...], int]:
+def _integral_prefixes(n: int) -> dict[tuple[int, int, int], int]:
     """The prefix (e_1, e_2, e_3) of every spectrum an L-integral graph on n
-    vertices can have, each with the roots of all such spectra sharing it,
-    packed and sorted, and the field width w of the packing.
+    vertices can have, mapped to a mask of the roots of all such spectra
+    sharing it.
 
     Its Laplacian eigenvalues are 0 and a multiset R of n - 1 integers in
-    [0, n] (Merris 1994), so its e_k are those of R.  An entry packs e_1,
-    e_2, e_3 in w-bit fields, e_1 the most significant, above an
-    (n + 1)-bit root mask: bit s is set iff s is an eigenvalue of some such
-    spectrum with that prefix, so bit 0 always is.  The entries of one
-    prefix are merged into one, so each prefix occurs once.  No e_k falls as
-    a root grows, so R = (n, ..., n) has the largest fields and sets w.
+    [0, n] (Merris 1994), so its e_k are those of R.  Bit s of a prefix's
+    mask is set iff s is an eigenvalue of some such spectrum with that
+    prefix, so bit 0 always is.
     """
-    w = max(math.comb(n - 1, k) * n ** k for k in range(4)).bit_length()
-    low = n + 1
-    table = []
+    table = {}
     for roots in itertools.combinations_with_replacement(range(n + 1), n - 1):
         e1 = e2 = e3 = 0
         mask = 1
@@ -405,18 +391,9 @@ def _integral_prefixes(n: int) -> tuple[tuple[int, ...], int]:
             e2 += r * e1
             e1 += r
             mask |= 1 << r
-        table.append(((e1 << w | e2) << w | e3) << low | mask)
-    table.sort()
-    # merge the masks of each prefix in place, so no second list is built
-    k = 0
-    for x in table:
-        if k and table[k - 1] >> low == x >> low:
-            table[k - 1] |= x
-        else:
-            table[k] = x
-            k += 1
-    del table[k:]
-    return tuple(table), w
+        key = e1, e2, e3
+        table[key] = table.get(key, 0) | mask
+    return table
 
 
 def _root_product(m: IntMatrix, roots: tuple[int, ...]) -> list[int]:
@@ -462,23 +439,14 @@ def is_l_integral(g: Graph) -> bool:
     lies in S.  If g is L-integral, its spectrum is an entry's with g's
     prefix, so it lies in S and the product vanishes.  If the product
     vanishes, every eigenvalue lies in S, a set of integers.  So only an
-    exact integer zero accepts a graph.  A prefix whose fields spill past
-    the table's w bits may alias another entry's, but only for a graph that
-    is not L-integral, and the product rejects it.  Above MAX_N the answer
-    is exact_spectrum(g).is_integral.
+    exact integer zero accepts a graph.  Above MAX_N the answer is
+    exact_spectrum(g).is_integral.
     """
     n = g.n
     if not 0 < n <= MAX_N:
         return exact_spectrum(g).is_integral
-    table, w = _integral_prefixes(n)
-    e1, e2, e3 = _prefix(g)
-    low = n + 1
-    key = (e1 << w | e2) << w | e3
-    # the first entry at or above the prefix is the prefix's entry, if any
-    i = bisect_left(table, key << low)
-    if i == len(table) or table[i] >> low != key:
-        return False
-    return not any(_root_product(laplacian(g), bits(table[i] & (1 << low) - 1)))
+    mask = _integral_prefixes(n).get(_prefix(g))
+    return mask is not None and not any(_root_product(laplacian(g), bits(mask)))
 
 
 # =========================================================================

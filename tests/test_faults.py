@@ -38,6 +38,27 @@ FAULTS = {
     "closure-mask": (
         graphs, "_components", "frontier = nxt & mask & ~comp", "frontier = nxt & ~comp",
         [test_p4.test_cograph_recursive_equals_definitional]),
+    # the recursive cograph check leaves every component but the first unvisited
+    "cograph-stack-push": (
+        p4, "is_cograph", "stack.extend(comps)", "stack.extend(comps[:1])",
+        [test_p4.test_cograph_recursive_equals_definitional]),
+    # an inexact trace division is floored instead of raising
+    "fl-trace-division": (
+        spectral, "char_poly", "if t % k:", "if False:",
+        [test_spectral.test_char_poly_raises_on_an_inexact_trace_division]),
+    # a diagonal entry read back without the bias, so a negative entry below
+    # it borrows from it
+    "fl-bias-read-back": (
+        spectral, "char_poly", "((x + bias) >> s)", "(x >> s)",
+        [test_spectral.test_char_poly_matches_interpolation_oracle,
+         test_spectral.test_char_poly_complete_graph_laplacians,
+         test_spectral.test_prefix_closed_forms_match_faddeev_leverrier]),
+    # c_k = tr(B_k) / k instead of -tr(B_k) / k
+    "fl-coefficient-sign": (
+        spectral, "char_poly", "ck = -t // k", "ck = t // k",
+        [test_spectral.test_char_poly_matches_interpolation_oracle,
+         test_spectral.test_char_poly_complete_graph_laplacians,
+         test_spectral.test_prefix_closed_forms_match_faddeev_leverrier]),
     # tr(L^3) adds the triangle term instead of subtracting it
     "prefix-triangle-sign": (
         spectral, "_prefix", "p3 = s3 + 3 * s2 - walks", "p3 = s3 + 3 * s2 + walks",
@@ -81,6 +102,8 @@ FAULTS = {
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_each_kernel_fault_fails_its_tests(monkeypatch, fault):
     module, name, old, new, tests = FAULTS[fault]
+    # a test that takes a fixture would fail on the bare call below, rewrite or not
+    assert not any(inspect.signature(test).parameters for test in tests)
     original = getattr(module, name)
     source = textwrap.dedent(inspect.getsource(original))
     assert source.count(old) == 1

@@ -15,7 +15,7 @@ from p4spec.constructions import (
     thick_spider,
     thin_spider,
 )
-from p4spec.graphs import complement, disjoint_union, from_edge_list, join, mask_of
+from p4spec.graphs import Graph, complement, disjoint_union, from_edge_list, join, mask_of
 from p4spec.p4 import (
     classify,
     enumerate_p4,
@@ -108,6 +108,24 @@ def test_cograph_recursive_equals_definitional():
     for n in range(0, 7):
         for g in oracles.labeled_graphs(n):
             assert is_cograph(g) == (not enumerate_p4(g))
+
+
+def test_is_cograph_walks_a_cotree_as_deep_as_the_graph(monkeypatch):
+    # vertex v is joined to every earlier vertex iff v is odd: a threshold
+    # graph, whose cotree has a level per vertex
+    n = 600
+    monkeypatch.setenv("P4SPEC_MAX_N", str(n))
+    adj = [0] * n
+    for v in range(1, n, 2):
+        adj[v] = (1 << v) - 1
+        for u in range(v):
+            adj[u] |= 1 << v
+    assert is_cograph(Graph(n, adj))
+    # without the edge 1-3, vertices 0..3 induce the P4 1-0-3-2 at the
+    # deepest level
+    adj[1] ^= 1 << 3
+    adj[3] ^= 1 << 1
+    assert not is_cograph(Graph(n, adj))
 
 
 def test_labeled_cograph_counts():

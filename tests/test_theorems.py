@@ -607,7 +607,7 @@ def test_exhaustive_scan_computes_each_spectrum_once(monkeypatch):
     # one Faddeev-LeVerrier run per polynomial theorem h reads, and one
     # L-integrality certificate per graph, which every other check reuses
     runs, certificates = [], []
-    real_fl, real_prefix = spectral._fl_steps, spectral._prefix
+    real_fl, real_prefix = spectral.char_poly, spectral._prefix
 
     def counting_fl(m):
         runs.append(m.n)
@@ -617,7 +617,7 @@ def test_exhaustive_scan_computes_each_spectrum_once(monkeypatch):
         certificates.append(g.n)
         return real_prefix(g)
 
-    monkeypatch.setattr(spectral, "_fl_steps", counting_fl)
+    monkeypatch.setattr(spectral, "char_poly", counting_fl)
     monkeypatch.setattr(spectral, "_prefix", counting_prefix)
     spectral._small_polys.cache_clear()  # so the table builds count here
     results = verify_theorems(5)
