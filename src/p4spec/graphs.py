@@ -74,7 +74,7 @@ def bits(mask: int) -> tuple[int, ...]:
     """Indices of set bits of a nonnegative mask, ascending.
 
     Below 2^16 the tuple is read from the byte tables; above, it is built
-    from a list, never from a generator (see spectral.IntMatrix.__init__).
+    from a list, never from a generator (see spectral.laplacian).
     """
     if mask < 256:
         return _LOW[mask]
@@ -197,7 +197,7 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def complement(g: Graph) -> Graph:
     full = g.full_mask
-    # a list, not a generator: see spectral.IntMatrix.__init__
+    # a list, not a generator: see spectral.laplacian
     return _trusted(g.n, [~row & full & ~(1 << v) for v, row in enumerate(g.adj)])
 
 

@@ -1,18 +1,19 @@
 """Exact and numeric Laplacian spectra.
 
 The exact path stays in arbitrary-precision integer arithmetic end to end.
-One char_poly runs the Faddeev-LeVerrier recurrence on packed integer rows
-(every division it performs is exact for integer matrices and is checked
-so), and exact_spectrum splits the integer eigenvalues off by synthetic
-division.  is_l_integral, up to MAX_N vertices, runs no Faddeev-LeVerrier
-step: it reads e_1, e_2, e_3 of the spectrum from closed forms in the
-degrees and the triangle count and looks them up in a dict table of the
-prefixes of every integral spectrum on n vertices (every Laplacian
-eigenvalue lies in [0, n]).  A missing prefix is a reject; otherwise it
-accepts iff prod (L - sI) over the roots S of the integral spectra with
-that prefix is the zero matrix.  L is diagonalizable, so that zero puts
-every eigenvalue in S, a set of integers, and an integral spectrum with
-that prefix lies in S, so it makes that zero.
+One char_poly runs the Faddeev-LeVerrier recurrence on the packed rows of
+an IntMatrix, which has no positive entry off its diagonal, and checks
+that each of its divisions is exact; exact_spectrum splits the integer
+eigenvalues off by synthetic division.
+is_l_integral, up to MAX_N vertices, runs no Faddeev-LeVerrier step: it
+reads e_1, e_2, e_3 of the spectrum from closed forms in the degrees and
+the triangle count and looks them up in a dict table of the prefixes of
+every integral spectrum on n vertices (every Laplacian eigenvalue lies in
+[0, n]).  A missing prefix is a reject; otherwise it accepts iff
+prod (L - sI) over the roots S of the integral spectra with that prefix is
+the zero matrix.  L is diagonalizable, so that zero puts every eigenvalue
+in S, a set of integers, and an integral spectrum with that prefix lies in
+S, so it makes that zero.
 check_union_relation reads the polynomials of the 76 labeled graphs on at
 most 4 vertices from a table it fills once per process (past 4 a table
 costs more runs than theorem h makes).
@@ -29,7 +30,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from . import MAX_N
-from .graphs import Graph, _trusted, bits, disjoint_union
+from .graphs import Graph, _trusted, bits, check_vertex_count, disjoint_union
 
 
 # =========================================================================
@@ -123,36 +124,20 @@ class IntPolynomial:
 # integer matrices and the exact characteristic polynomial
 # =========================================================================
 
-class IntMatrix:
-    """Square integer matrix, kept as the nonzero entries char_poly reads.
+class IntMatrix(namedtuple("IntMatrix", "diag minus bound")):
+    """Square integer matrix with no positive entry off its diagonal.
 
-    diag is the diagonal.  minus[i] holds the ascending columns of the -1
-    entries off the diagonal of row i, and other[i] a (value, column) pair
-    for each of its other nonzero off-diagonal entries.  bound is the
-    largest absolute row sum, the r of _field_width.
+    diag is the diagonal.  minus[i] lists the column of each off-diagonal
+    entry of row i once per unit of its absolute value, ascending, so a -2
+    at column l is l twice.  bound is the largest absolute row sum, the r
+    of _field_width.
     """
 
-    __slots__ = ("n", "diag", "minus", "other", "bound")
+    __slots__ = ()
 
-    def __init__(self, rows: Iterable[Iterable[int]]):
-        # lists, not generators: tuple() of a generator over-allocates and
-        # shrinks, and CPython keeps the shrunk tuples on free lists that
-        # only exact-size requests reuse, so peak RSS grows call by call
-        rows = [tuple(r) for r in rows]
-        n = len(rows)
-        minus = []
-        other = []
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError("matrix is not square")
-            minus.append(tuple([l for l, a in enumerate(row) if a == -1 and l != i]))
-            other.append(tuple([(a, l) for l, a in enumerate(row)
-                                if a and a != -1 and l != i]))
-        self.n = n
-        self.diag = tuple([row[i] for i, row in enumerate(rows)])
-        self.minus = tuple(minus)
-        self.other = tuple(other)
-        self.bound = max([sum(map(abs, row)) for row in rows], default=0)
+    @property
+    def n(self) -> int:
+        return len(self.diag)
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
@@ -162,33 +147,23 @@ class IntMatrix:
             row = [0] * self.n
             row[i] = d
             for l in self.minus[i]:
-                row[l] = -1
-            for a, l in self.other[i]:
-                row[l] = a
+                row[l] -= 1
             out.append(tuple(row))
         return tuple(out)
-
-    def trace(self) -> int:
-        return sum(self.diag)
-
-    def __repr__(self) -> str:
-        return f"IntMatrix({[list(r) for r in self.rows]})"
 
 
 def laplacian(g: Graph) -> IntMatrix:
     """Degree matrix minus adjacency matrix, read off the adjacency bitsets.
 
     Every off-diagonal nonzero is a -1, so minus[i] is bits(adj[i]), the
-    set-bit tuple of row i, other stays empty, and the largest absolute row
-    sum is twice the largest degree.
+    set-bit tuple of row i, and the largest absolute row sum is twice the
+    largest degree.
     """
-    m = object.__new__(IntMatrix)
-    m.n = g.n
-    m.diag = tuple([row.bit_count() for row in g.adj])
-    m.minus = tuple([bits(row) for row in g.adj])
-    m.other = ((),) * g.n
-    m.bound = 2 * max(m.diag, default=0)
-    return m
+    # lists, not generators: tuple() of a generator over-allocates and
+    # shrinks, and CPython keeps the shrunk tuples on free lists that only
+    # exact-size requests reuse, so peak RSS grows call by call
+    diag = tuple([row.bit_count() for row in g.adj])
+    return IntMatrix(diag, tuple([bits(row) for row in g.adj]), 2 * max(diag, default=0))
 
 
 def _field_width(r: int, n: int) -> int:
@@ -221,9 +196,8 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     M_k = B_{k-1} + c I, row i of B_k = A * M_k is c times packed row i of A
     plus a combination of the packed rows of B_{k-1}: n * (nonzeros per row)
     bigint operations per step instead of n^3 small-int ones.  Row i takes
-    a_ii times its own row, subtracts the rows of its -1 entries and adds
-    a_il times the rows of its other nonzero off-diagonal entries; for a
-    Laplacian that is d_i * B_i minus the sum of its neighbours' rows.
+    a_ii times its own row and subtracts the row of each entry of minus[i];
+    for a Laplacian that is d_i * B_i minus the sum of its neighbours' rows.
     Entries are stored signed; a diagonal entry is read back by adding half
     a field to every field first, so that a negative entry below it borrows
     nothing.
@@ -238,27 +212,23 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     w = _field_width(m.bound, n)
     shifts, bias = _packing(n, w)
     field = (1 << w) - 1
-    diag, minus, other = m.diag, m.minus, m.other
+    diag, minus = m.diag, m.minus
     a_rows = []
-    for d, mi, oi, s in zip(diag, minus, other, shifts):
+    for d, mi, s in zip(diag, minus, shifts):
         packed = d << s
         for l in mi:
             packed -= 1 << shifts[l]
-        for a, l in oi:
-            packed += a << shifts[l]
         a_rows.append(packed)
     b = a_rows
-    ck = -m.trace()
+    ck = -sum(diag)
     c = [1, ck]  # descending: c_n = 1, c_{n-1}, ..., c_0
     for k in range(2, n + 1):
         t = -(n << (w - 1))
         bk = []
-        for d, mi, oi, bi, ai, s in zip(diag, minus, other, b, a_rows, shifts):
+        for d, mi, bi, ai, s in zip(diag, minus, b, a_rows, shifts):
             x = d * bi + ck * ai
             for l in mi:
                 x -= b[l]
-            for a, l in oi:
-                x += a * b[l]
             bk.append(x)
             t += ((x + bias) >> s) & field
         b = bk
@@ -617,15 +587,15 @@ def quotient_matrix(k: int, j: int) -> IntMatrix:
 
     Valid for k >= 2 legs and j >= 1 edgeless head vertices.  The partition is
     equitable, so the quotient's characteristic polynomial divides the full
-    Laplacian characteristic polynomial exactly.
+    Laplacian characteristic polynomial exactly.  Its dense rows are
+    [[j+1, -1, -j], [-1, 1, 0], [-k, 0, k]]; 2k + j obeys the vertex cap.
     """
     if k < 2:
         raise ValueError("a spider needs k >= 2")
     if j < 1:
         raise ValueError("the quotient needs a nonempty head")
-    return IntMatrix([[j + 1, -1, -j],
-                      [-1, 1, 0],
-                      [-k, 0, k]])
+    check_vertex_count(2 * k + j)
+    return IntMatrix((j + 1, 1, k), ((1,) + (2,) * j, (0,), (0,) * k), 2 * max(j + 1, k))
 
 
 # =========================================================================

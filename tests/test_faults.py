@@ -59,6 +59,24 @@ FAULTS = {
         [test_spectral.test_char_poly_matches_interpolation_oracle,
          test_spectral.test_char_poly_complete_graph_laplacians,
          test_spectral.test_prefix_closed_forms_match_faddeev_leverrier]),
+    # a field as wide as r^n, not (2r)^n: the identity's B_k entries reach
+    # C(n - 1, k - 1) while r = 1, and the trace is read back wrong
+    "field-width": (
+        spectral, "_field_width", "((2 * r) ** n).bit_length() + 2", "(r ** n).bit_length() + 1",
+        [test_spectral.test_char_poly_identity_matrices]),
+    # a column minus repeats gives one -1, not one -1 per repeat
+    "rows-repeated-column": (
+        spectral, "IntMatrix", "row[l] -= 1", "row[l] = -1",
+        [test_spectral.test_int_matrix_rows_round_trip,
+         test_spectral.test_quotient_matrix_divides_spider_char_poly]),
+    # the body row of the quotient sees one head vertex too few
+    "quotient-short-one-head": (
+        spectral, "quotient_matrix", "(2,) * j", "(2,) * (j - 1)",
+        [test_spectral.test_quotient_matrix_divides_spider_char_poly]),
+    # a Laplacian's bound taken as its largest degree, half its row sum
+    "laplacian-bound": (
+        spectral, "laplacian", "2 * max", "max",
+        [test_spectral.test_laplacian_rows_match_oracle_beyond_six_vertices]),
     # tr(L^3) adds the triangle term instead of subtracting it
     "prefix-triangle-sign": (
         spectral, "_prefix", "p3 = s3 + 3 * s2 - walks", "p3 = s3 + 3 * s2 + walks",

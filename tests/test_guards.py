@@ -29,7 +29,8 @@ def outcome(fn):
 
 
 # a packed field too narrow for the entries: the trace division goes inexact,
-# for a Laplacian (K4) and for off-diagonal entries other than -1 (-2, -3)
+# for a Laplacian (K4) and for the quotient's -2 and -3, columns that its
+# minus rows repeat
 real_width = spectral._field_width
 spectral._field_width = lambda r, n: 2
 print(outcome(lambda: spectral.char_poly(laplacian(standard("complete", 4)))))

@@ -108,8 +108,7 @@ def test_char_poly_raises_on_an_inexact_trace_division():
     # a bound that understates K4's row sums packs 2-bit fields, too narrow
     # for its entries, so a trace that k does not divide is read back; the
     # remainder raises rather than being dropped
-    m = laplacian(standard("complete", 4))
-    m.bound = 0
+    m = laplacian(standard("complete", 4))._replace(bound=0)
     try:
         char_poly(m)
     except ArithmeticError as exc:
@@ -418,7 +417,8 @@ def test_quotient_matrix_divides_spider_char_poly():
     for k in range(2, 5):
         for j in range(1, 4):
             q = quotient_matrix(k, j)
-            assert [sum(row) for row in q.rows] == [0, 0, 0]
+            assert q.rows == ((j + 1, -1, -j), (-1, 1, 0), (-k, 0, k))
+            assert q.bound == max(sum(map(abs, row)) for row in q.rows)
             full = char_poly(laplacian(thin_spider(k, standard("empty", j))))
             assert not any(oracles.poly_remainder(full.coeffs, char_poly(q).coeffs))
 
@@ -428,6 +428,15 @@ def test_quotient_matrix_requires_head():
         quotient_matrix(2, 0)
     with pytest.raises(ValueError):
         quotient_matrix(1, 1)
+
+
+def test_quotient_matrix_is_held_to_the_vertex_cap(monkeypatch):
+    # its minus rows hold k + j + 2 columns, so the spider's 2k + j vertices
+    # obey the default cap of 64, as thin_spider's do
+    monkeypatch.delenv("P4SPEC_MAX_N", raising=False)
+    with pytest.raises(ValueError):
+        quotient_matrix(32, 1)
+    assert quotient_matrix(31, 2).n == 3
 
 
 # ------------------------------------------------- complement/union relations
@@ -466,26 +475,45 @@ def test_small_poly_tables_hold_every_labeled_graph_on_at_most_4_vertices():
 
 # ------------------------------------------------ packed-row char_poly kernel
 
-def _random_int_matrix(rng, n, bound):
-    # non-symmetric, mixed signs, about a third of the entries zero
-    return [[rng.randint(-bound, bound) if rng.random() < 0.7 else 0
-             for _ in range(n)] for _ in range(n)]
+def _z_matrix(rows):
+    # the IntMatrix of square dense rows with no positive entry off the
+    # diagonal: an entry -a at column l puts l into minus a times
+    n = len(rows)
+    assert all(len(row) == n for row in rows), rows
+    assert all(row[l] <= 0 for i, row in enumerate(rows) for l in range(n) if l != i), rows
+    return IntMatrix(tuple([row[i] for i, row in enumerate(rows)]),
+                     tuple([tuple([l for l in range(n) if l != i for _ in range(-row[l])])
+                            for i, row in enumerate(rows)]),
+                     max([sum(map(abs, row)) for row in rows], default=0))
+
+
+def _random_z_matrix(rng, n, bound):
+    # non-symmetric, a mixed-sign diagonal, off-diagonal weights 0..-9, about
+    # a third of the entries zero
+    return [[(rng.randint(-bound, bound) if i == j else rng.randint(-9, -1))
+             if rng.random() < 0.7 else 0 for j in range(n)] for i in range(n)]
 
 
 def _assert_dense_round_trip(rows):
-    # the nonzeros IntMatrix keeps give back every entry, and its bound is
-    # the largest absolute row sum
-    m = IntMatrix(rows)
-    assert m.rows == tuple(map(tuple, rows)), rows
-    assert m.bound == max([sum(map(abs, row)) for row in rows], default=0), rows
+    # the diagonal and the minus columns give back every entry
+    assert _z_matrix(rows).rows == tuple(map(tuple, rows)), rows
 
 
 def test_int_matrix_rows_round_trip():
     for rows in ([], [[0]], [[-1]], [[2, -1, 0], [0, 0, 0], [-3, 0, 3]],
-                 [[0, 0], [-1, 5]]):
+                 [[0, 0], [-1, 5]], [[-4, -9, -2], [0, 7, -1], [-2, -2, 0]]):
         _assert_dense_round_trip(rows)
-    with pytest.raises(ValueError):
-        IntMatrix([[1, 2], [3]])
+    # a column repeated in minus is one entry of that many units
+    m = IntMatrix((3, 1, 3), ((1, 2, 2), (0,), (0, 0, 0)), 6)
+    assert m.n == 3 and m.rows == ((3, -1, -2), (-1, 1, 0), (-3, 0, 3))
+
+
+def test_char_poly_identity_matrices():
+    # r = 1 packs the narrowest fields of all, yet the entries of B_k reach
+    # C(n - 1, k - 1)
+    for n in range(1, 11):
+        m = IntMatrix((1,) * n, ((),) * n, 1)
+        assert char_poly(m) == IntPolynomial([-1, 1]) ** n, n
 
 
 def test_char_poly_random_integer_matrices_match_oracle():
@@ -493,18 +521,20 @@ def test_char_poly_random_integer_matrices_match_oracle():
     for trial in range(120):
         n = rng.randint(1, 10)
         bound = (1, 9, 1000, 10 ** 6)[trial % 4]
-        rows = _random_int_matrix(rng, n, bound)
+        rows = _random_z_matrix(rng, n, bound)
         _assert_dense_round_trip(rows)
-        assert list(char_poly(IntMatrix(rows)).coeffs) == oracles.char_poly_coeffs(rows), rows
+        assert list(char_poly(_z_matrix(rows)).coeffs) == oracles.char_poly_coeffs(rows), rows
 
 
 def test_char_poly_extreme_entries_match_oracle():
-    # every entry at +-10^6 makes the packed fields as wide as they get
+    # every diagonal entry at +-10^6 and every other one at -9 makes the
+    # packed fields as wide as they get
     rng = random.Random(12)
     for n in range(1, 11):
-        rows = [[rng.choice((-10 ** 6, 10 ** 6)) for _ in range(n)] for _ in range(n)]
+        rows = [[rng.choice((-10 ** 6, 10 ** 6)) if i == j else -9 for j in range(n)]
+                for i in range(n)]
         _assert_dense_round_trip(rows)
-        assert list(char_poly(IntMatrix(rows)).coeffs) == oracles.char_poly_coeffs(rows)
+        assert list(char_poly(_z_matrix(rows)).coeffs) == oracles.char_poly_coeffs(rows)
 
 
 def test_char_poly_complete_graph_laplacians():
@@ -520,20 +550,20 @@ def test_char_poly_matches_sympy():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     rng = random.Random(13)
-    matrices = [_random_int_matrix(rng, rng.randint(1, 8), rng.choice((3, 10 ** 6)))
+    matrices = [_random_z_matrix(rng, rng.randint(1, 8), rng.choice((3, 10 ** 6)))
                 for _ in range(25)]
     matrices += [list(laplacian(standard("complete", n)).rows) for n in (8, 12, 16)]
     for rows in matrices:
         ref = sympy.Matrix(rows).charpoly(x).all_coeffs()
-        assert list(char_poly(IntMatrix(rows)).coeffs) == [int(c) for c in reversed(ref)]
+        assert list(char_poly(_z_matrix(rows)).coeffs) == [int(c) for c in reversed(ref)]
 
 
-# ------------------------------------------------ the two shapes of row step
+# ---------------------------------------- Laplacians and off-diagonal 0 or -1
 
 def test_char_poly_every_small_laplacian_matches_oracle():
     # the Laplacian step (off-diagonal entries 0 or -1 only) on every graph
-    # with n <= 6, both for the Laplacian laplacian(g) builds from the
-    # bitsets and for the same matrix built from dense rows.  The oracle's
+    # with n <= 6; laplacian(g), built from the bitsets, is the very
+    # IntMatrix that the oracle's dense rows give.  The oracle's
     # char_poly_coeffs interpolates Bareiss determinants of xI - L at
     # x = 0..n; comparing p(x) with them at the same points pins the same
     # degree-n polynomial, without the slow Fraction interpolation.
@@ -545,7 +575,7 @@ def test_char_poly_every_small_laplacian_matches_oracle():
             assert lap.bound == max([sum(map(abs, row)) for row in rows], default=0)
             p = char_poly(lap)
             assert p.degree == n and p.coeffs[-1] == 1
-            assert char_poly(IntMatrix(rows)) == p
+            assert _z_matrix(rows) == lap
             for x in range(n + 1):
                 shifted = [[(x if i == j else 0) - rows[i][j] for j in range(n)]
                            for i in range(n)]
@@ -574,7 +604,7 @@ def test_char_poly_unit_off_diagonal_matrices_match_oracle():
         rows = [[rng.randint(-bound, bound) if i == j else -(rng.random() < 0.5)
                  for j in range(n)] for i in range(n)]
         _assert_dense_round_trip(rows)
-        assert list(char_poly(IntMatrix(rows)).coeffs) == oracles.char_poly_coeffs(rows), rows
+        assert list(char_poly(_z_matrix(rows)).coeffs) == oracles.char_poly_coeffs(rows), rows
 
 
 # --------------------------------------------------- integer-root splitting
