@@ -5,9 +5,15 @@ labeled graph up to a vertex bound.  The graph theorems are invariant under
 relabeling, so an exhaustive population is scanned once per isomorphism
 class: the n-vertex classes are grown from the (n-1)-vertex ones by
 canonical augmentation, which finds each class exactly once, and each class
-stands for its n!/|Aut| labeled graphs.  Sampled populations come from one
-seeded global sequence of labeled edge masks, drawn with replacement and
-one chunk at a time, so a scan's memory does not grow with the sample.
+stands for its n!/|Aut| labeled graphs.  Only the classes with at most half
+the C(n,2) edges are searched for; the rest are their complements, which
+have the same automorphism groups.  A unit of an exhaustive population is
+a class with at most half the edges, checked together with its complement,
+and the two graphs hold each other as their derived complement, so each
+value they share is computed once, from its own graph.  Sampled
+populations come from one seeded global sequence of labeled edge masks,
+drawn with replacement and one chunk at a time, so a scan's memory does
+not grow with the sample; they are not paired.
 Theorem h draws seeded union pairs with replacement; each distinct pair is
 checked once and counts once per draw.  Every population, theorem h's pairs
 included, is a stream of (key, weight) units that _scan_chunk checks chunk
@@ -39,7 +45,7 @@ from .p4 import _midpoint_split, _p4_components, enumerate_p4, is_p4_connected, 
 from .spectral import check_union_relation, is_l_integral
 
 PAIRS_PER_N = 100
-_CHUNK = 64  # units per chunk
+_CHUNK = 64  # units per chunk; a chunk of paired class units holds half
 
 
 # The checks share a graph's P4s, complement, spider, P4-extendibility and
@@ -242,31 +248,53 @@ def _classes(n: int, prev: list[tuple]) -> tuple[list[tuple], int]:
 
     A class is a triple (code, aut_order, gens), gens generating the
     automorphism group of its representative mask_to_graph(n, code); the
-    list is in code order.  Each class on n - 1 vertices gets vertex n - 1
-    with one neighbourhood from each orbit of its automorphism group on
-    vertex subsets, and a candidate is kept only if vertex n - 1 is in the
-    Aut-orbit of the vertex that the canonical labeling places last
+    list is in code order.  Only the classes with 2m <= C(n,2) edges are
+    searched for, and their codes are canonical; each other class is the
+    complement of one with 2m < C(n,2), entered as (code ^ full, aut, gens).
+    That is every class once: complement is a bijection on the n-vertex
+    classes, and a permutation keeps the edges iff it keeps the non-edges,
+    so a class and its complement have one automorphism group on the same
+    labels.
+
+    Each class on n - 1 vertices gets vertex n - 1 with one neighbourhood
+    from each orbit of its automorphism group on vertex subsets, and a
+    candidate is kept only if vertex n - 1 is in the Aut-orbit of the
+    vertex that the canonical labeling places last
     (graphs._canonical_deletion).  Every class has such a vertex, deleting
     it leaves a graph isomorphic to one class in prev, and two
     neighbourhoods of that class give one class with vertex n - 1 in that
     orbit only if an automorphism maps one onto the other, so every class
-    is found exactly once.  That vertex has the largest degree, so a
-    neighbourhood whose new vertex does not is skipped before any graph is
-    built; the test is invariant under automorphisms, so it runs first.
-    Certificate: no code may occur twice, and the class weights n!/|Aut|
-    must add up to the 2^C(n,2) labeled graphs, else ArithmeticError (an
-    explicit raise, so it survives python -O).
+    is found exactly once.  None of this reads a parent's code as
+    canonical: any representative of the parent's class serves, with
+    generators of its group on the representative's labels, and a kept
+    child's code comes from its own search.  The deleted vertex has the
+    largest degree d, so a neighbourhood whose new vertex does not is
+    skipped before any graph is built; the test is invariant under
+    automorphisms, so it runs first.  A child with m edges grows from its
+    canonical parent, which has m - d <= m edges, by d edges; so every
+    child with 2m <= C(n,2) has d <= C(n,2)//2 - m(parent), and none is
+    lost when a larger neighbourhood is skipped, or a parent whose largest
+    degree, a lower bound on d, is above that room.
+    Certificate: no code may occur twice, and the class weights n!/|Aut|,
+    complements included, must add up to the 2^C(n,2) labeled graphs, else
+    ArithmeticError (an explicit raise, so it survives python -O).
     """
     new = 1 << (n - 1)  # vertex n - 1 as a bit
+    pairs = n * (n - 1) // 2
+    half = pairs // 2
     found = []
     searches = 0
     # one tuple per distinct generator set, shared by the classes that have
     # it: 400 of them for the 12,346 classes at n = 8
     shared = {}
     for code, _, gens in prev:
+        # the most edges the new vertex may bring, and still 2m <= C(n, 2)
+        room = half - code.bit_count()
         rows = mask_to_graph(n - 1, code).adj
         degrees = [row.bit_count() for row in rows]
         top = max(degrees, default=0)
+        if top > room:
+            continue  # the new vertex needs the largest degree
         # at_least[d]: the parent's vertices of degree d or more
         at_least = [sum(1 << u for u, du in enumerate(degrees) if du >= d)
                     for d in range(n)]
@@ -276,7 +304,7 @@ def _classes(n: int, prev: list[tuple]) -> tuple[list[tuple], int]:
         for nbrs in range(new):
             d = nbrs.bit_count()
             # no old vertex may end with a degree above d, the new vertex's
-            if d < top or nbrs & at_least[d] or seen[nbrs]:
+            if d < top or d > room or nbrs & at_least[d] or seen[nbrs]:
                 continue
             if images:
                 # nbrs stands for its orbit under the parent's group
@@ -298,6 +326,9 @@ def _classes(n: int, prev: list[tuple]) -> tuple[list[tuple], int]:
             if kept is not None:
                 child, aut, child_gens = kept
                 found.append((child, aut, shared.setdefault(child_gens, child_gens)))
+    full = (1 << pairs) - 1
+    found += [(code ^ full, aut, gens) for code, aut, gens in found
+              if 2 * code.bit_count() < pairs]
     found.sort()
     for a, b in zip(found, found[1:]):
         if a[0] == b[0]:
@@ -308,17 +339,42 @@ def _classes(n: int, prev: list[tuple]) -> tuple[list[tuple], int]:
         if aut < 1 or fact % aut:
             raise ArithmeticError(f"automorphism group order {aut} does not divide {n}!")
         total += fact // aut
-    if total != 1 << (n * (n - 1) // 2):
+    if total != 1 << pairs:
         raise ArithmeticError(f"class weights on {n} vertices sum to {total}, "
-                              f"not 2^{n * (n - 1) // 2}")
+                              f"not 2^{pairs}")
     return found, searches
 
 
 def _class_units(n: int, classes: list[tuple]) -> Iterator[tuple[int, int]]:
-    """(code, n!/|Aut|) of each class on n vertices."""
+    """(code, n!/|Aut|) of each class on n vertices with 2m <= C(n,2) edges;
+    a class with fewer stands for its complement as well (_with_complements)."""
     fact = math.factorial(n)
+    pairs = n * (n - 1) // 2
     for code, aut, _ in classes:
-        yield code, fact // aut
+        if 2 * code.bit_count() <= pairs:
+            yield code, fact // aut
+
+
+def _with_complements(n: int, units: list[tuple[int, int]]) -> tuple[list, list]:
+    """The graphs of a chunk of class units and their (key, weight) units,
+    each class with 2m < C(n,2) edges followed by its complement at the
+    same weight.  Each graph of a pair is the other's derived complement,
+    so a check that reads the complement's P4s or L-integrality reads the
+    values its partner computes from its own graph."""
+    pairs = n * (n - 1) // 2
+    full = (1 << pairs) - 1
+    subjects, out = [], []
+    for code, weight in units:
+        g = mask_to_graph(n, code)
+        subjects.append(g)
+        out.append((code, weight))
+        if 2 * code.bit_count() < pairs:
+            h = complement(g)
+            g._memo = {complement: h}
+            h._memo = {complement: g}
+            subjects.append(h)
+            out.append((code ^ full, weight))
+    return subjects, out
 
 
 def _scan_chunk(args) -> dict[str, _Tally]:
@@ -327,19 +383,24 @@ def _scan_chunk(args) -> dict[str, _Tally]:
     A unit (key, weight) stands for weight members of an n-vertex
     population.  For the graph theorems the key is the mask of the graph
     mask_to_graph(n, key), and the weight n!/|Aut| for a class in an
-    exhaustive population, 1 for a sampled labeled mask.  For theorem h,
-    which runs in chunks of its own, the key is a drawn union pair
-    (n1, m1, n2, m2) and the weight its number of draws.  The chunk is
-    checked theorem by theorem, each over every unit, and timed once per
-    theorem; the units are walked again only for a theorem that failed on
-    some of them, to record the failing units.
+    exhaustive population, 1 for a sampled labeled mask.  A chunk of
+    classes is paired: its units are the classes with 2m <= C(n,2) edges,
+    and each with fewer is checked with its complement
+    (_with_complements).  For theorem h, which runs in chunks of its own,
+    the key is a drawn union pair (n1, m1, n2, m2) and the weight its
+    number of draws.  The chunk is checked theorem by theorem, each over
+    every unit, and timed once per theorem; the units are walked again only
+    for a theorem that failed on some of them, to record the failing units.
     """
-    n, units, enabled = args
+    n, units, enabled, paired = args
     if enabled == "h":
         subjects = [key for key, _ in units]
         checks = [("h", lambda pair: _check_pair(*pair))]
     else:
-        subjects = [mask_to_graph(n, mask) for mask, _ in units]
+        if paired:
+            subjects, units = _with_complements(n, units)
+        else:
+            subjects = [mask_to_graph(n, mask) for mask, _ in units]
         checks = [(tid, DEFAULT_CHECKS[tid]) for tid in enabled]
     weight = sum(w for _, w in units)
     perf = time.perf_counter
@@ -354,6 +415,11 @@ def _scan_chunk(args) -> dict[str, _Tally]:
             failed = [unit for unit, ok in zip(units, results) if not ok]
             tally.violations = sum(w for _, w in failed)
             tally.failed = n, [key for key, _ in failed]
+    if paired:
+        # a pair's memos hold each other; unlinked, the chunk's graphs are
+        # freed by reference counting instead of the cyclic collector
+        for g in subjects:
+            g._memo = None
     return tallies
 
 
@@ -423,7 +489,7 @@ def verify_theorems(n_max: int, theorems: str | None = None, *,
 
     tallies = {tid: _Tally() for tid in enabled}
     populations = []
-    sources = []  # (n, theorem ids, iterator over the units)
+    sources = []  # (n, theorem ids, iterator over the units, paired)
     exhaustive = set()  # the n whose graph population is checked per class
     classes = [(0, 1, ())]  # the graph on no vertices
     # a graph population is set up only when a graph theorem runs
@@ -445,7 +511,7 @@ def verify_theorems(n_max: int, theorems: str | None = None, *,
             units = zip(_sample_masks(space, sample, seed, n), itertools.repeat(1))
             if progress:
                 progress(populations[-1])
-        sources.append((n, graph_ids, units))
+        sources.append((n, graph_ids, units, n in exhaustive))
     if "h" in enabled:
         distinct = draws = 0
         for n in range(2, n_max + 1):
@@ -454,14 +520,16 @@ def verify_theorems(n_max: int, theorems: str | None = None, *,
             pairs = Counter(_pair_population(n, seed))
             distinct += len(pairs)
             draws += pairs.total()
-            sources.append((n, "h", iter(pairs.items())))
+            sources.append((n, "h", iter(pairs.items()), False))
         if progress:
             progress(f"theorem h: {distinct} distinct pairs of {draws} draws")
 
     def chunks():
-        for n, ids, units in sources:
-            while chunk := list(itertools.islice(units, _CHUNK)):
-                yield n, chunk, ids
+        for n, ids, units, paired in sources:
+            # a paired unit holds up to two graphs
+            size = _CHUNK // 2 if paired else _CHUNK
+            while chunk := list(itertools.islice(units, size)):
+                yield n, chunk, ids, paired
 
     work = itertools.islice(chunks(), shard_id, None, shards)
     # more processes than cores or chunks would only wait

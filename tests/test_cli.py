@@ -432,7 +432,7 @@ def test_verify_theorems_reports_classes_on_stderr(capsys):
                        "--sample", "100")
     assert rc == 0
     assert re.search(r"^n=4 exhaustive \(64\): 11 classes, generated in \d+\.\d{3}s "
-                     r"\(11 canonical searches\)$",
+                     r"\(7 canonical searches\)$",
                      err, re.M)
     assert re.search(r"^n=5 sampled \(100\)$", err, re.M)
     assert "classes" not in out

@@ -15,9 +15,11 @@ import textwrap
 import pytest
 
 import test_constructions
+import test_graphs
 import test_p4
 import test_spectral
-from p4spec import constructions, graphs, p4, spectral
+import test_theorems
+from p4spec import constructions, graphs, p4, spectral, theorems
 
 # name -> (module, kernel, source substring, its replacement, catching tests)
 FAULTS = {
@@ -114,6 +116,33 @@ FAULTS = {
     "product-width": (
         spectral, "_root_product", " ** len(roots)).bit_length() + 1", ").bit_length() + 1",
         [test_spectral.test_root_product_matches_dense_product]),
+    # the search skips a child with exactly half the edges
+    "half-bound": (
+        theorems, "_classes", "d > room", "d >= room",
+        [test_theorems.test_class_counts_match_oeis,
+         test_theorems.test_class_lists_match_labeled_reference]),
+    # a class with exactly half the edges gets a complement entry as well,
+    # so every class with half the edges is listed twice
+    "complement-append": (
+        theorems, "_classes", "2 * code.bit_count() < pairs", "2 * code.bit_count() <= pairs",
+        [test_theorems.test_class_counts_match_oeis,
+         test_theorems.test_class_lists_match_labeled_reference]),
+    # the complement of a pair does not hold the class as its complement,
+    # so it builds another and computes the class's values a second time
+    "partner-link": (
+        theorems, "_with_complements", "h._memo = {complement: g}", "h._memo = None",
+        [test_theorems.test_paired_units_hold_each_other_as_derived_complement]),
+    # a candidate is kept only if its new vertex is the one the best leaf
+    # places last, not any vertex of that vertex's orbit
+    "deletion-orbit": (
+        graphs, "_canonical_deletion", "if not orbits[order[-1]] >> (n - 1) & 1:",
+        "if order[-1] != n - 1:",
+        [test_graphs.test_canonical_deletion_keeps_a_new_vertex_in_the_orbit_of_the_last]),
+    # a chunk whose failures are at the same smallest n as the kept ones
+    # is dropped instead of added
+    "tally-merge-same-n": (
+        theorems, "_Tally", "self.failed[0] < other.failed[0]", "self.failed[0] <= other.failed[0]",
+        [test_theorems.test_tally_merge_keeps_every_failing_class_at_the_smallest_n]),
 }
 
 

@@ -376,6 +376,21 @@ def test_canonical_form_against_networkx():
     assert same > 5 and differ > 50
 
 
+def test_canonical_deletion_keeps_a_new_vertex_in_the_orbit_of_the_last():
+    # a candidate that class generation tries at n = 8: its new vertex 7 is
+    # not the vertex the best leaf places last, 6, but an automorphism maps
+    # one onto the other, so vertex 7 is a canonical deletion.  No candidate
+    # tried on 7 or fewer vertices is like this, so the class lists there do
+    # not test the orbit
+    g = Graph(8, (32, 132, 2, 192, 192, 65, 56, 26))
+    full = g.full_mask
+    code, aut, gens, order = _search(g.adj, 8, _refine(g.adj, 8, [full], [full]))
+    assert order[-1] == 6
+    assert any(perm[6] == 7 for perm, _ in gens)
+    searched, kept = _canonical_deletion(g)
+    assert searched and kept[:2] == (code, aut) == canonical_form(g)
+
+
 def test_canonical_searches_leave_no_reference_cycles():
     # a cycle per search would hold its frames, generators and leaf orders
     # until the cyclic collector runs

@@ -74,14 +74,14 @@ theorems._canonical_deletion = deletion_with_aut(5)
 print(outcome(lambda: theorems.verify_theorems(4, "a")))
 
 
-# a deletion test that wrongly rejects the triangle (code 7): a class is
-# missing and the weights fall short
-def deletion_without_triangle(g):
+# a deletion test that wrongly rejects K2 + K1 (code 4): that class and its
+# complement P3 are missing and the weights fall short
+def deletion_without_one_edge(g):
     searched, kept = real_deletion(g)
-    return searched, None if g.n == 3 and kept and kept[0] == 7 else kept
+    return searched, None if g.n == 3 and kept and kept[0] == 4 else kept
 
 
-theorems._canonical_deletion = deletion_without_triangle
+theorems._canonical_deletion = deletion_without_one_edge
 print(outcome(lambda: theorems.verify_theorems(4, "a")))
 theorems._canonical_deletion = real_deletion
 """
@@ -101,5 +101,5 @@ def test_decision_guards_survive_optimize_flag():
         "raised: recursive and P4-free cograph checks disagree",
         "raised: class weights on 2 vertices sum to 4, not 2^1",
         "raised: automorphism group order 5 does not divide 1!",
-        "raised: class weights on 3 vertices sum to 7, not 2^3",
+        "raised: class weights on 3 vertices sum to 2, not 2^3",
     ]

@@ -33,6 +33,16 @@ def _class_lists(n_max):
     return out
 
 
+def _canonical(n, classes):
+    """[(code, aut_order), ...] of a class list with every code canonical,
+    in code order: an entry with 2m > C(n,2) edges is the complement of a
+    searched class, under that class's labels, and goes through the search
+    here."""
+    pairs = n * (n - 1) // 2
+    return sorted((canonical_form(mask_to_graph(n, code))[0] if 2 * code.bit_count() > pairs
+                   else code, aut) for code, aut, _ in classes)
+
+
 def _by_id(results):
     return {r.theorem: r for r in results}
 
@@ -93,7 +103,7 @@ def test_sample_stream_is_pinned_and_striped_by_shards(monkeypatch):
     scan_chunk = theorems._scan_chunk
 
     def record(args):
-        n, units, _ = args
+        n, units = args[:2]
         seen.append((n, [key for key, _ in units]))
         return scan_chunk(args)
 
@@ -405,15 +415,27 @@ def test_class_counts_match_oeis():
     lists = _class_lists(7)
     assert [len(lists[n]) for n in range(1, 8)] == CLASS_COUNTS
     for n, classes in lists.items():
-        assert sum(math.factorial(n) // aut for _, aut, _ in classes) == 2 ** (n * (n - 1) // 2)
-        assert all(canonical_form(mask_to_graph(n, code))[0] == code for code, _, _ in classes)
+        pairs = n * (n - 1) // 2
+        assert sum(math.factorial(n) // aut for _, aut, _ in classes) == 2 ** pairs
+        # the searched classes have canonical codes; each other entry is
+        # the complement of one with fewer than half the edges, under the
+        # same labels and with the same automorphism group
+        entries = {code: (aut, gens) for code, aut, gens in classes}
+        for code, aut, gens in classes:
+            if 2 * code.bit_count() <= pairs:
+                assert canonical_form(mask_to_graph(n, code)) == (code, aut)
+            else:
+                assert entries[code ^ (1 << pairs) - 1] == (aut, gens)
+                assert canonical_form(mask_to_graph(n, code))[1] == aut
 
 
 def test_class_generation_search_count(monkeypatch):
     # n = 6 has 1,088 candidates (34 classes, 32 neighbourhoods each); the
-    # degree test, one neighbourhood per parent orbit and the root-cell test
-    # leave 156 of them for a full search, one per class.  At n = 7 they
-    # leave 1,046 for the 1,044 classes
+    # half-edge bound, the degree test, one neighbourhood per parent orbit
+    # and the root-cell test leave 78 of them for a full search, one per
+    # class with at most 7 of the 15 edges; the 78 others are their
+    # complements.  At n = 7 they leave 523 for the 522 classes with at most
+    # 10 of the 21 edges
     searches = []
     real_search = graphs._search
 
@@ -427,11 +449,12 @@ def test_class_generation_search_count(monkeypatch):
     for n in range(1, 8):
         classes, count = _classes(n, classes)
         reported.append(count)
-    assert [searches.count(n) for n in range(1, 8)] == [0, 2, 4, 11, 34, 156, 1046]
-    assert reported == [0, 2, 4, 11, 34, 156, 1046]
+    assert [searches.count(n) for n in range(1, 8)] == [0, 1, 2, 7, 20, 78, 523]
+    assert reported == [0, 1, 2, 7, 20, 78, 523]
 
 
-# sha256 of repr([(code, aut_order), ...]) for the 1,044 classes on 7 vertices
+# sha256 of repr(_canonical(7, classes)): the canonical (code, aut_order) of
+# the 1,044 classes on 7 vertices
 CLASSES_7_SHA256 = "7a0bff75da1808869b8122614be5a068acdad2f17d44061db9f81003a038bf05"
 
 
@@ -440,8 +463,8 @@ def test_class_lists_match_labeled_reference():
     lists = _class_lists(7)
     for n in range(1, 7):
         reference = sorted({canonical_form(g) for g in oracles.labeled_graphs(n)})
-        assert [(code, aut) for code, aut, _ in lists[n]] == reference, n
-    pinned = repr([(code, aut) for code, aut, _ in lists[7]])
+        assert _canonical(n, lists[n]) == reference, n
+    pinned = repr(_canonical(7, lists[7]))
     assert hashlib.sha256(pinned.encode()).hexdigest() == CLASSES_7_SHA256
 
 
@@ -470,21 +493,23 @@ def _parents_with(n, code, gens):
 
 
 def test_non_automorphism_generator_loses_a_class():
-    # K3 + K1 (code 52, vertex 0 isolated): swapping vertices 0 and 1 is no
-    # automorphism; with it in place of a true generator, neighbourhoods that
-    # give different classes share an orbit, and one class on 5 vertices is
+    # P3 + K1 (code 48, vertex 0 isolated, vertex 3 the centre): swapping
+    # vertices 0 and 3 is no automorphism; added to the true generator, it
+    # puts neighbourhoods that give different classes in one orbit, and the
+    # diamond plus an isolated vertex (5 of the 10 edges, |Aut| = 4) is
     # never tried
-    code, aut, gens = next(c for c in _class_lists(4)[4] if c[0] == 52)
-    assert aut == 6 and gens[0] == (0, 1, 3, 2)
-    bad = ((1, 0, 2, 3),) + gens[1:]
-    with pytest.raises(ArithmeticError, match="sum to 1019, not 2"):
-        _classes(5, _parents_with(4, 52, bad))
+    code, aut, gens = next(c for c in _class_lists(4)[4] if c[0] == 48)
+    assert aut == 2 and gens == ((0, 2, 1, 3),)
+    bad = gens + ((3, 1, 2, 0),)
+    with pytest.raises(ArithmeticError, match="sum to 994, not 2"):
+        _classes(5, _parents_with(4, 48, bad))
 
 
 def test_missing_generators_find_a_class_twice():
     # without the automorphism swapping vertices 0 and 1 of K1 + K1 (code
-    # 0), its neighbourhoods {0} and {1} both give K2 + K1 (code 4)
-    with pytest.raises(ArithmeticError, match="class 4 on 3 vertices found twice"):
+    # 0), its neighbourhoods {0} and {1} both give K2 + K1 (code 4), so its
+    # complement P3 (code 3), which sorts first, is listed twice too
+    with pytest.raises(ArithmeticError, match="class 3 on 3 vertices found twice"):
         _classes(3, _parents_with(2, 0, ()))
 
 
@@ -499,13 +524,118 @@ def test_classes_match_networkx_atlas():
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         codes.add(canonical_form(Graph(7, rows))[0])
-    assert codes == {code for code, _, _ in _class_lists(7)[7]}
+    assert codes == {code for code, _ in _canonical(7, _class_lists(7)[7])}
 
 
 def test_class_scan_matches_labeled_scan():
     # the oracle checks all 33,867 labeled graphs on n <= 6 one by one
     classes = [r.to_dict() for r in verify_theorems(6, "abcdefg")]
     assert classes == oracles.labeled_scan(6)
+
+
+def test_paired_units_hold_each_other_as_derived_complement():
+    # the 34 classes on 5 vertices: 14 units with fewer than 5 of the 10
+    # edges, each followed by its complement, and 6 units with 5 edges
+    n, pairs = 5, 10
+    classes = _class_lists(5)[5]
+    units = list(theorems._class_units(n, classes))
+    assert len(units) == 20
+    subjects, expanded = theorems._with_complements(n, units)
+    assert len(subjects) == len(expanded) == 34
+    weights = {code: math.factorial(n) // aut for code, aut, _ in classes}
+    assert sorted(expanded) == sorted(weights.items())
+    for i, (g, (key, _)) in enumerate(zip(subjects, expanded)):
+        assert g == mask_to_graph(n, key)
+        h = g.derived(complement)
+        assert h == complement(g)
+        if 2 * key.bit_count() == pairs:
+            assert not any(h is other for other in subjects)
+            continue
+        partner = subjects[i + 1] if 2 * key.bit_count() < pairs else subjects[i - 1]
+        assert h is partner and partner.derived(complement) is g
+
+
+def test_tally_merge_keeps_every_failing_class_at_the_smallest_n():
+    def parts():
+        # (checked, failed) of five chunks; the failures at n = 4 are split
+        # over two chunks
+        for checked, failed in ((10, (5, [7, 3])), (4, None), (6, (4, [9])),
+                                (2, (4, [1, 8])), (3, (6, [0]))):
+            tally = theorems._Tally()
+            tally.checked = checked
+            tally.violations = len(failed[1]) if failed else 0
+            tally.failed = failed
+            yield tally
+
+    for exhaustive, keys in (({4, 5, 6}, [1, 8, 9]), ((), [1])):
+        for order in ((0, 1, 2, 3, 4), (4, 3, 2, 1, 0), (2, 0, 4, 3, 1)):
+            chunks = list(parts())
+            total = theorems._Tally()
+            for i in order:
+                total.merge(chunks[i], exhaustive)
+            assert (total.checked, total.violations) == (25, 6)
+            assert (total.failed[0], sorted(total.failed[1])) == (4, keys), (exhaustive, order)
+
+
+def _at_most_half_the_edges_at_five(g):
+    return g.n != 5 or 2 * g.edge_count <= 10
+
+
+def test_failing_complements_report_the_labeled_counterexample(monkeypatch):
+    # only graphs on 5 vertices with 6 or more edges fail: the complements of
+    # the searched classes, never checked under their own canonical codes
+    checks = {"a": _at_most_half_the_edges_at_five}
+    monkeypatch.setitem(theorems.DEFAULT_CHECKS, "a", checks["a"])
+    got = [r.to_dict() for r in verify_theorems(5, "a")]
+    assert got == oracles.labeled_scan(5, checks)
+    assert got[0]["violations"] == sum(math.comb(10, m) for m in range(6, 11))
+    # the smallest labeled mask with 6 edges
+    assert got[0]["counterexample"] == serialize_graph6(mask_to_graph(5, 0b111111))
+    sharded = [verify_theorems(5, "a", shards=2, shard_id=sid)[0] for sid in range(2)]
+    assert sum(s.violations for s in sharded) == got[0]["violations"]
+    assert got[0]["counterexample"] in {s.counterexample for s in sharded}
+
+
+def test_all_theorem_scan_is_the_same_on_workers_and_shards(monkeypatch):
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: 2)
+    serial = [r.to_dict() for r in verify_theorems(6)]
+    assert [r.to_dict() for r in verify_theorems(6, workers=2)] == serial
+    for shards in (2, 3):
+        parts = [verify_theorems(6, shards=shards, shard_id=sid) for sid in range(shards)]
+        for i, r in enumerate(serial):
+            assert sum(p[i].checked for p in parts) == r["checked"]
+            assert sum(p[i].violations for p in parts) == r["violations"] == 0
+
+
+def test_sampled_populations_are_not_paired(monkeypatch):
+    # each draw is one graph, checked once: no complement is added, and the
+    # draws come in the pinned stream's order, 64 to a chunk; the classes
+    # before them come 32 units to a chunk
+    seen = []
+    counted = []
+    scan_chunk = theorems._scan_chunk
+
+    def record(args):
+        n, units, _, paired = args
+        seen.append((n, paired, [key for key, _ in units]))
+        return scan_chunk(args)
+
+    def count(g):
+        counted.append(g.n)
+        return True
+
+    monkeypatch.setattr(theorems, "_scan_chunk", record)
+    monkeypatch.setitem(theorems.DEFAULT_CHECKS, "a", count)
+    r = verify_theorems(6, "a", sample=1500, seed=3)[0]
+    assert r.checked == 1 + 2 + 8 + 64 + 1024 + 1500
+    assert counted.count(6) == 1500
+    assert counted.count(5) == 34  # every class once, its complement included
+    assert [(n, paired, len(keys)) for n, paired, keys in seen if n == 5] == \
+        [(5, True, 20)]
+    sampled = [(paired, len(keys)) for n, paired, keys in seen if n == 6]
+    assert sampled == [(False, 64)] * 23 + [(False, 28)]
+    assert [key for n, _, keys in seen if n == 6 for key in keys] == \
+        list(theorems._sample_masks(1 << 15, 1500, 3, 6))
 
 
 def test_midpoint_split_on_five_vertices_holds_exactly_for_the_seeds():
@@ -621,19 +751,26 @@ def test_exhaustive_scan_computes_each_spectrum_once(monkeypatch):
     monkeypatch.setattr(spectral, "_prefix", counting_prefix)
     spectral._small_polys.cache_clear()  # so the table builds count here
     results = verify_theorems(5)
-    classes = 1 + 2 + 4 + 11 + 34
+    lists = _class_lists(5)
+    classes = sum(map(len, lists.values()))
+    # a class with exactly half the edges is checked without a partner, so
+    # theorem g builds and certifies its complement on the side
+    unpaired = sum(2 * code.bit_count() == math.comb(n, 2)
+                   for n, entries in lists.items() for code, _, _ in entries)
+    assert (classes, unpaired) == (52, 1 + 3 + 6)  # n = 1, 4 and 5
     assert _by_id(results)["h"].checked == 100 * 4
     pairs = {pair for n in range(2, 6) for pair in _pair_population(n, 0)}
     assert len(pairs) < 100 * 4
     # theorem g asks for the L-integrality of each class and of its
-    # complement, with no Faddeev-LeVerrier run.  Theorem h's parts (1..4
+    # complement, with no Faddeev-LeVerrier run; a class and its partner
+    # each certify their own graph once.  Theorem h's parts (1..4
     # vertices) and unions of 2..4 vertices read the tables for n = 1..4, one
     # run per labeled graph: 1 + 2 + 8 + 64.  Only a graph on 5 vertices,
     # here always the union, is an FL run of its own, once per distinct pair.
     tables = sum(2 ** math.comb(n, 2) for n in range(1, 5))
     large = sum((n1 + n2 > 4) + (n1 > 4) + (n2 > 4) for n1, _, n2, _ in pairs)
     assert len(runs) == tables + large
-    assert len(certificates) == 2 * classes
+    assert len(certificates) == classes + unpaired
     runs.clear()
     certificates.clear()
     verify_theorems(5, "abcdef")
