@@ -9,8 +9,8 @@ from being fed absurd inputs.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from typing import Iterable, Iterator
 
 _DEFAULT_MAX_N = 64
 

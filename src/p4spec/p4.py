@@ -20,8 +20,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
+from collections.abc import Iterator
 from functools import lru_cache
-from typing import Iterator
 
 from .graphs import Graph, _components, bits, complement, mask_of
 from .spectral import exact_spectrum

@@ -26,8 +26,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import Iterable
 
 from . import MAX_N
 from .graphs import Graph, _trusted, bits, check_vertex_count, disjoint_union

@@ -31,13 +31,11 @@ import math
 import os
 import random
 import time
-from collections import Counter
-from dataclasses import dataclass, fields
-from typing import Iterator
+from collections import Counter, namedtuple
+from collections.abc import Iterator
 
 from . import MAX_N, THEOREMS
 from .constructions import mask_to_graph
-from .formats import serialize_graph6
 from .graphs import Graph, _canonical_deletion, _trusted, bits, check_vertex_count, \
     complement, connected_components
 from .p4 import _midpoint_split, _p4_components, enumerate_p4, is_p4_connected, \
@@ -126,25 +124,27 @@ DEFAULT_CHECKS = {
 }
 
 
-@dataclass
-class TheoremResult:
-    theorem: str
-    description: str
-    population: str
-    checked: int
-    violations: int
-    counterexample: str | None
-    # time in this theorem's checks, timed once per chunk and summed over
-    # workers; it includes the shared P4, complement and spectrum work the
-    # theorem is first to ask for
-    check_s: float
+class TheoremResult(namedtuple("TheoremResult", "theorem description population checked "
+                                                "violations counterexample check_s")):
+    """One theorem's report.  check_s is the time in its checks, timed once
+    per chunk and summed over workers; it includes the shared P4, complement
+    and spectrum work the theorem is first to ask for."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return self.violations == 0
 
+    @property
+    def __dataclass_fields__(self):
+        # dataclasses.replace, fields and asdict read this; built when read,
+        # so a scan never imports dataclasses
+        import dataclasses
+        return dataclasses.make_dataclass("TheoremResult", self._fields).__dataclass_fields__
+
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "check_s"}
+        return {k: v for k, v in self._asdict().items() if k != "check_s"}
 
 
 class _Tally:
@@ -544,6 +544,9 @@ def verify_theorems(n_max: int, theorems: str | None = None, *,
             for tid, tally in result.items():
                 tallies[tid].merge(tally, () if tid == "h" else exhaustive)
 
+    if any(tally.failed for tally in tallies.values()):
+        # formats costs a cold start about 2 ms; only a counterexample needs it
+        from .formats import serialize_graph6
     results = []
     for tid in enabled:
         tally = tallies[tid]

@@ -1,5 +1,7 @@
-"""The package's lazy exports and the records the analyze path returns."""
+"""The package's lazy exports, what each entry point imports, and the
+records the analyze and scan paths return."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -14,6 +16,7 @@ from p4spec import (
     ExactSpectrum,
     SpiderSpec,
     SurdEigenvalue,
+    TheoremResult,
     classify,
     exact_spectrum,
     load_document,
@@ -21,16 +24,18 @@ from p4spec import (
     standard,
     thin_spider,
     thin_spider_closed_form,
+    verify_theorems,
 )
-from p4spec.formats import GraphDocument
+from p4spec.constructions import mask_to_graph
+from p4spec.formats import GraphDocument, serialize_graph6
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_fresh(script, *args):
+def run_fresh(script, *args, flags=()):
     """Run a python script in a fresh interpreter that sees src/; its stdout."""
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+    proc = subprocess.run([sys.executable, *flags, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -96,6 +101,30 @@ def test_analyze_and_spectrum_load_neither_theorems_dsl_nor_dataclasses(tmp_path
     assert loads == ["loaded: []"] + ["loaded: ['json']"] * 4
 
 
+SCAN_LOADS = """
+import sys
+before = set(sys.modules)
+import p4spec
+from p4spec import theorems
+watched = ("dataclasses", "inspect", "typing", "p4spec.formats", "p4spec.dsl",
+           "multiprocessing")
+for check in (None, lambda g: g.n < 3):
+    if check:
+        theorems.DEFAULT_CHECKS["a"] = check
+    r = p4spec.verify_theorems(3)[0]
+    print(r.violations, r.counterexample, "loaded:",
+          sorted(m for m in set(sys.modules) - before if m in watched))
+"""
+
+
+def test_scan_loads_formats_only_for_a_counterexample():
+    # -S: site's own imports (typing, for one) would hide the package's
+    out = run_fresh(SCAN_LOADS, flags=["-S"])
+    assert out.splitlines() == [
+        "0 None loaded: []",
+        f"8 {serialize_graph6(mask_to_graph(3, 0))} loaded: ['p4spec.formats']"]
+
+
 def _records():
     return [
         recognize_spider(thin_spider(3)),
@@ -104,6 +133,7 @@ def _records():
         thin_spider_closed_form(2, 1),
         classify(standard("path", 4)),
         load_document("EhEG\n"),
+        verify_theorems(2, "a")[0]._replace(check_s=0.25),
     ]
 
 
@@ -119,7 +149,7 @@ def test_records_compare_and_hash_by_their_fields():
 
 
 def test_record_reprs():
-    spider, spec, surd, closed, report, doc = (repr(r) for r in _records())
+    spider, spec, surd, closed, report, doc, result = (repr(r) for r in _records())
     assert spider == "SpiderSpec(kind='thin', legs=(3, 4, 5), body=(0, 1, 2), head=())"
     assert spec == ("ExactSpectrum(integer_roots=((4, 1), (2, 2), (0, 1)), "
                     "residual=IntPolynomial([1]))")
@@ -135,6 +165,10 @@ def test_record_reprs():
         "l_integral=False, spectrum=ExactSpectrum(integer_roots=((2, 1), (0, 1)), "
         "residual=IntPolynomial([2, -4, 1])))")
     assert doc == "GraphDocument(graph=Graph(n=6, m=6))"
+    assert result == (
+        "TheoremResult(theorem='a', description='cograph implies L-integral', "
+        "population='n=1 exhaustive (1); n=2 exhaustive (2)', checked=3, violations=0, "
+        "counterexample=None, check_s=0.25)")
 
 
 def test_records_are_immutable():
@@ -146,7 +180,20 @@ def test_records_are_immutable():
             record.extra = 1
     assert [type(r) for r in _records()] == [SpiderSpec, ExactSpectrum, SurdEigenvalue,
                                              ClosedFormSpectrum, ClassificationReport,
-                                             GraphDocument]
+                                             GraphDocument, TheoremResult]
+
+
+def test_theorem_result_reports_its_fields_but_the_timing():
+    r = _records()[-1]
+    # the order of the JSON report's keys
+    assert list(r.to_dict()) == ["theorem", "description", "population", "checked",
+                                 "violations", "counterexample"]
+    assert list(r._asdict()) == [*r.to_dict(), "check_s"]
+    assert r.passed and not r._replace(violations=1).passed
+    # the dataclasses helpers still read it
+    assert dataclasses.replace(r, violations=1) == r._replace(violations=1)
+    assert [f.name for f in dataclasses.fields(r)] == list(r._fields)
+    assert dataclasses.asdict(r) == r._asdict()
 
 
 @pytest.mark.parametrize("p, q, sign, message", [
