@@ -138,8 +138,9 @@ class TheoremResult(namedtuple("TheoremResult", "theorem description population 
 
     @property
     def __dataclass_fields__(self):
-        # dataclasses.replace, fields and asdict read this; built when read,
-        # so a scan never imports dataclasses
+        # only for perfbench/test_perfbench.py, which calls dataclasses.replace
+        # on a result; delete once it calls _replace.  Built when read, so a
+        # scan never imports dataclasses
         import dataclasses
         return dataclasses.make_dataclass("TheoremResult", self._fields).__dataclass_fields__
 

@@ -6,16 +6,19 @@
 BASE and CHANGE are git revisions of this repository.  Each is exported with
 `git archive` into a temporary directory, which is removed at the end.  A
 workload NAME:PAIRS[:SEED] runs PAIRS pairs of the exported
-perfbench/run.py, end-to-end metrics only; pair i gives both sides the seed
-SEED + i (SEED defaults to 1) and alternates which side runs first, so a
-drift of the host falls on both.  For each end-to-end metric named in
-CHANGE's BENCHMARK.json a series holds each side's median and quartiles, the
-ratio of the medians (CHANGE over BASE) and the number of pairs CHANGE wins
-in the direction the metric calls better.  `--n8 PAIRS` adds the wall time
+perfbench/run.py for the run_seconds of CHANGE's BENCHMARK.json, end-to-end
+metrics only; pair i gives both sides the seed SEED + i (SEED defaults to 1)
+and alternates which side runs first, so a drift of the host falls on both.
+For each end-to-end metric named in CHANGE's BENCHMARK.json a series holds
+each side's median and quartiles, the ratio of the medians (CHANGE over
+BASE) and the number of pairs CHANGE wins in the direction the metric calls
+better.  `--n8 PAIRS` adds the wall time
 of `verify-theorems --n-max 8`, serial and on 2 workers, a scan no workload
 runs; the two sides' stdout must be byte-identical.  `--append` adds the
 series to an existing file made from the same commits.  The runs inherit
 this process's environment, and each series records PYTHONDONTWRITEBYTECODE.
+Each side records its commit and the git object ids of the paths a run
+reads (TREES), so a later commit with the same ids ran the same code.
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
+# what perfbench/run.py reads: the package, the bench, its config, and the
+# oracles perfbench/mix.py imports from tests/
+TREES = ("src", "perfbench", "BENCHMARK.json", "tests")
 
 
 def git(*args: str) -> str:
@@ -47,7 +53,8 @@ def export(rev: str, dest: Path) -> dict:
                              check=True, capture_output=True).stdout
     dest.mkdir()
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
-    return {"rev": rev, "commit": commit, "src_tree": git("rev-parse", f"{commit}:src")}
+    return {"rev": rev, "commit": commit,
+            "trees": {path: git("rev-parse", f"{commit}:{path}") for path in TREES}}
 
 
 def host() -> dict:
@@ -129,8 +136,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--workload", action="append", default=[],
                         metavar="NAME:PAIRS[:SEED]")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="seconds per run (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--n8", type=int, default=0, metavar="PAIRS")
     parser.add_argument("--append", action="store_true")
     args = parser.parse_args(argv)
@@ -139,10 +144,10 @@ def main(argv=None) -> int:
         roots = {s: Path(tmp) / s for s in SIDES}
         commits = {s: export(rev, roots[s]) for s, rev in zip(SIDES, (args.base, args.change))}
         bench = json.loads((roots["change"] / "BENCHMARK.json").read_text())
-        seconds = args.seconds or bench["run_seconds"]
+        seconds = bench["run_seconds"]
         better = {m["name"]: m["better"] for m in bench["end_to_end"]}
         doc = {"base": commits["base"], "change": commits["change"], "host": host(),
-               "series": []}
+               "run_seconds": seconds, "series": []}
         if args.append:
             doc = json.loads(args.out.read_text())
             if [doc[s]["commit"] for s in SIDES] != [commits[s]["commit"] for s in SIDES]:
