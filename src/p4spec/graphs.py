@@ -32,7 +32,7 @@ def max_vertices() -> int:
 def check_vertex_count(n: int) -> None:
     """Raise ValueError unless 0 <= n <= max_vertices().  Graph(...),
     from_edge_list, _attach, standard and thin_spider call it before they
-    allocate; mask_to_graph's callers and theorems._classes check n first."""
+    allocate; mask_to_graph's callers and verify_theorems check n first."""
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     cap = max_vertices()

@@ -5,12 +5,13 @@ labeled graph up to a vertex bound.  The graph theorems are invariant under
 relabeling, so an exhaustive population is scanned once per isomorphism
 class: the n-vertex classes are grown from the (n-1)-vertex ones by
 canonical augmentation, which finds each class exactly once, and each class
-stands for its n!/|Aut| labeled graphs.  Only the classes with at most half
-the C(n,2) edges are searched for; the rest are their complements, which
-have the same automorphism groups.  A unit of an exhaustive population is
-a class with at most half the edges, checked together with its complement,
-and the two graphs hold each other as their derived complement, so each
-value they share is computed once, from its own graph.  Sampled
+stands for its n!/|Aut| labeled graphs.  Only the classes with at most
+half the C(n,2) edges are grown and listed, each once by its canonical
+code; the rest are their complements, which have the same automorphism
+groups and exist only in a scan.  A unit of an exhaustive population is a
+listed class, checked together with its complement, and the two graphs
+hold each other as their derived complement, so each value they share is
+computed once, from its own graph.  Sampled
 populations come from one seeded global sequence of labeled edge masks,
 drawn with replacement and one chunk at a time, so a scan's memory does
 not grow with the sample; they are not paired.
@@ -247,38 +248,35 @@ def _classes(n: int, prev: list[tuple]) -> tuple[list[tuple], int]:
     n - 1 vertices by canonical augmentation (McKay 1998), and the number
     of canonical searches that took.
 
-    A class is a triple (code, aut_order, gens), gens generating the
-    automorphism group of its representative mask_to_graph(n, code); the
+    A class is a triple (code, aut_order, gens): code is canonical, and
+    gens generate the automorphism group of mask_to_graph(n, code); the
     list is in code order.  Only the classes with 2m <= C(n,2) edges are
-    searched for, and their codes are canonical; each other class is the
-    complement of one with 2m < C(n,2), entered as (code ^ full, aut, gens).
-    That is every class once: complement is a bijection on the n-vertex
-    classes, and a permutation keeps the edges iff it keeps the non-edges,
-    so a class and its complement have one automorphism group on the same
-    labels.
+    listed.  Each other class is the complement of one with 2m < C(n,2),
+    which a scan checks with it (_with_complements): complement is a
+    bijection on the n-vertex classes, and a permutation keeps the edges iff
+    it keeps the non-edges, so a class and its complement have one
+    automorphism group on the same labels.
 
     Each class on n - 1 vertices gets vertex n - 1 with one neighbourhood
     from each orbit of its automorphism group on vertex subsets, and a
     candidate is kept only if vertex n - 1 is in the Aut-orbit of the
     vertex that the canonical labeling places last
-    (graphs._canonical_deletion).  Every class has such a vertex, deleting
-    it leaves a graph isomorphic to one class in prev, and two
-    neighbourhoods of that class give one class with vertex n - 1 in that
-    orbit only if an automorphism maps one onto the other, so every class
-    is found exactly once.  None of this reads a parent's code as
-    canonical: any representative of the parent's class serves, with
-    generators of its group on the representative's labels, and a kept
-    child's code comes from its own search.  The deleted vertex has the
-    largest degree d, so a neighbourhood whose new vertex does not is
-    skipped before any graph is built; the test is invariant under
-    automorphisms, so it runs first.  A child with m edges grows from its
-    canonical parent, which has m - d <= m edges, by d edges; so every
-    child with 2m <= C(n,2) has d <= C(n,2)//2 - m(parent), and none is
-    lost when a larger neighbourhood is skipped, or a parent whose largest
-    degree, a lower bound on d, is above that room.
+    (graphs._canonical_deletion).  That vertex has the largest degree
+    d >= 2m/n, so a class with 2m <= C(n,2) has a canonical parent with
+    m - d <= m(n - 2)/n <= C(n-1,2)/2 edges, a class in prev; and two
+    neighbourhoods of that parent give one class with vertex n - 1 in that
+    orbit only if an automorphism maps one onto the other, so every listed
+    class is found exactly once.  A neighbourhood whose new vertex does not
+    have the largest degree is skipped before any graph is built; the test
+    is invariant under automorphisms, so it runs first.  A child grows from
+    its parent by d edges, so every child with 2m <= C(n,2) has
+    d <= C(n,2)//2 - m(parent), and none is lost when a larger
+    neighbourhood is skipped, or a parent whose largest degree, a lower
+    bound on d, is above that room.
     Certificate: no code may occur twice, and the class weights n!/|Aut|,
-    complements included, must add up to the 2^C(n,2) labeled graphs, else
-    ArithmeticError (an explicit raise, so it survives python -O).
+    each class with 2m < C(n,2) counted again for its complement, must add
+    up to the 2^C(n,2) labeled graphs, else ArithmeticError (an explicit
+    raise, so it survives python -O).
     """
     new = 1 << (n - 1)  # vertex n - 1 as a bit
     pairs = n * (n - 1) // 2
@@ -286,7 +284,7 @@ def _classes(n: int, prev: list[tuple]) -> tuple[list[tuple], int]:
     found = []
     searches = 0
     # one tuple per distinct generator set, shared by the classes that have
-    # it: 400 of them for the 12,346 classes at n = 8
+    # it: 331 of them for the 6,996 classes listed at n = 8
     shared = {}
     for code, _, gens in prev:
         # the most edges the new vertex may bring, and still 2m <= C(n, 2)
@@ -327,19 +325,16 @@ def _classes(n: int, prev: list[tuple]) -> tuple[list[tuple], int]:
             if kept is not None:
                 child, aut, child_gens = kept
                 found.append((child, aut, shared.setdefault(child_gens, child_gens)))
-    full = (1 << pairs) - 1
-    found += [(code ^ full, aut, gens) for code, aut, gens in found
-              if 2 * code.bit_count() < pairs]
     found.sort()
     for a, b in zip(found, found[1:]):
         if a[0] == b[0]:
             raise ArithmeticError(f"class {a[0]} on {n} vertices found twice")
     fact = math.factorial(n)
     total = 0
-    for _, aut, _ in found:
+    for code, aut, _ in found:
         if aut < 1 or fact % aut:
             raise ArithmeticError(f"automorphism group order {aut} does not divide {n}!")
-        total += fact // aut
+        total += fact // aut << (2 * code.bit_count() < pairs)
     if total != 1 << pairs:
         raise ArithmeticError(f"class weights on {n} vertices sum to {total}, "
                               f"not 2^{pairs}")
@@ -347,13 +342,11 @@ def _classes(n: int, prev: list[tuple]) -> tuple[list[tuple], int]:
 
 
 def _class_units(n: int, classes: list[tuple]) -> Iterator[tuple[int, int]]:
-    """(code, n!/|Aut|) of each class on n vertices with 2m <= C(n,2) edges;
-    a class with fewer stands for its complement as well (_with_complements)."""
+    """(code, n!/|Aut|) of each class of a _classes list; a class with
+    2m < C(n,2) edges stands for its complement as well (_with_complements)."""
     fact = math.factorial(n)
-    pairs = n * (n - 1) // 2
     for code, aut, _ in classes:
-        if 2 * code.bit_count() <= pairs:
-            yield code, fact // aut
+        yield code, fact // aut
 
 
 def _with_complements(n: int, units: list[tuple[int, int]]) -> tuple[list, list]:
@@ -495,7 +488,8 @@ def verify_theorems(n_max: int, theorems: str | None = None, *,
     classes = [(0, 1, ())]  # the graph on no vertices
     # a graph population is set up only when a graph theorem runs
     for n in range(1, n_max + 1) if graph_ids else ():
-        space = 1 << (n * (n - 1) // 2)
+        pairs = n * (n - 1) // 2
+        space = 1 << pairs
         if sample is None or space <= sample:
             exhaustive.add(n)
             populations.append(f"n={n} exhaustive ({space})")
@@ -503,7 +497,9 @@ def verify_theorems(n_max: int, theorems: str | None = None, *,
             classes, searches = _classes(n, classes)
             units = _class_units(n, classes)
             if progress:
-                progress(f"{populations[-1]}: {len(classes)} classes, "
+                # a class with 2m < C(n,2) edges stands for its complement too
+                count = sum(1 + (2 * code.bit_count() < pairs) for code, _, _ in classes)
+                progress(f"{populations[-1]}: {count} classes, "
                          f"generated in {time.perf_counter() - t0:.3f}s "
                          f"({searches} canonical searches)")
         else:

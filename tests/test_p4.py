@@ -293,6 +293,7 @@ def test_p4_connected_examples():
     assert is_p4_connected(standard("path", 5))
     two_paths = disjoint_union(standard("path", 4), standard("path", 4))
     assert not is_p4_connected(two_paths)
+    assert list(p4._p4_components(enumerate_p4(two_paths))) == [0x0F, 0xF0]
     dangling = disjoint_union(standard("path", 4), standard("empty", 1))
     assert not is_p4_connected(dangling)
     # relabeled long paths: their P4s chain along the path in an order the

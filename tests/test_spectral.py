@@ -28,7 +28,7 @@ from p4spec.spectral import (
     quotient_matrix,
     thin_spider_closed_form,
 )
-from p4spec.theorems import _classes
+from test_theorems import _class_lists, _every_class
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -178,10 +178,8 @@ def _classes_and_complements(n_max):
     """A graph of every isomorphism class with 1..n_max vertices, and its
     complement."""
     out = []
-    classes = [(0, 1, ())]
-    for n in range(1, n_max + 1):
-        classes, _ = _classes(n, classes)
-        for code, _, _ in classes:
+    for n, classes in _class_lists(n_max).items():
+        for code, _, _ in _every_class(n, classes):
             g = mask_to_graph(n, code)
             out += [g, complement(g)]
     return tuple(out)

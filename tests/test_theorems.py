@@ -24,7 +24,8 @@ CLASS_COUNTS = [1, 2, 4, 11, 34, 156, 1044]
 
 
 def _class_lists(n_max):
-    """{n: [(code, aut_order, gens), ...]} for n = 1..n_max."""
+    """{n: [(code, aut_order, gens), ...]} for n = 1..n_max, as _classes
+    lists them: only the classes with 2m <= C(n,2) edges."""
     out = {}
     classes = [(0, 1, ())]
     for n in range(1, n_max + 1):
@@ -33,14 +34,23 @@ def _class_lists(n_max):
     return out
 
 
+def _every_class(n, classes):
+    """Every class on n vertices, in code order, from a _classes list: each
+    class with 2m < C(n,2) edges brings its complement (code ^ full,
+    aut_order, gens), under the same labels and with the same group."""
+    pairs = n * (n - 1) // 2
+    full = (1 << pairs) - 1
+    return sorted(classes + [(code ^ full, aut, gens) for code, aut, gens in classes
+                             if 2 * code.bit_count() < pairs])
+
+
 def _canonical(n, classes):
-    """[(code, aut_order), ...] of a class list with every code canonical,
-    in code order: an entry with 2m > C(n,2) edges is the complement of a
-    searched class, under that class's labels, and goes through the search
-    here."""
+    """[(code, aut_order), ...] of every class that a _classes list stands
+    for, each code canonical, in code order: a complement goes through the
+    search here."""
     pairs = n * (n - 1) // 2
     return sorted((canonical_form(mask_to_graph(n, code))[0] if 2 * code.bit_count() > pairs
-                   else code, aut) for code, aut, _ in classes)
+                   else code, aut) for code, aut, _ in _every_class(n, classes))
 
 
 def _by_id(results):
@@ -413,20 +423,23 @@ def test_failing_scan_finds_counterexamples_without_relabeling_every_class(monke
 
 def test_class_counts_match_oeis():
     lists = _class_lists(7)
-    assert [len(lists[n]) for n in range(1, 8)] == CLASS_COUNTS
+    assert [len(_every_class(n, lists[n])) for n in range(1, 8)] == CLASS_COUNTS
     for n, classes in lists.items():
         pairs = n * (n - 1) // 2
-        assert sum(math.factorial(n) // aut for _, aut, _ in classes) == 2 ** pairs
-        # the searched classes have canonical codes; each other entry is
-        # the complement of one with fewer than half the edges, under the
-        # same labels and with the same automorphism group
-        entries = {code: (aut, gens) for code, aut, gens in classes}
-        for code, aut, gens in classes:
-            if 2 * code.bit_count() <= pairs:
-                assert canonical_form(mask_to_graph(n, code)) == (code, aut)
-            else:
-                assert entries[code ^ (1 << pairs) - 1] == (aut, gens)
-                assert canonical_form(mask_to_graph(n, code))[1] == aut
+        every = _every_class(n, classes)
+        assert sum(math.factorial(n) // aut for _, aut, _ in every) == 2 ** pairs
+        # a complement has the automorphism group of its class
+        for code, aut, _ in every:
+            assert canonical_form(mask_to_graph(n, code))[1] == aut
+
+
+def test_listed_classes_have_canonical_codes():
+    # _classes lists each class with at most half the edges once, by its
+    # canonical code; a complement is never an entry
+    for n, classes in _class_lists(7).items():
+        for code, aut, _ in classes:
+            assert canonical_form(mask_to_graph(n, code)) == (code, aut), (n, code)
+            assert 2 * code.bit_count() <= n * (n - 1) // 2
 
 
 def test_class_generation_search_count(monkeypatch):
@@ -507,9 +520,8 @@ def test_non_automorphism_generator_loses_a_class():
 
 def test_missing_generators_find_a_class_twice():
     # without the automorphism swapping vertices 0 and 1 of K1 + K1 (code
-    # 0), its neighbourhoods {0} and {1} both give K2 + K1 (code 4), so its
-    # complement P3 (code 3), which sorts first, is listed twice too
-    with pytest.raises(ArithmeticError, match="class 3 on 3 vertices found twice"):
+    # 0), its neighbourhoods {0} and {1} both give K2 + K1 (code 4)
+    with pytest.raises(ArithmeticError, match="class 4 on 3 vertices found twice"):
         _classes(3, _parents_with(2, 0, ()))
 
 
@@ -542,7 +554,7 @@ def test_paired_units_hold_each_other_as_derived_complement():
     assert len(units) == 20
     subjects, expanded = theorems._with_complements(n, units)
     assert len(subjects) == len(expanded) == 34
-    weights = {code: math.factorial(n) // aut for code, aut, _ in classes}
+    weights = {code: math.factorial(n) // aut for code, aut, _ in _every_class(n, classes)}
     assert sorted(expanded) == sorted(weights.items())
     for i, (g, (key, _)) in enumerate(zip(subjects, expanded)):
         assert g == mask_to_graph(n, key)
@@ -583,7 +595,7 @@ def _at_most_half_the_edges_at_five(g):
 
 def test_failing_complements_report_the_labeled_counterexample(monkeypatch):
     # only graphs on 5 vertices with 6 or more edges fail: the complements of
-    # the searched classes, never checked under their own canonical codes
+    # the listed classes, never checked under their own canonical codes
     checks = {"a": _at_most_half_the_edges_at_five}
     monkeypatch.setitem(theorems.DEFAULT_CHECKS, "a", checks["a"])
     got = [r.to_dict() for r in verify_theorems(5, "a")]
@@ -674,7 +686,7 @@ def test_midpoint_extension_matches_seed_oracle():
     # may differ from the definition
     found = 0
     for n, classes in _class_lists(7).items():
-        for code, _, _ in classes:
+        for code, _, _ in _every_class(n, classes):
             g = mask_to_graph(n, code)
             for h in (g, complement(g)):
                 if not p4.is_p4_extendible(h):
@@ -690,7 +702,7 @@ def test_check_e_matches_definition_oracle():
     # on 2 or more vertices must be in exactly one of the four cases
     cases = Counter()
     for n, classes in _class_lists(7).items():
-        for code, _, _ in classes:
+        for code, _, _ in _every_class(n, classes):
             g = mask_to_graph(n, code)
             for h in (g, complement(g)):
                 want = True
@@ -751,7 +763,7 @@ def test_exhaustive_scan_computes_each_spectrum_once(monkeypatch):
     monkeypatch.setattr(spectral, "_prefix", counting_prefix)
     spectral._small_polys.cache_clear()  # so the table builds count here
     results = verify_theorems(5)
-    lists = _class_lists(5)
+    lists = {n: _every_class(n, entries) for n, entries in _class_lists(5).items()}
     classes = sum(map(len, lists.values()))
     # a class with exactly half the edges is checked without a partner, so
     # theorem g builds and certifies its complement on the side
