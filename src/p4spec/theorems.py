@@ -488,8 +488,7 @@ def verify_theorems(n_max: int, theorems: str | None = None, *,
     classes = [(0, 1, ())]  # the graph on no vertices
     # a graph population is set up only when a graph theorem runs
     for n in range(1, n_max + 1) if graph_ids else ():
-        pairs = n * (n - 1) // 2
-        space = 1 << pairs
+        space = 1 << (n * (n - 1) // 2)
         if sample is None or space <= sample:
             exhaustive.add(n)
             populations.append(f"n={n} exhaustive ({space})")
@@ -498,7 +497,7 @@ def verify_theorems(n_max: int, theorems: str | None = None, *,
             units = _class_units(n, classes)
             if progress:
                 # a class with 2m < C(n,2) edges stands for its complement too
-                count = sum(1 + (2 * code.bit_count() < pairs) for code, _, _ in classes)
+                count = sum(1 + (4 * code.bit_count() < n * (n - 1)) for code, _, _ in classes)
                 progress(f"{populations[-1]}: {count} classes, "
                          f"generated in {time.perf_counter() - t0:.3f}s "
                          f"({searches} canonical searches)")
