@@ -288,20 +288,24 @@ def _refine(adj, n: int, cells: list[int], splitters: list[int]) -> list[int]:
             cells = out
             continue
         for cell in cells:
-            if cell & (cell - 1):
-                groups = {}
-                rest = cell
-                while rest:
-                    low = rest & -rest
-                    k = (adj[low.bit_length() - 1] & w).bit_count()
-                    groups[k] = groups.get(k, 0) | low
-                    rest ^= low
-                if len(groups) > 1:
-                    parts = [groups[k] for k in sorted(groups)]
-                    out += parts
-                    splitters += parts
-                    continue
-            out.append(cell)
+            if not cell & (cell - 1):
+                out.append(cell)
+                continue
+            vs = bits(cell)
+            k = (adj[vs[0]] & w).bit_count()
+            for v in vs:
+                if (adj[v] & w).bit_count() != k:
+                    break
+            else:
+                out.append(cell)  # every vertex has k neighbours in w
+                continue
+            groups = {}
+            for v in vs:
+                k = (adj[v] & w).bit_count()
+                groups[k] = groups.get(k, 0) | 1 << v
+            parts = [groups[k] for k in sorted(groups)]
+            out += parts
+            splitters += parts
         cells = out
     return cells
 
@@ -372,7 +376,7 @@ def _search(adj, n: int, root: list[int]):
             for v in range(1, n):
                 row = adj[order[v]]
                 for u in range(v):
-                    if row >> order[u] & 1:
+                    if row & cells[u]:
                         code |= 1 << (shift + u)
                 shift += v
             if first_order is None:
@@ -423,7 +427,7 @@ def _search(adj, n: int, root: list[int]):
     return best, aut, gens, best_order
 
 
-def _canonical_deletion(g: Graph) -> tuple[bool, tuple | None]:
+def _canonical_deletion(g: Graph, gens: bool = True) -> tuple[bool, tuple | None]:
     """Whether the vertex n - 1 is the canonical deletion of g (McKay 1998,
     "Isomorph-free exhaustive generation"): whether it is in the Aut(g)-orbit
     of the vertex that the best leaf places last, so that g is the canonical
@@ -440,6 +444,10 @@ def _canonical_deletion(g: Graph) -> tuple[bool, tuple | None]:
     each a tuple perm mapping vertex i to perm[i].  The representative's
     vertex i is g's vertex order[i] in the best leaf's order, so an
     automorphism perm of g becomes pos[perm[order[i]]], pos inverting order.
+    The generators only let the next level of class generation form its
+    neighbourhood orbits, so with gens false none is converted and gens is
+    () (the search still finds them: its pruning and the orbit test read
+    them).
     """
     n = g.n
     if n < 2:
@@ -450,11 +458,13 @@ def _canonical_deletion(g: Graph) -> tuple[bool, tuple | None]:
     last_cell = root[-1]
     if not last_cell >> (n - 1) & 1:
         return False, None
-    code, aut, gens, order = _search(adj, n, root)
-    orbits = _absorb(None, gens, last_cell, 0, n)
+    code, aut, found, order = _search(adj, n, root)
+    orbits = _absorb(None, found, last_cell, 0, n)
     if not orbits[order[-1]] >> (n - 1) & 1:
         return True, None
+    if not gens:
+        return True, (code, aut, ())
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
-    return True, (code, aut, tuple(tuple(pos[perm[v]] for v in order) for perm, _ in gens))
+    return True, (code, aut, tuple(tuple(pos[perm[v]] for v in order) for perm, _ in found))

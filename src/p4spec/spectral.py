@@ -205,6 +205,11 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     Step k divides the trace of B_k by k to give c_{n-k}.  For an integer
     matrix that is always exact, and a remainder raises ArithmeticError
     rather than being dropped.
+
+    When every row sums to zero, as in every Laplacian, step n is skipped
+    and c_0 = 0.  Proof: M times the all-ones vector is 0, so det M = 0 and
+    c_0 = det(-M) = (-1)^n det M = 0.  Only for n >= 2 is step n a step; at
+    n = 1, c_0 is the initial coefficient -tr M.
     """
     n = m.n
     if n == 0:
@@ -222,7 +227,9 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     b = a_rows
     ck = -sum(diag)
     c = [1, ck]  # descending: c_n = 1, c_{n-1}, ..., c_0
-    for k in range(2, n + 1):
+    # a row sums to zero iff its diagonal entry is the length of its minus
+    singular = n >= 2 and tuple(map(len, minus)) == diag
+    for k in range(2, n + 1 - singular):
         t = -(n << (w - 1))
         bk = []
         for d, mi, bi, ai, s in zip(diag, minus, b, a_rows, shifts):
@@ -236,6 +243,8 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
             raise ArithmeticError("Faddeev-LeVerrier trace division is not exact")
         ck = -t // k
         c.append(ck)
+    if singular:
+        c.append(0)
     c.reverse()
     return IntPolynomial(c)
 

@@ -243,19 +243,21 @@ def _orbit_min(n: int, mask: int) -> int:
     return best
 
 
-def _classes(n: int, prev: list[tuple]) -> tuple[list[tuple], int]:
+def _classes(n: int, prev: list[tuple], *, gens: bool = True) -> tuple[list[tuple], int]:
     """The isomorphism classes on n vertices, grown from the classes prev on
     n - 1 vertices by canonical augmentation (McKay 1998), and the number
     of canonical searches that took.
 
     A class is a triple (code, aut_order, gens): code is canonical, and
     gens generate the automorphism group of mask_to_graph(n, code); the
-    list is in code order.  Only the classes with 2m <= C(n,2) edges are
-    listed.  Each other class is the complement of one with 2m < C(n,2),
-    which a scan checks with it (_with_complements): complement is a
-    bijection on the n-vertex classes, and a permutation keeps the edges iff
-    it keeps the non-edges, so a class and its complement have one
-    automorphism group on the same labels.
+    list is in code order.  Only the next level reads gens, to form the
+    neighbourhood orbits, so a scan passes gens=False at its last
+    exhaustive n, and every class then has gens ().  Only the classes with
+    2m <= C(n,2) edges are listed.  Each other class is the complement of
+    one with 2m < C(n,2), which a scan checks with it (_with_complements):
+    complement is a bijection on the n-vertex classes, and a permutation
+    keeps the edges iff it keeps the non-edges, so a class and its
+    complement have one automorphism group on the same labels.
 
     Each class on n - 1 vertices gets vertex n - 1 with one neighbourhood
     from each orbit of its automorphism group on vertex subsets, and a
@@ -286,7 +288,7 @@ def _classes(n: int, prev: list[tuple]) -> tuple[list[tuple], int]:
     # one tuple per distinct generator set, shared by the classes that have
     # it: 331 of them for the 6,996 classes listed at n = 8
     shared = {}
-    for code, _, gens in prev:
+    for code, _, perms in prev:
         # the most edges the new vertex may bring, and still 2m <= C(n, 2)
         room = half - code.bit_count()
         rows = mask_to_graph(n - 1, code).adj
@@ -295,10 +297,13 @@ def _classes(n: int, prev: list[tuple]) -> tuple[list[tuple], int]:
         if top > room:
             continue  # the new vertex needs the largest degree
         # at_least[d]: the parent's vertices of degree d or more
-        at_least = [sum(1 << u for u, du in enumerate(degrees) if du >= d)
-                    for d in range(n)]
+        at_least = [0] * (n + 1)
+        for u, du in enumerate(degrees):
+            at_least[du] |= 1 << u
+        for d in range(n - 1, -1, -1):
+            at_least[d] |= at_least[d + 1]
         # images[k][u]: the bit of vertex u under the k-th generator
-        images = [[1 << w for w in perm] for perm in gens]
+        images = [[1 << w for w in perm] for perm in perms]
         seen = bytearray(new)  # subsets in an orbit already tried
         for nbrs in range(new):
             d = nbrs.bit_count()
@@ -312,15 +317,15 @@ def _classes(n: int, prev: list[tuple]) -> tuple[list[tuple], int]:
                 for s in orbit:
                     for image in images:
                         t = 0
-                        for u, bit in enumerate(image):
-                            if s >> u & 1:
-                                t |= bit
+                        for u in bits(s):
+                            t |= image[u]
                         if not seen[t]:
                             seen[t] = 1
                             orbit.append(t)
-            adj = [row | new if nbrs >> u & 1 else row for u, row in enumerate(rows)]
-            adj.append(nbrs)
-            searched, kept = _canonical_deletion(_trusted(n, adj))
+            adj = [*rows, nbrs]
+            for u in bits(nbrs):
+                adj[u] |= new
+            searched, kept = _canonical_deletion(_trusted(n, adj), gens)
             searches += searched
             if kept is not None:
                 child, aut, child_gens = kept
@@ -493,7 +498,9 @@ def verify_theorems(n_max: int, theorems: str | None = None, *,
             exhaustive.add(n)
             populations.append(f"n={n} exhaustive ({space})")
             t0 = time.perf_counter()
-            classes, searches = _classes(n, classes)
+            # only a next exhaustive level reads the generators
+            grow = n < n_max and (sample is None or 1 << n * (n + 1) // 2 <= sample)
+            classes, searches = _classes(n, classes, gens=grow)
             units = _class_units(n, classes)
             if progress:
                 # a class with 2m < C(n,2) edges stands for its complement too

@@ -46,3 +46,44 @@ def test_one_pair_has_no_spread():
     t = bench_pairs.series("w", [1], runs, {"t": "lower"})["metrics"]["t"]
     assert t["base"] == {"median": 2.0, "q1": 2.0, "q3": 2.0, "iqr": 0.0}
     assert (t["wins"], t["ratio"]) == (1, 0.5)
+
+
+def _series(base, change, direction="higher"):
+    runs = [{"first": "base", "base": _run(x=b), "change": _run(x=c)}
+            for b, c in zip(base, change)]
+    return bench_pairs.series("w", list(range(len(runs))), runs, {"x": direction})
+
+
+def test_claim_needs_ten_pairs_nine_tenths_won_and_a_gain_beyond_the_base_iqr():
+    base = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0, 101.0, 99.0, 100.5, 99.5]
+    ahead = [b + 5 for b in base]
+    # base quartiles 99.5 and 100.5: an IQR of 1
+    s = _series(base, ahead)
+    assert s["metrics"]["x"]["claim"] and not s["short"]
+    # nine wins of ten still claim; eight do not
+    assert _series(base, ahead[:9] + [90.0])["metrics"]["x"]["claim"]
+    assert not _series(base, ahead[:8] + [90.0, 90.0])["metrics"]["x"]["claim"]
+    # every pair won, but the medians only 0.9 apart, inside the base's IQR
+    assert not _series(base, [b + 0.9 for b in base])["metrics"]["x"]["claim"]
+    # lower is better: the same numbers claim the other way round
+    assert _series(ahead, base, "lower")["metrics"]["x"]["claim"]
+    assert not _series(base, ahead, "lower")["metrics"]["x"]["claim"]
+
+
+def test_a_series_of_fewer_than_ten_pairs_is_short_and_claims_nothing():
+    s = _series([100.0] * 9, [200.0] * 9)
+    assert s["short"] and s["metrics"]["x"]["wins"] == 9
+    assert not s["metrics"]["x"]["claim"]
+
+
+def test_a_short_n8_request_is_flagged_before_any_run(monkeypatch, capsys, tmp_path):
+    def stop(rev, dest):
+        raise SystemExit("no export in this test")
+
+    monkeypatch.setattr(bench_pairs, "export", stop)
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["A", "B", "--out", str(tmp_path / "bench.json"), "--n8", "5"])
+    assert "--n8 5: fewer than 10 pairs" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["A", "B", "--out", str(tmp_path / "bench.json"), "--n8", "10"])
+    assert capsys.readouterr().err == ""

@@ -61,6 +61,16 @@ FAULTS = {
         [test_spectral.test_char_poly_matches_interpolation_oracle,
          test_spectral.test_char_poly_complete_graph_laplacians,
          test_spectral.test_prefix_closed_forms_match_faddeev_leverrier]),
+    # step n skipped at n = 1 too, where c_0 is the initial coefficient: K1's
+    # polynomial becomes x^2
+    "fl-singular-one-vertex": (
+        spectral, "char_poly", "singular = n >= 2 and ", "singular = ",
+        [test_spectral.test_char_poly_of_k1_is_x]),
+    # step n skipped when the rows sum to zero in total, not one by one:
+    # c_0 = 0 for a nonsingular matrix
+    "fl-singular-every-row": (
+        spectral, "char_poly", "tuple(map(len, minus)) == diag", "sum(map(len, minus)) == sum(diag)",
+        [test_spectral.test_char_poly_c0_when_the_rows_do_not_all_sum_to_zero]),
     # a field as wide as r^n, not (2r)^n: the identity's B_k entries reach
     # C(n - 1, k - 1) while r = 1, and the trace is read back wrong
     "field-width": (
@@ -132,6 +142,20 @@ FAULTS = {
     "partner-link": (
         theorems, "_with_complements", "h._memo = {complement: g}", "h._memo = None",
         [test_theorems.test_paired_units_hold_each_other_as_derived_complement]),
+    # a leaf code that reads the row's bit u, the vertex labeled u, not the
+    # vertex placed u-th: the code is no relabeling of g
+    "leaf-code-relabel": (
+        graphs, "_search", "if row & cells[u]:", "if row >> u & 1:",
+        [test_graphs.test_canonical_form_against_oracle,
+         test_graphs.test_canonical_form_regular_graphs]),
+    # once an orbit is known, a node skips every child left, not only those
+    # in the orbit of an explored one: subtrees go unsearched and |Aut| comes
+    # out short.  Dropping the pruning altogether is equivalent and so not
+    # listed: a skipped child's subtree holds the codes of an explored one,
+    # so only work is saved
+    "search-orbit-pruning": (
+        graphs, "_search", "orbits[v] & explored", "orbits[v]",
+        [test_graphs.test_canonical_form_regular_graphs]),
     # a candidate is kept only if its new vertex is the one the best leaf
     # places last, not any vertex of that vertex's orbit
     "deletion-orbit": (

@@ -29,12 +29,13 @@ def outcome(fn):
 
 
 # a packed field too narrow for the entries: the trace division goes inexact,
-# for a Laplacian (K4) and for the quotient's -2 and -3, columns that its
-# minus rows repeat
+# for a Laplacian (K4) and for the quotient's -2 and -5, columns that its
+# minus rows repeat.  Both have zero row sums, so step n, c_0, never runs:
+# the quotient on 3 parts must go wrong at step 2
 real_width = spectral._field_width
 spectral._field_width = lambda r, n: 2
 print(outcome(lambda: spectral.char_poly(laplacian(standard("complete", 4)))))
-print(outcome(lambda: spectral.char_poly(spectral.quotient_matrix(3, 2))))
+print(outcome(lambda: spectral.char_poly(spectral.quotient_matrix(5, 2))))
 spectral._field_width = real_width
 
 # one-way adjacency, which no Graph has: is_l_integral's closed-form
@@ -62,8 +63,8 @@ real_deletion = theorems._canonical_deletion
 
 
 def deletion_with_aut(aut):
-    def deletion(g):
-        searched, kept = real_deletion(g)
+    def deletion(g, *gens):
+        searched, kept = real_deletion(g, *gens)
         return searched, kept and (kept[0], aut, kept[2])
     return deletion
 
@@ -76,8 +77,8 @@ print(outcome(lambda: theorems.verify_theorems(4, "a")))
 
 # a deletion test that wrongly rejects K2 + K1 (code 4): that class and its
 # complement P3 are missing and the weights fall short
-def deletion_without_one_edge(g):
-    searched, kept = real_deletion(g)
+def deletion_without_one_edge(g, *gens):
+    searched, kept = real_deletion(g, *gens)
     return searched, None if g.n == 3 and kept and kept[0] == 4 else kept
 
 

@@ -122,6 +122,38 @@ def test_char_poly_empty_graph():
     assert char_poly(laplacian(standard("empty", 3))).coeffs == (0, 0, 0, 1)
 
 
+def test_char_poly_of_k1_is_x():
+    # K1's one row sums to zero, but at n = 1 c_0 is the initial coefficient
+    # -tr M, not a step that a zero row sum lets char_poly skip: x, not x^2
+    assert char_poly(laplacian(standard("empty", 1))) == IntPolynomial([0, 1])
+    assert char_poly(IntMatrix((5,), ((),), 5)) == IntPolynomial([-5, 1])
+
+
+def test_char_poly_c0_when_the_rows_do_not_all_sum_to_zero():
+    # a Laplacian with one diagonal entry raised by 1 has one row that does
+    # not sum to zero, so step n runs.  c_0 = (-1)^n det M, and det M is the
+    # number of spanning trees on a connected graph (matrix-tree theorem),
+    # else 0
+    rng = random.Random(34)
+    nonzero = 0
+    for _ in range(80):
+        n = rng.randint(2, 8)
+        lap = laplacian(_random_graph(rng, n))
+        i = rng.randrange(n)
+        m = lap._replace(diag=lap.diag[:i] + (lap.diag[i] + 1,) + lap.diag[i + 1:],
+                         bound=lap.bound + 1)
+        rows = [list(row) for row in m.rows]
+        det = oracles.bareiss_det(rows)
+        assert char_poly(m).coeffs[0] == (-1) ** n * det, rows
+        assert list(char_poly(m).coeffs) == oracles.char_poly_coeffs(rows), rows
+        nonzero += det != 0
+    assert nonzero > 40
+    # rows that sum to zero in total but not one by one: det = -1
+    m = IntMatrix((2, 0), ((1,), (0,)), 3)
+    assert m.rows == ((2, -1), (-1, 0))
+    assert char_poly(m) == IntPolynomial([-1, -2, 1])
+
+
 def test_exact_spectrum_goldens():
     c6 = exact_spectrum(standard("cycle", 6))
     assert c6.integer_roots == ((4, 1), (3, 2), (1, 2), (0, 1))

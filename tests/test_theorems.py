@@ -466,6 +466,39 @@ def test_class_generation_search_count(monkeypatch):
     assert reported == [0, 1, 2, 7, 20, 78, 523]
 
 
+def test_classes_without_generators_list_the_same_classes():
+    # gens=False converts no generator: the same classes, |Aut| and
+    # searches as the list built with them, and () for every class's gens
+    lists = _class_lists(7)
+    for n in range(1, 8):
+        prev = lists[n - 1] if n > 1 else [(0, 1, ())]
+        bare, searches = _classes(n, prev, gens=False)
+        assert [(code, aut) for code, aut, _ in bare] == \
+            [(code, aut) for code, aut, _ in lists[n]], n
+        assert searches == _classes(n, prev)[1]
+        assert all(gens == () for _, _, gens in bare)
+        assert n < 2 or any(gens for _, _, gens in lists[n])
+
+
+def test_scan_asks_for_generators_only_to_grow_another_level(monkeypatch):
+    # at the largest exhaustive n no next level reads them; with a sample of
+    # 100, n = 5 (1,024 labeled graphs) is sampled, so the last exhaustive
+    # level is n = 4
+    asked = []
+    real = theorems._classes
+
+    def recorded(n, prev, *, gens=True):
+        asked.append(gens)
+        return real(n, prev, gens=gens)
+
+    monkeypatch.setattr(theorems, "_classes", recorded)
+    verify_theorems(5, "a")
+    assert asked == [True, True, True, True, False]
+    asked.clear()
+    verify_theorems(6, "a", sample=100)
+    assert asked == [True, True, True, False]
+
+
 # sha256 of repr(_canonical(7, classes)): the canonical (code, aut_order) of
 # the 1,044 classes on 7 vertices
 CLASSES_7_SHA256 = "7a0bff75da1808869b8122614be5a068acdad2f17d44061db9f81003a038bf05"
@@ -688,32 +721,30 @@ def test_midpoint_extension_matches_seed_oracle():
     for n, classes in _class_lists(7).items():
         for code, _, _ in _every_class(n, classes):
             g = mask_to_graph(n, code)
-            for h in (g, complement(g)):
-                if not p4.is_p4_extendible(h):
-                    continue
-                want = oracles.has_midpoint_extension(h)
-                assert theorems._has_midpoint_extension(h) == want, serialize_graph6(h)
-                found += want
-    assert found == 38
+            if not p4.is_p4_extendible(g):
+                continue
+            want = oracles.has_midpoint_extension(g)
+            assert theorems._has_midpoint_extension(g) == want, serialize_graph6(g)
+            found += want
+    assert found == 19
 
 
 def test_check_e_matches_definition_oracle():
-    # every class and complement on n <= 7 vertices; a P4-extendible graph
-    # on 2 or more vertices must be in exactly one of the four cases
+    # every class on n <= 7 vertices, once; a P4-extendible graph on 2 or
+    # more vertices must be in exactly one of the four cases
     cases = Counter()
     for n, classes in _class_lists(7).items():
         for code, _, _ in _every_class(n, classes):
             g = mask_to_graph(n, code)
-            for h in (g, complement(g)):
-                want = True
-                if n >= 2 and oracles.is_p4_extendible(h):
-                    hits = oracles.theorem_e_cases(h)
-                    cases[hits] += 1
-                    want = sum(hits) == 1
-                assert theorems._check_e(h) == want, serialize_graph6(h)
+            want = True
+            if n >= 2 and oracles.is_p4_extendible(g):
+                hits = oracles.theorem_e_cases(g)
+                cases[hits] += 1
+                want = sum(hits) == 1
+            assert theorems._check_e(g) == want, serialize_graph6(g)
     # theorem e holds, and each case occurs
-    assert cases == {(True, False, False, False): 388, (False, True, False, False): 388,
-                     (False, False, True, False): 16, (False, False, False, True): 38}
+    assert cases == {(True, False, False, False): 194, (False, True, False, False): 194,
+                     (False, False, True, False): 8, (False, False, False, True): 19}
 
 
 def _complement_connected(g):

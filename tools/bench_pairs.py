@@ -11,8 +11,13 @@ metrics only; pair i gives both sides the seed SEED + i (SEED defaults to 1)
 and alternates which side runs first, so a drift of the host falls on both.
 For each end-to-end metric named in CHANGE's BENCHMARK.json a series holds
 each side's median and quartiles, the ratio of the medians (CHANGE over
-BASE) and the number of pairs CHANGE wins in the direction the metric calls
-better.  `--n8 PAIRS` adds the wall time
+BASE), the number of pairs CHANGE wins in the direction the metric calls
+better, and whether the series meets the claim rule (claim): at least
+CLAIM_PAIRS pairs, CHANGE winning at least nine tenths of them (a tie
+counts for neither side), and the medians apart in the better direction by
+more than BASE's interquartile range.  A series of fewer than CLAIM_PAIRS
+pairs is marked short, and a short --n8 series is also reported on stderr
+when it starts.  `--n8 PAIRS` adds the wall time
 of `verify-theorems --n-max 8`, serial and on 2 workers, a scan no workload
 runs; the two sides' stdout must be byte-identical.  `--append` adds the
 series to an existing file made from the same commits.  The runs inherit
@@ -36,6 +41,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
+CLAIM_PAIRS = 10  # the fewest pairs a claimed gain rests on
 # what perfbench/run.py reads: the package, the bench, its config, and the
 # oracles perfbench/mix.py imports from tests/
 TREES = ("src", "perfbench", "BENCHMARK.json", "tests")
@@ -103,6 +109,16 @@ def summary(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def claim(direction: str, base: dict, change: dict, wins: int, pairs: int) -> bool:
+    """Whether a metric's series meets the claim rule: at least CLAIM_PAIRS
+    pairs, at least nine tenths of them won, and the change's median better
+    than the base's by more than the base's interquartile range."""
+    gain = change["median"] - base["median"]
+    if direction == "lower":
+        gain = -gain
+    return pairs >= CLAIM_PAIRS and 10 * wins >= 9 * pairs and gain > base["iqr"]
+
+
 def series(name: str, seeds: list[int], runs: list[dict], better: dict[str, str]) -> dict:
     metrics = {}
     for metric, direction in better.items():
@@ -112,8 +128,10 @@ def series(name: str, seeds: list[int], runs: list[dict], better: dict[str, str]
         stats = {s: summary(v) for s, v in sides.items()}
         metrics[metric] = {"better": direction, **stats,
                            "ratio": stats["change"]["median"] / stats["base"]["median"],
-                           "wins": wins, "pairs": len(runs)}
-    return {"workload": name, "seeds": seeds,
+                           "wins": wins, "pairs": len(runs),
+                           "claim": claim(direction, stats["base"], stats["change"], wins,
+                                          len(runs))}
+    return {"workload": name, "seeds": seeds, "short": len(runs) < CLAIM_PAIRS,
             "env": {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")},
             "runs": runs, "metrics": metrics}
 
@@ -139,6 +157,9 @@ def main(argv=None) -> int:
     parser.add_argument("--n8", type=int, default=0, metavar="PAIRS")
     parser.add_argument("--append", action="store_true")
     args = parser.parse_args(argv)
+    if 0 < args.n8 < CLAIM_PAIRS:
+        print(f"--n8 {args.n8}: fewer than {CLAIM_PAIRS} pairs, too few for a claimed gain",
+              file=sys.stderr)
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         roots = {s: Path(tmp) / s for s in SIDES}
@@ -185,7 +206,8 @@ def main(argv=None) -> int:
     for s in doc["series"]:
         for metric, m in s["metrics"].items():
             log(f"{s['workload']} {metric}: {m['base']['median']:.6g} -> "
-                f"{m['change']['median']:.6g} (x{m['ratio']:.3f}, {m['wins']}/{m['pairs']})")
+                f"{m['change']['median']:.6g} (x{m['ratio']:.3f}, {m['wins']}/{m['pairs']}"
+                f"{', meets the claim rule' if m['claim'] else ''})")
     return 0
 
 
