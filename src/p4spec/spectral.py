@@ -227,8 +227,9 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     b = a_rows
     ck = -sum(diag)
     c = [1, ck]  # descending: c_n = 1, c_{n-1}, ..., c_0
-    # a row sums to zero iff its diagonal entry is the length of its minus
-    singular = n >= 2 and tuple(map(len, minus)) == diag
+    # a row sums to zero iff its diagonal entry is the length of its minus;
+    # lists, not a tuple of map (see laplacian)
+    singular = n >= 2 and list(map(len, minus)) == list(diag)
     for k in range(2, n + 1 - singular):
         t = -(n << (w - 1))
         bk = []

@@ -417,14 +417,15 @@ import sys
 from p4spec.constructions import mask_to_graph, thin_spider
 from p4spec.graphs import complement
 from p4spec.p4 import recognize_spider
-from p4spec.spectral import laplacian
+from p4spec.spectral import char_poly, laplacian
 
 rng = random.Random(16)
 graphs = [mask_to_graph(n, rng.getrandbits(n * (n - 1) // 2))
           for n in range(1, 13) for _ in range(5)]
 spiders = [thin_spider(k) for k in range(2, 7)]
 for build, items in ((laplacian, graphs), (complement, graphs),
-                     (recognize_spider, spiders)):
+                     (recognize_spider, spiders),
+                     (char_poly, [laplacian(g) for g in graphs])):
     for g in items:
         build(g)
     before = sys.getallocatedblocks()
@@ -448,6 +449,6 @@ def test_per_graph_constructors_keep_allocated_blocks_flat():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     grown = dict(line.split() for line in proc.stdout.splitlines())
-    assert sorted(grown) == ["complement", "laplacian", "recognize_spider"]
+    assert sorted(grown) == ["char_poly", "complement", "laplacian", "recognize_spider"]
     for name, blocks in grown.items():
         assert int(blocks) < 100, (name, blocks)
