@@ -65,7 +65,7 @@ FAULTS = {
     # polynomial becomes x^2
     "fl-singular-one-vertex": (
         spectral, "char_poly", "singular = n >= 2 and ", "singular = ",
-        [test_spectral.test_char_poly_of_k1_is_x]),
+        [test_spectral.test_char_poly_empty_graph]),
     # step n skipped when the rows sum to zero in total, not one by one:
     # c_0 = 0 for a nonsingular matrix
     "fl-singular-every-row": (

@@ -119,14 +119,10 @@ def test_char_poly_raises_on_an_inexact_trace_division():
 
 def test_char_poly_empty_graph():
     assert char_poly(laplacian(standard("empty", 0))).coeffs == (1,)
-    assert char_poly(laplacian(standard("empty", 3))).coeffs == (0, 0, 0, 1)
-
-
-def test_char_poly_of_k1_is_x():
     # K1's one row sums to zero, but at n = 1 c_0 is the initial coefficient
     # -tr M, not a step that a zero row sum lets char_poly skip: x, not x^2
-    assert char_poly(laplacian(standard("empty", 1))) == IntPolynomial([0, 1])
-    assert char_poly(IntMatrix((5,), ((),), 5)) == IntPolynomial([-5, 1])
+    assert char_poly(laplacian(standard("empty", 1))).coeffs == (0, 1)
+    assert char_poly(laplacian(standard("empty", 3))).coeffs == (0, 0, 0, 1)
 
 
 def test_char_poly_c0_when_the_rows_do_not_all_sum_to_zero():
