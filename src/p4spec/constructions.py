@@ -3,6 +3,7 @@ midpoint extensions and edge masks."""
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import lru_cache
 
 from . import MAX_N
@@ -142,7 +143,7 @@ def case_iv_polynomials(j: int) -> tuple[IntPolynomial, IntPolynomial]:
 # edge masks
 # =========================================================================
 
-# mask_to_graph decodes through tables up to this many vertices, 8 mask bits
+# masks_to_graphs decodes through tables up to this many vertices, 8 mask bits
 # a lookup up to MAX_N and 4 above.  Per n they grow as n^4 (by tracemalloc
 # 21 KB at n = 7, 31 KB at 8, 27 KB at 16; 3 MB at 64), so a larger graph,
 # which only the graph6 reader builds, is decoded edge by edge.
@@ -165,25 +166,41 @@ def _decode_tables(n: int) -> tuple[int, int, tuple[tuple[int, ...], ...], tuple
     return width, (1 << width) - 1, tuple(tables), tuple([u * n for u in range(n)])
 
 
-def mask_to_graph(n: int, mask: int) -> Graph:
-    """Graph from an edge mask in pair_order bit positions.
+def masks_to_graphs(n: int, masks: Iterable[int]) -> list[Graph]:
+    """Graphs from edge masks in pair_order bit positions, in order; a mask
+    out of range raises ValueError.
 
     n is trusted: every scanned graph comes through the tables, which do not
     read the vertex cap again.  The callers, formats.parse_graph6 and
-    theorems.verify_theorems, check n against it first.
+    theorems.verify_theorems, check n against it first.  The tables, the
+    range bound and the row mask are read once per call, so a scan decodes
+    a chunk of masks in one call.
     """
-    if mask < 0 or mask >> n * (n - 1) // 2:
-        raise ValueError(f"edge mask out of range for n = {n}")
+    bound = n * (n - 1) // 2
+    out = []
     if n > _TABLE_MAX_N:
         pairs = pair_order(n)
-        return from_edge_list(n, [pairs[i] for i in bits(mask)])
+        for mask in masks:
+            if mask < 0 or mask >> bound:
+                raise ValueError(f"edge mask out of range for n = {n}")
+            out.append(from_edge_list(n, [pairs[i] for i in bits(mask)]))
+        return out
     width, low, tables, offsets = _decode_tables(n)
-    packed = 0
-    for table in tables:
-        packed |= table[mask & low]
-        mask >>= width
     full = (1 << n) - 1
-    return _trusted(n, [packed >> offset & full for offset in offsets])
+    for mask in masks:
+        if mask < 0 or mask >> bound:
+            raise ValueError(f"edge mask out of range for n = {n}")
+        packed = 0
+        for table in tables:
+            packed |= table[mask & low]
+            mask >>= width
+        out.append(_trusted(n, [packed >> offset & full for offset in offsets]))
+    return out
+
+
+def mask_to_graph(n: int, mask: int) -> Graph:
+    """Graph from one edge mask in pair_order bit positions (masks_to_graphs)."""
+    return masks_to_graphs(n, (mask,))[0]
 
 
 def graph_to_mask(g: Graph) -> int:

@@ -11,8 +11,10 @@ closures of the P4s under sharing a vertex (`_p4_components`).  The class
 predicates all read that one pass, and the complement, through
 `Graph.derived`, so `classify` and the theorem scans enumerate once per
 graph however many predicates they ask.  `recognize_spider` reads g's
-degrees once, before it builds the complement, which it needs only for a
-thick spider; the complement's degrees are n - 1 - d.
+degrees once and counts them: a spider with k legs has exactly k vertices
+of each of two degrees that k fixes, so most graphs fail both counts and
+only a graph that passes the thick count builds the complement; the
+complement's degrees are n - 1 - d.
 """
 
 from __future__ import annotations
@@ -281,14 +283,12 @@ class SpiderSpec(namedtuple("SpiderSpec", "kind legs body head")):
 
 def _thin_witness(g: Graph, degrees: list[int]) -> tuple[tuple[int, ...], tuple[int, ...],
                                                          tuple[int, ...]] | None:
-    """Partition of g as a thin spider, if one exists; degrees are g's.
+    """Partition of g as a thin spider, if one exists; degrees are g's, and
+    at least two of them, at most half of g's vertices, are 1.
 
     In a thin spider the legs are exactly the degree-1 vertices, so the
     candidate partition is forced and the check is linear in edges.
     """
-    # a spider has at least two legs
-    if g.n < 4 or degrees.count(1) < 2:
-        return None
     legs_m = 0
     for v, d in enumerate(degrees):
         if d == 1:
@@ -315,19 +315,28 @@ def recognize_spider(g: Graph) -> SpiderSpec | None:
 
     Thick recognition goes through the complement: the complement of a thin
     spider is a thick spider on the same partition with legs and body swapped.
+    Degree counts rule out most graphs before either witness, and so before
+    any complement is built.  In a thin spider with k legs on n vertices, a
+    leg has degree 1, a body vertex n - k and a head vertex between k and
+    n - k - 1; as 2 <= k <= n/2, these ranges are disjoint, so exactly k
+    vertices have degree 1 and exactly k have degree n - k.  In the
+    complement, a thick spider, these degrees become n - 2, k - 1 and again
+    a range from k to n - k - 1, so there exactly k vertices have degree
+    n - 2 and exactly k have degree k - 1.
     """
-    degrees = [row.bit_count() for row in g.adj]
-    w = _thin_witness(g, degrees)
-    if w is not None:
-        return SpiderSpec("thin", *w)
-    # the complement's legs would be g's vertices of degree n - 2, and a
-    # spider has at least two legs: _thin_witness's first test, read off g
-    if degrees.count(g.n - 2) < 2:
-        return None
-    w = _thin_witness(g.derived(complement), [g.n - 1 - d for d in degrees])
-    if w is not None:
-        legs, body, head = w
-        return SpiderSpec("thick", legs=body, body=legs, head=head)
+    n = g.n
+    degrees = list(map(int.bit_count, g.adj))
+    k = degrees.count(1)
+    if 2 <= k <= n // 2 and degrees.count(n - k) == k:
+        w = _thin_witness(g, degrees)
+        if w is not None:
+            return SpiderSpec("thin", *w)
+    k = degrees.count(n - 2)
+    if 2 <= k <= n // 2 and degrees.count(k - 1) == k:
+        w = _thin_witness(g.derived(complement), [n - 1 - d for d in degrees])
+        if w is not None:
+            legs, body, head = w
+            return SpiderSpec("thick", legs=body, body=legs, head=head)
     return None
 
 

@@ -36,7 +36,7 @@ from collections import Counter, namedtuple
 from collections.abc import Iterator
 
 from . import MAX_N, THEOREMS
-from .constructions import mask_to_graph
+from .constructions import mask_to_graph, masks_to_graphs
 from .graphs import Graph, _canonical_deletion, _trusted, bits, check_vertex_count, \
     complement, connected_components
 from .p4 import _midpoint_split, _p4_components, enumerate_p4, is_p4_connected, \
@@ -363,8 +363,7 @@ def _with_complements(n: int, units: list[tuple[int, int]]) -> tuple[list, list]
     pairs = n * (n - 1) // 2
     full = (1 << pairs) - 1
     subjects, out = [], []
-    for code, weight in units:
-        g = mask_to_graph(n, code)
+    for g, (code, weight) in zip(masks_to_graphs(n, [code for code, _ in units]), units):
         subjects.append(g)
         out.append((code, weight))
         if 2 * code.bit_count() < pairs:
@@ -399,7 +398,7 @@ def _scan_chunk(args) -> dict[str, _Tally]:
         if paired:
             subjects, units = _with_complements(n, units)
         else:
-            subjects = [mask_to_graph(n, mask) for mask, _ in units]
+            subjects = masks_to_graphs(n, [mask for mask, _ in units])
         checks = [(tid, DEFAULT_CHECKS[tid]) for tid in enabled]
     weight = sum(w for _, w in units)
     perf = time.perf_counter

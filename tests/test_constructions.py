@@ -13,6 +13,7 @@ from p4spec.constructions import (
     graph_to_mask,
     head_catalog,
     mask_to_graph,
+    masks_to_graphs,
     standard,
     thick_spider,
     thin_spider,
@@ -288,21 +289,30 @@ def _decode_by_pairs(n, mask):
 def test_mask_to_graph_matches_pair_order():
     # bit i of the mask is the edge pair_order(n)[i] in each regime of the
     # decoder: 8-bit tables up to 8 vertices, 4-bit tables from 9 to 16 and
-    # edge by edge above; the rows form a valid Graph, and graph_to_mask
-    # encodes them back
+    # edge by edge above; the rows form a valid Graph, graph_to_mask
+    # encodes them back, and one masks_to_graphs batch decodes each mask as
+    # a call of its own does
     rng = random.Random(31)
     for n in range(0, 19):
         width = n * (n - 1) // 2
-        masks = range(1 << width) if n <= 5 else [0, (1 << width) - 1] + [
+        masks = list(range(1 << width)) if n <= 5 else [0, (1 << width) - 1] + [
             rng.getrandbits(width) for _ in range(2000)]
-        for mask in masks:
-            g = mask_to_graph(n, mask)
+        graphs = [mask_to_graph(n, mask) for mask in masks]
+        assert masks_to_graphs(n, masks) == graphs, n
+        for mask, g in zip(masks, graphs):
             assert g == Graph(n, _decode_by_pairs(n, mask)), (n, mask)
             assert graph_to_mask(g) == mask, (n, mask)
     for n in (0, 1, 8, 9, 16, 17):
+        assert masks_to_graphs(n, []) == []
         for bad in (-1, 1 << n * (n - 1) // 2):
             with pytest.raises(ValueError, match="out of range"):
                 mask_to_graph(n, bad)
+            # at any position of a batch
+            for at in range(3):
+                batch = [0, 0]
+                batch.insert(at, bad)
+                with pytest.raises(ValueError, match="out of range"):
+                    masks_to_graphs(n, batch)
 
 
 def test_head_catalog():

@@ -2,10 +2,11 @@
 
 Each entry rewrites one exact substring of a kernel's source and names the
 fast tests that must fail on the rewrite.  The rewritten function is built
-from the edited source in a copy of its module's namespace and patched over
-the original in every module that binds it, tests included.  The substring
-must occur exactly once, so a refactor that moves the code fails here instead
-of leaving a mutant that tests nothing.
+from the edited source in its module's namespace, so it reads what a test
+patches there, and it is patched over the original in every module that
+binds it, tests included; a test may take the monkeypatch fixture.  The
+substring must occur exactly once, so a refactor that moves the code fails
+here instead of leaving a mutant that tests nothing.
 """
 
 import inspect
@@ -28,6 +29,22 @@ FAULTS = {
         constructions, "_decode_tables",
         "bit = 1 << (u * n + v) | 1 << (v * n + u)", "bit = 1 << (u * n + v)",
         [test_constructions.test_mask_to_graph_matches_pair_order]),
+    # a batch lets through a mask one bit too wide
+    "decoder-batch-range": (
+        constructions, "masks_to_graphs", "bound = n * (n - 1) // 2", "bound = n * (n - 1) // 2 + 1",
+        [test_constructions.test_mask_to_graph_matches_pair_order]),
+    # the thick count asks for k vertices of degree k, which a thick spider's
+    # legs never have: it is reported as no spider
+    "spider-degree-count": (
+        p4, "recognize_spider", "degrees.count(k - 1)", "degrees.count(k)",
+        [test_p4.test_recognize_spider_thick, test_p4.test_recognize_constructed_spiders,
+         test_p4.test_recognize_spider_reads_degrees_before_the_complement]),
+    # every shard checks chunks 0, K, 2K, ...: shard 0's chunks, K times
+    "chunk-striping": (
+        theorems, "verify_theorems", "islice(chunks(), shard_id, None, shards)",
+        "islice(chunks(), 0, None, shards)",
+        [test_theorems.test_shard_counts_sum_to_unsharded,
+         test_theorems.test_sample_stream_is_pinned_and_striped_by_shards]),
     # extension vertices only from P4s sharing exactly three vertices
     "extendible-overlap": (
         p4, "is_p4_extendible", "if m & wm:", "if (m & wm).bit_count() == 3:",
@@ -195,22 +212,28 @@ FAULTS = {
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_each_kernel_fault_fails_its_tests(monkeypatch, fault):
     module, name, old, new, tests = FAULTS[fault]
-    # a test that takes a fixture would fail on the bare call below, rewrite or not
-    assert not any(inspect.signature(test).parameters for test in tests)
+    # a test that takes monkeypatch gets a fresh one; one that takes any other
+    # fixture would fail on the bare call below, rewrite or not
+    assert all(set(inspect.signature(test).parameters) <= {"monkeypatch"} for test in tests)
     original = getattr(module, name)
     source = textwrap.dedent(inspect.getsource(original))
     assert source.count(old) == 1
-    namespace = dict(vars(module))
-    exec(source.replace(old, new), namespace)
-    # every module that imported the kernel by name, tests included
+    # the rewrite is defined in its own module, so it reads what a test
+    # patches there; the original is put back at the end
+    monkeypatch.setattr(module, name, original)
+    exec(source.replace(old, new), vars(module))
+    # every other module that imported the kernel by name, tests included
     for mod in list(sys.modules.values()):
         if getattr(mod, "__dict__", {}).get(name) is original:
-            monkeypatch.setattr(mod, name, namespace[name])
+            monkeypatch.setattr(mod, name, getattr(module, name))
     passed = []
     for test in tests:
         try:
-            test()
-        except Exception:  # an assertion, or any error the rewrite causes
+            with pytest.MonkeyPatch.context() as mp:
+                test(*[mp] * len(inspect.signature(test).parameters))
+        # an assertion, a pytest.raises that saw nothing, or any error the
+        # rewrite causes
+        except (Exception, pytest.fail.Exception):
             continue
         passed.append(test.__name__)
     assert not passed

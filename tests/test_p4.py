@@ -11,6 +11,7 @@ from p4spec.constructions import (
     family,
     head_catalog,
     mask_to_graph,
+    masks_to_graphs,
     standard,
     thick_spider,
     thin_spider,
@@ -28,6 +29,7 @@ from p4spec.p4 import (
     recognize_spider,
     satisfies_q_t,
 )
+from p4spec.theorems import _classes, _sample_masks
 
 NET = from_edge_list(6, [(0, 1), (0, 2), (1, 2), (2, 3), (1, 4), (0, 5)])
 
@@ -419,6 +421,15 @@ def test_recognize_spider_against_oracle():
     for n in range(0, 7):
         for g in oracles.labeled_graphs(n):
             _assert_spider_matches_oracle(g)
+    # _classes lists the classes with at most half the edges; with their
+    # complements, that is every class on 7 vertices
+    classes = [(0, 1, ())]
+    for n in range(1, 8):
+        classes, _ = _classes(n, classes)
+    for code, _, _ in classes:
+        g = mask_to_graph(7, code)
+        _assert_spider_matches_oracle(g)
+        _assert_spider_matches_oracle(complement(g))
     # dense graphs have vertices of degree n - 2, the complement's legs, so
     # the degree test before the complement passes on some and fails on most
     rng = random.Random(111)
@@ -453,13 +464,29 @@ def test_recognize_spider_reads_degrees_before_the_complement(monkeypatch):
         built.append(g.n)
         return real(g)
 
+    co_p7 = complement(standard("path", 7))
     monkeypatch.setattr(p4, "complement", counting)
     # every vertex of C7 has degree 2, so its complement has no leg
     assert recognize_spider(standard("cycle", 7)) is None
     assert built == []
+    # the ends of P7 have degree 5 = n - 2 in its complement, as two legs of
+    # the complement would, but no vertex has degree k - 1 = 1
+    assert sorted(map(int.bit_count, co_p7.adj)) == [4, 4, 4, 4, 4, 5, 5]
+    assert recognize_spider(co_p7) is None
+    assert built == []
     spec = recognize_spider(thick_spider(3, standard("path", 3)))
     assert spec is not None and spec.kind == "thick"
     assert built == [9]
+    # the n = 7 draws of scan-n7-p4 at seed 1: 5,922 have two vertices of
+    # degree n - 2, but only the 16 thick spiders among the 93 spiders pass
+    # the thick count and fail the thin witness
+    built.clear()
+    graphs = masks_to_graphs(7, list(_sample_masks(1 << 21, 40000, 1, 7)))
+    assert sum([row.bit_count() for row in g.adj].count(5) >= 2 for g in graphs) == 5922
+    specs = list(map(recognize_spider, graphs))
+    assert sum(spec is not None for spec in specs) == 93
+    assert sum(spec is not None and spec.kind == "thick" for spec in specs) == 16
+    assert built == [7] * 16
 
 
 def test_spider_complement_swaps_kind():
