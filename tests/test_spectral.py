@@ -12,7 +12,7 @@ import pytest
 import oracles
 from p4spec import spectral
 from p4spec.constructions import mask_to_graph, standard, thin_spider
-from p4spec.graphs import Graph, complement, disjoint_union, join
+from p4spec.graphs import Graph, bits, complement, disjoint_union, join
 from p4spec.spectral import (
     ExactSpectrum,
     IntMatrix,
@@ -316,6 +316,21 @@ def test_root_product_matches_dense_product():
                 rows = spectral._root_product(laplacian(g), roots)
                 assert [_unpack(x, w, n) for x in rows] == _dense_root_product(g, roots)
 
+
+def test_certificate_values_are_ints():
+    # no float in any decision: a float equal to an int compares and hashes
+    # equal to it, so a float prefix would hit the table and no agreement
+    # test could see it; only the types show it
+    for g in _classes_and_complements(7):
+        m = laplacian(g)
+        prefix = spectral._prefix(g)
+        spec = exact_spectrum(g)
+        mask = spectral._integral_prefixes(g.n).get(prefix)
+        rows = spectral._root_product(m, bits(mask)) if mask else []
+        values = (*prefix, *char_poly(m).coeffs, *itertools.chain(*spec.integer_roots),
+                  *spec.residual.coeffs, *rows)
+        assert all(type(x) is int for x in values), g
+        assert type(is_l_integral(g)) is bool
 
 def test_is_l_integral_up_to_max_n_runs_no_faddeev_leverrier(monkeypatch):
     rng = random.Random(8)

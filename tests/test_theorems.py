@@ -21,6 +21,8 @@ from test_graphs import canonical_form
 
 # isomorphism classes of graphs on n = 1..7 vertices (OEIS A000088)
 CLASS_COUNTS = [1, 2, 4, 11, 34, 156, 1044]
+# isomorphism classes of cographs on n = 1..7 vertices (OEIS A000084)
+COGRAPH_COUNTS = [1, 2, 4, 10, 24, 66, 180]
 
 
 def _class_lists(n_max):
@@ -424,6 +426,8 @@ def test_failing_scan_finds_counterexamples_without_relabeling_every_class(monke
 def test_class_counts_match_oeis():
     lists = _class_lists(7)
     assert [len(_every_class(n, lists[n])) for n in range(1, 8)] == CLASS_COUNTS
+    assert [sum(p4.is_cograph(mask_to_graph(n, code)) for code, _, _ in _every_class(n, lists[n]))
+            for n in range(1, 8)] == COGRAPH_COUNTS
     for n, classes in lists.items():
         pairs = n * (n - 1) // 2
         every = _every_class(n, classes)
