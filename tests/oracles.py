@@ -11,7 +11,7 @@ from fractions import Fraction
 from p4spec.constructions import CASE_IV_KINDS, FAMILY_IDS, family, graph_to_mask, mask_to_graph
 from p4spec.formats import serialize_graph6
 from p4spec.graphs import Graph, complement, from_edge_list, induced_subgraph, mask_of
-from p4spec.spectral import numeric_spectrum
+from p4spec.spectral import char_poly, laplacian, numeric_spectrum
 from p4spec.theorems import DEFAULT_CHECKS, THEOREMS
 
 
@@ -100,6 +100,13 @@ def char_poly_coeffs(matrix) -> list[int]:
         raise ArithmeticError("characteristic polynomial has a non-integer coefficient")
     return [int(c) for c in coeffs]
 
+
+def fl_prefix(g: Graph) -> tuple[int, int, int]:
+    """e_1, e_2, e_3 of g's Laplacian eigenvalues from the package's
+    Faddeev-LeVerrier polynomial: e_k = (-1)^k c_{n-k}, and 0 past the
+    degree."""
+    c = [*reversed(char_poly(laplacian(g)).coeffs), 0, 0, 0]
+    return -c[1], c[2], -c[3]
 
 def p4_paths(g: Graph) -> dict:
     """frozenset of 4 vertices -> path order (a, b, c, d), a < d, for every

@@ -243,13 +243,6 @@ def test_is_l_integral_accepts_every_cograph_to_n8():
     assert all(map(is_l_integral, graphs))
 
 
-def _fl_prefix(g):
-    # e_k = (-1)^k c_{n-k} from the Faddeev-LeVerrier polynomial, and 0 past
-    # the degree
-    c = [*reversed(char_poly(laplacian(g)).coeffs), 0, 0, 0]
-    return -c[1], c[2], -c[3]
-
-
 def test_prefix_closed_forms_match_faddeev_leverrier():
     graphs = [g for n in range(6) for g in oracles.labeled_graphs(n)]
     graphs += _classes_and_complements(7)
@@ -259,7 +252,7 @@ def test_prefix_closed_forms_match_faddeev_leverrier():
             a, b = rng.getrandbits(n * (n - 1) // 2), rng.getrandbits(n * (n - 1) // 2)
             # densities 1/4, 1/2 and 3/4, so from few triangles to many
             graphs += [mask_to_graph(n, mask) for mask in (a & b, a, a | b)]
-    assert [spectral._prefix(g) for g in graphs] == [_fl_prefix(g) for g in graphs]
+    assert [spectral._prefix(g) for g in graphs] == [oracles.fl_prefix(g) for g in graphs]
 
 
 def test_integral_table_holds_every_root_multiset():
@@ -331,6 +324,7 @@ def test_certificate_values_are_ints():
                   *spec.residual.coeffs, *rows)
         assert all(type(x) is int for x in values), g
         assert type(is_l_integral(g)) is bool
+
 
 def test_is_l_integral_up_to_max_n_runs_no_faddeev_leverrier(monkeypatch):
     rng = random.Random(8)

@@ -38,10 +38,8 @@ from p4spec.p4 import (  # noqa: E402
 from p4spec.spectral import (  # noqa: E402
     _integral_prefixes,
     _prefix,
-    char_poly,
     exact_spectrum,
     is_l_integral,
-    laplacian,
 )
 from p4spec.theorems import _check_e, _classes, _has_midpoint_extension  # noqa: E402
 
@@ -63,11 +61,6 @@ def digest(level):
             adj = mask_to_graph(N, code ^ FULL).adj
             canonical.append((_search(adj, N, _refine(adj, N, [255], [255]))[0], aut))
     return hashlib.sha256(repr(sorted(canonical)).encode()).hexdigest()
-
-
-def fl_prefix(g):
-    # e_k = (-1)^k c_{n-k} from the Faddeev-LeVerrier polynomial
-    return tuple((-1) ** k * c for k, c in enumerate(char_poly(laplacian(g)).coeffs[-2:-5:-1], 1))
 
 
 def same(kernel, oracle):
@@ -127,8 +120,8 @@ def rows(levels, graphs, classes, extendible):
         ("level 8 with generators, sha256", lambda: (digest(levels[True]), []), DIGEST),
         ("level 8 without generators, sha256", lambda: (digest(levels[False]), []), DIGEST),
         ("_integral_prefixes(8), prefixes", lambda: (len(_integral_prefixes(N)), []), 6026),
-        ("_prefix = Faddeev-LeVerrier e_1..e_3, graphs", over(graphs, same(_prefix, fl_prefix)),
-         13992),
+        ("_prefix = Faddeev-LeVerrier e_1..e_3, graphs",
+         over(graphs, same(_prefix, oracles.fl_prefix)), 13992),
         ("is_l_integral = exact_spectrum, L-integral",
          over(graphs, same(is_l_integral, lambda g: exact_spectrum(g).is_integral)), 586),
         ("is_p4_extendible = oracle, P4-extendible",
