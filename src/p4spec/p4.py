@@ -1,20 +1,21 @@
 """Induced-P4 structure: enumeration, recognition of P4-flavored classes.
 
-Every induced P4 a-b-c-d has exactly one middle edge b-c, the edge between
-its two inner vertices.  `enumerate_p4` walks each edge as a candidate
-middle and pairs an end a in N(b) minus N[c] with an end d in N(c) minus
-N[b] that is not adjacent to a, so each induced P4 is found once and the
-cost grows with the edges and the P4s, not with the 4-sets.  It returns
-only the vertex masks; the inner vertices of a P4 are the two with two
-neighbours inside its mask (`_midpoints`), and the p-components are the
-closures of the P4s under sharing a vertex (`_p4_components`).  The class
-predicates all read that one pass, and the complement, through
-`Graph.derived`, so `classify` and the theorem scans enumerate once per
-graph however many predicates they ask.  `recognize_spider` reads g's
-degrees once and counts them: a spider with k legs has exactly k vertices
-of each of two degrees that k fixes, so most graphs fail both counts and
-only a graph that passes the thick count builds the complement; the
-complement's degrees are n - 1 - d.
+`enumerate_p4` returns the vertex masks of the induced P4s, each once, in
+no specified order.  Up to `MAX_N` vertices it tests every 4-set at once,
+one bit lane per 4-set in a few Python ints, from a table per n of each
+vertex's pair bits.  Above, where those tables outgrow the graphs, it
+walks each edge as a candidate middle and pairs an end a in N(b) minus
+N[c] with an end d in N(c) minus N[b] that is not adjacent to a, so the
+cost grows with the edges and the P4s, not with the 4-sets.  The inner
+vertices of a P4 are the two with two neighbours inside its mask
+(`_midpoints`), and the p-components are the closures of the P4s under
+sharing a vertex (`_p4_components`).  The class predicates all read that
+one pass, and the complement, through `Graph.derived`, so `classify` and
+the theorem scans enumerate once per graph however many predicates they
+ask.  `recognize_spider` reads g's degrees once and counts them: a spider
+with k legs has exactly k vertices of each of two degrees that k fixes, so
+most graphs fail both counts and only a graph that passes the thick count
+builds the complement; the complement's degrees are n - 1 - d.
 """
 
 from __future__ import annotations
@@ -25,18 +26,77 @@ from collections import namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
 
+from . import MAX_N
 from .graphs import Graph, _components, bits, complement, mask_of
 from .spectral import exact_spectrum
 
 
-def enumerate_p4(g: Graph) -> list[int]:
-    """The vertex masks of all induced P4s, one per vertex set.
+@lru_cache(maxsize=None)
+def _p4_lanes(n: int) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], int, int], ...],
+                              int, int]:
+    """(quads, rows, lanes, lane mask): enumerate_p4's tables for n vertices.
 
-    Each edge b-c with b < c is tried as the middle edge; the list is
-    ordered by that edge, then by the end a at b, then by the end d at c.
-    `_midpoints` reads a P4's inner vertices back from its mask.
+    quads holds the vertex masks of the C(n, 4) = lanes 4-sets w < x < y < z
+    in combinations order, 4-set i in lane i.  A pair of vertices sets bit i
+    of one of six blocks of `lanes` bits in each 4-set i that holds it:
+    blocks 0, 1, 2 for wx, wy, wz, and blocks 3, 4, 5 for their partners in
+    a perfect matching, yz, xz, xy.  For each v >= 1, rows holds (row, v,
+    2^v - 1), and row[s] is the OR of the bits of v's pairs with the lower
+    vertices in s.  7 KB at n = 7 and 21 KB at n = 8.
+    """
+    quads = list(itertools.combinations(range(n), 4))
+    lanes = len(quads)
+    pair_bits = dict.fromkeys(itertools.combinations(range(n), 2), 0)
+    for i, (w, x, y, z) in enumerate(quads):
+        for block, pair in enumerate(((w, x), (w, y), (w, z), (y, z), (x, z), (x, y))):
+            pair_bits[pair] |= 1 << (block * lanes + i)
+    rows = []
+    for v in range(1, n):
+        row = [0]
+        for u in range(v):
+            row += [s | pair_bits[u, v] for s in row]
+        rows.append((tuple(row), v, (1 << v) - 1))
+    return tuple(map(mask_of, quads)), tuple(rows), lanes, (1 << lanes) - 1
+
+
+def enumerate_p4(g: Graph) -> list[int]:
+    """The vertex masks of all induced P4s, one per vertex set, in no
+    specified order.  `_midpoints` reads a P4's inner vertices back from
+    its mask.
+
+    Up to MAX_N vertices every 4-set is a lane (`_p4_lanes`).  A 4-set
+    induces a P4 iff, of its three perfect matchings, exactly one is fully
+    present and exactly one is half present: P4 a-b-c-d has ab, cd full,
+    bc, ad half and ac, bd empty; and one full matching e, f, one edge g of
+    another and none of the third are the path e-g-f, as every edge outside
+    a perfect matching meets both of its edges.  As #full + #half <= 3, that
+    is both counts odd.  OR-ing each vertex's row gives s, six blocks of
+    pair bits; with hi = s >> 3 lanes, s & hi marks the full matchings and
+    s ^ hi the half ones in blocks 0..2, and the XOR of those three blocks,
+    read in block 0 only, is each count's parity.  The lanes come out in
+    4-set order.
+
+    Above MAX_N each edge b-c with b < c is tried as the middle edge, in
+    that order, then by the end a at b and the end d at c.  The lane tables
+    would grow to 74 KB at n = 9 and 1.6 MB at n = 12.
     """
     adj = g.adj
+    if g.n <= MAX_N:
+        quads, rows, lanes, lane_mask = _p4_lanes(g.n)
+        s = 0
+        for row, v, below in rows:
+            s |= row[adj[v] & below]
+        hi = s >> 3 * lanes
+        full = s & hi
+        half = s ^ hi
+        p4s = ((full ^ full >> lanes ^ full >> 2 * lanes)
+               & (half ^ half >> lanes ^ half >> 2 * lanes) & lane_mask)
+        out = []
+        while p4s:
+            low = p4s & -p4s
+            p4s ^= low
+            out.append(quads[low.bit_length() - 1])
+        return out
     out = []
     for b in range(g.n):
         nb = adj[b]
@@ -241,9 +301,9 @@ def is_p4_reducible(g: Graph) -> bool:
 
 
 def _p4_components(p4masks: list[int]) -> Iterator[int]:
-    """The p-components as vertex masks, the one holding p4masks[0] first:
-    each is the closure of a P4 under adding every P4 that meets it, and
-    the P4s it leaves out are disjoint from it."""
+    """The p-components as vertex masks, in no specified order, as the P4s
+    come in none: each is the closure of a P4 under adding every P4 that
+    meets it, and the P4s it leaves out are disjoint from it."""
     while p4masks:
         reach = p4masks[0]
         last = 0

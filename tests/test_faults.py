@@ -202,11 +202,28 @@ FAULTS = {
     # equivalent and so not listed: c joins the ends at b, but as an end it
     # gets no d, since every d is in ends_c, inside c's neighbourhood, and
     # ends_c & ~adj[c] is empty; only the skip of a middle edge with no end
-    # at b is lost, which is work, not a result.
+    # at b is lost, which is work, not a result.  The walk runs above MAX_N
+    # only, so its tests must reach n >= 9.
     "p4-end-off-middle": (
         p4, "enumerate_p4", "ends_b = nb & ~(nc | cm)", "ends_b = nb & ~cm",
         [test_p4.test_enumerate_p4_against_oracle,
-         test_p4.test_p4_sparse_matches_oracle_exhaustive]),
+         test_p4.test_p4_extendible_against_oracle]),
+    # wy and wz pair with xy and xz instead of xz and xy, so the lanes test
+    # matchings that are no matchings
+    "p4-lane-partners": (
+        p4, "_p4_lanes", "((w, x), (w, y), (w, z), (y, z), (x, z), (x, y))",
+        "((w, x), (w, y), (w, z), (y, z), (x, y), (x, z))",
+        [test_p4.test_enumerate_p4_examples, test_p4.test_enumerate_p4_against_oracle]),
+    # at least one full matching, not an odd number: the diamond, two full
+    # and one half, is listed as a P4
+    "p4-lane-parity": (
+        p4, "enumerate_p4", "(full ^ full >> lanes ^ full >> 2 * lanes)",
+        "(full | full >> lanes | full >> 2 * lanes)",
+        [test_p4.test_enumerate_p4_against_oracle]),
+    # no row holds the pairs with vertex 0
+    "p4-lane-vertex-zero": (
+        p4, "_p4_lanes", "for u in range(v):", "for u in range(1, v):",
+        [test_p4.test_enumerate_p4_examples, test_p4.test_enumerate_p4_against_oracle]),
     # a branch that reaches cells already searched is dropped even from
     # smaller placed blocks: on 5 vertices, edges 04 12 13 give mask 84,
     # not 76

@@ -1,9 +1,13 @@
-"""The decision guards are explicit raises, so `python -O` keeps them.
+"""The decision guards are explicit raises, so `python -O` keeps them, and
+no float takes part in a decision.
 
 Each guard is fed a bad value in a `python -O` subprocess and must still
-raise ArithmeticError.
+raise ArithmeticError.  A lint of the package's source finds every float
+literal, true division, float, complex or round call and float-valued math
+name, and allows them only in the display paths and a scan's timer.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -104,3 +108,93 @@ def test_decision_guards_survive_optimize_flag():
         "raised: automorphism group order 5 does not divide 1!",
         "raised: class weights on 3 vertices sum to 2, not 2^3",
     ]
+
+
+# where the package may hold floats: the Jacobi sweeps behind `analyze
+# --numeric` and `spectrum --mode numeric`, the closed-form display that
+# `spectrum --mode closed-form` prints after its exact polynomial check, and
+# a scan's check-time total; (module, top-level name or class.method)
+FLOAT_ALLOWED = {
+    ("spectral", "_JACOBI_TOL"),
+    ("spectral", "_offdiag_norm"),
+    ("spectral", "numeric_spectrum"),
+    ("spectral", "SurdEigenvalue.value"),
+    ("spectral", "ClosedFormSpectrum.values"),
+    ("theorems", "_Tally.__init__"),
+}
+# the math names that map ints to ints
+INT_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
+
+
+def _float_use(node):
+    """What in node makes or reads a float, or None."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+        return f"literal {node.value!r}"
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+        return "true division"
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("float", "complex", "round")):
+        return f"{node.func.id}()"
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "math" and node.attr not in INT_MATH):
+        return f"math.{node.attr}"
+    if isinstance(node, ast.ImportFrom) and node.module == "math":
+        names = [a.name for a in node.names if a.name not in INT_MATH]
+        return f"from math import {', '.join(names)}" if names else None
+    return None
+
+
+def float_sites(source):
+    """(scope, line, what) for each float use in a module's source; scope is
+    the dotted path of the classes and functions around it, or the name a
+    module-level assignment binds."""
+    sites = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope += (node.name,)
+        elif not scope and isinstance(node, ast.Assign):
+            scope = tuple(t.id for t in node.targets if isinstance(t, ast.Name))
+        what = _float_use(node)
+        if what:
+            sites.append((".".join(scope), node.lineno, what))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return sites
+
+
+def test_float_lint_sees_each_form():
+    source = (
+        "import math\n"
+        "from math import comb, sqrt\n"
+        "LIMIT = 1e-9\n"
+        "class C:\n"
+        "    def f(self, x):\n"
+        "        x /= 2\n"
+        "        return x / 3 + float(x) + complex(x) + round(x) + math.log(x) + math.pi\n"
+        "def g(n):\n"
+        "    return math.comb(n, 2) // 3 + math.isqrt(n)\n")
+    assert sorted(float_sites(source)) == [
+        ("", 2, "from math import sqrt"),
+        ("C.f", 6, "true division"),
+        ("C.f", 7, "complex()"),
+        ("C.f", 7, "float()"),
+        ("C.f", 7, "math.log"),
+        ("C.f", 7, "math.pi"),
+        ("C.f", 7, "round()"),
+        ("C.f", 7, "true division"),
+        ("LIMIT", 3, "literal 1e-09"),
+    ]
+
+
+def test_no_float_outside_the_display_paths():
+    found = {}
+    for path in sorted(Path(SRC, "p4spec").glob("*.py")):
+        for scope, line, what in float_sites(path.read_text()):
+            found.setdefault((path.stem, scope), []).append(f"{path.name}:{line}: {what}")
+    assert [site for key, sites in found.items() if key not in FLOAT_ALLOWED
+            for site in sites] == []
+    # an entry with no float left is dropped from the list, not kept open
+    assert FLOAT_ALLOWED <= set(found)

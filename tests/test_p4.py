@@ -5,7 +5,7 @@ import random
 import pytest
 
 import oracles
-from p4spec import p4
+from p4spec import p4, theorems
 from p4spec.constructions import (
     case_iv_graph,
     family,
@@ -29,7 +29,7 @@ from p4spec.p4 import (
     recognize_spider,
     satisfies_q_t,
 )
-from p4spec.theorems import _classes, _sample_masks
+from p4spec.theorems import _classes, _sample_masks, verify_theorems
 
 NET = from_edge_list(6, [(0, 1), (0, 2), (1, 2), (2, 3), (1, 4), (0, 5)])
 
@@ -51,20 +51,13 @@ def test_enumerate_p4_examples():
 
 
 def test_enumerate_p4_path_orientation():
-    # the masks come back in middle-edge order, and each one's midpoints are
-    # the inner vertices of its path
+    # each mask's midpoints are the inner vertices of its path; the order of
+    # the masks is unspecified
     assert enumerate_p4(standard("path", 4)) == [0b1111]
     assert p4._midpoints(standard("path", 4).adj, 0b1111) == 0b0110
     for n in (5, 6, 7):
         _assert_p4_entries_match_oracle(standard("cycle", n))
         _assert_p4_entries_match_oracle(standard("path", n))
-
-
-def _middle_edge_key(path):
-    """Where the enumeration lists the P4 a-b-c-d: by its middle edge, then
-    by the end at the middle edge's smaller vertex, then the other end."""
-    a, b, c, d = path
-    return (b, c, a, d) if b < c else (c, b, d, a)
 
 
 def _assert_p4_entries_match_oracle(g):
@@ -73,7 +66,6 @@ def _assert_p4_entries_match_oracle(g):
     got = [frozenset(v for v in range(g.n) if m >> v & 1) for m in masks]
     assert len(set(got)) == len(got), "two entries share a vertex set"
     assert set(got) == set(paths)
-    assert got == sorted(paths, key=lambda w: _middle_edge_key(paths[w]))
     for m, w in zip(masks, got):
         a, b, c, d = paths[w]
         assert p4._midpoints(g.adj, m) == (1 << b) | (1 << c), (g, paths[w])
@@ -535,3 +527,42 @@ def test_classify_cograph_flags_consistent():
         if rep.is_cograph:
             assert rep.is_p4_sparse and rep.is_p4_extendible and rep.l_integral
         assert rep.is_p4_reducible == (rep.is_p4_sparse and rep.is_p4_extendible)
+
+
+def test_no_result_reads_the_p4_order(monkeypatch):
+    # the lanes (n <= MAX_N) and the edge walk (above) list the P4s in
+    # different orders, and neither order is specified: every report and
+    # scan result must read the same with the list reversed
+    rng = random.Random(111)
+    keys = []
+    for n in range(4, 13):
+        width = n * (n - 1) // 2
+        for _ in range(4):
+            sparse = rng.getrandbits(width) & rng.getrandbits(width) & rng.getrandbits(width)
+            keys += [(n, sparse), (n, rng.getrandbits(width)), (n, sparse ^ (1 << width) - 1)]
+
+    def graphs():
+        # fresh graphs, so that no derived value is read from a memo;
+        # several p-components, a P4-extendible graph above MAX_N, and one
+        # whose first P4 has one extension vertex and whose last has two
+        c5 = standard("cycle", 5)
+        return [mask_to_graph(n, mask) for n, mask in keys] + [
+            disjoint_union(c5, standard("path", 4)),
+            disjoint_union(disjoint_union(c5, c5), standard("path", 4)),
+            disjoint_union(standard("path", 4), NET),
+            thick_spider(4, standard("path", 3))]
+
+    reports = [classify(g).to_dict() for g in graphs()]
+    results = [r.to_dict() for r in verify_theorems(6)]
+    forward = p4.enumerate_p4
+    sizes = set()
+
+    def backward(g):
+        sizes.add(g.n)
+        return forward(g)[::-1]
+
+    for module in (p4, theorems):
+        monkeypatch.setattr(module, "enumerate_p4", backward)
+    assert [classify(g).to_dict() for g in graphs()] == reports
+    assert [r.to_dict() for r in verify_theorems(6)] == results
+    assert sizes >= set(range(4, 13))

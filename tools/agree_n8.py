@@ -27,8 +27,9 @@ sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
 import oracles  # noqa: E402
 from p4spec.constructions import mask_to_graph, masks_to_graphs  # noqa: E402
 from p4spec.formats import serialize_graph6  # noqa: E402
-from p4spec.graphs import _refine, _search  # noqa: E402
+from p4spec.graphs import _refine, _search, bits  # noqa: E402
 from p4spec.p4 import (  # noqa: E402
+    enumerate_p4,
     is_cograph,
     is_p4_connected,
     is_p4_extendible,
@@ -82,6 +83,13 @@ def spider(g):
     return ok, spec is not None
 
 
+def p4_sets(g):
+    # each vertex set once, and the same sets as the oracle's walk over
+    # every 4-set; counted by P4s
+    got = [frozenset(bits(m)) for m in enumerate_p4(g)]
+    return len(set(got)) == len(got) and set(got) == set(oracles.p4_paths(g)), len(got)
+
+
 def theorem_e(g):
     # on a P4-extendible graph exactly one case holds: disconnected,
     # co-disconnected, P4 or F0..F6, or a midpoint extension; counted by case
@@ -124,6 +132,7 @@ def rows(levels, graphs, classes, extendible):
          over(graphs, same(_prefix, oracles.fl_prefix)), 13992),
         ("is_l_integral = exact_spectrum, L-integral",
          over(graphs, same(is_l_integral, lambda g: exact_spectrum(g).is_integral)), 586),
+        ("enumerate_p4 = p4_paths, as vertex sets, P4s", over(graphs, p4_sets), 166854),
         ("is_p4_extendible = oracle, P4-extendible",
          over(graphs, same(is_p4_extendible, oracles.is_p4_extendible)), 858),
         ("recognize_spider = oracle, thin preferred, spiders", over(graphs, spider), 20),
